@@ -33,10 +33,11 @@ class SuiteResult:
     failures: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
-    def check(self, ok: bool, message: str):
+    def check(self, ok: bool, message: str, *args):
+        """Count a case; only a failing one renders ``message.format(*args)``."""
         self.cases += 1
         if not ok:
-            self.failures.append(message)
+            self.failures.append(message.format(*args))
 
     def lines(self):
         out = []
@@ -96,13 +97,14 @@ def suite_injectivity(max_size: int = 4, seed: int = 0) -> SuiteResult:
     grid = (Fraction(0), Fraction(1), Fraction(2))
     for label, lat in _injectivity_fixtures(max_size):
         space = stone_space(lat)
+        names = [space.point_name(k) for k in range(space.n_points)]
         seen = {}
         for e in fam.enumerate_families(lat, grid):
             key = fam.observable_function(e, space).values
             other = seen.setdefault(key, e)
             res.check(other is e or other == e,
-                      f"{label}: {other!r} and {e!r} share the observable function "
-                      f"{dict(zip((space.point_name(k) for k in range(space.n_points)), key))}")
+                      "{}: {!r} and {!r} share the observable function {}",
+                      label, other, e, dict(zip(names, key)))
     return res
 
 
@@ -147,7 +149,7 @@ def suite_continuity(max_size: int = 4, seed: int = 0) -> SuiteResult:
                 if lo < v < hi:
                     mask |= 1 << k
             res.check(space.is_open(mask),
-                      f"{e!r}: preimage of ({lo}, {hi}) is not open")
+                      "{!r}: preimage of ({}, {}) is not open", e, lo, hi)
     return res
 
 
@@ -170,15 +172,15 @@ def suite_complex(max_size: int = 4, seed: int = 0) -> SuiteResult:
             valid += 1
             e1, e2 = fam.decompose(e)
             res.check(fam.product_family(e1, e2) == e,
-                      f"recombine(decompose) != identity for matrix {matrix}")
+                      "recombine(decompose) != identity for matrix {}", matrix)
             matches = [(f1, f2) for f1 in candidates for f2 in candidates
                        if fam.product_family(f1, f2) == e]
             res.check(len(matches) == 1,
-                      f"{len(matches)} decompositions found for matrix {matrix}")
+                      "{} decompositions found for matrix {}", len(matches), matrix)
             g = fam.observable_function_complex(e, space)
             res.check(g.re == fam.observable_function(e1, space)
                       and g.im == fam.observable_function(e2, space),
-                      f"componentwise function split fails for matrix {matrix}")
+                      "componentwise function split fails for matrix {}", matrix)
     res.notes.append(f"{valid} valid matrices on boolean(2) x {{0,1}}^2")
     return res
 
@@ -204,15 +206,15 @@ def suite_spectral_theorem(max_size: int = 6, seed: int = 0) -> SuiteResult:
             grid = [lo + k * eps for k in range(steps + 1)]
             s = mea.riemann_stieltjes_on_points(f6, e, grid)
             err = max(abs(a - b) for a, b in zip(phi.values, s.values))
-            res.check(err <= eps, f"|phi - s| = {err} > {eps} for {phi!r}")
+            res.check(err <= eps, "|phi - s| = {} > {} for {!r}", err, eps, phi)
         exact = mea.riemann_stieltjes_on_points(f6, e, sorted(set(phi.values)))
-        res.check(exact == phi, f"threshold grid is not exact for {phi!r}")
+        res.check(exact == phi, "threshold grid is not exact for {!r}", phi)
     b3 = boolean_lattice(3)
     s3 = stone_space(b3)
     for e in fam.enumerate_families(b3, GRID3):
         g = fam.observable_function(e, s3)
         integral = fam.riemann_stieltjes(e, e.thresholds, s3)
-        res.check(integral == g, f"quasipoint step sum differs from f_E for {e!r}")
+        res.check(integral == g, "quasipoint step sum differs from f_E for {!r}", e)
     return res
 
 
@@ -229,47 +231,48 @@ def suite_correspondence(max_size: int = 4, seed: int = 0) -> SuiteResult:
     for n in range(1, n_max + 1):
         spaces = top.all_topologies(n)
         res.check(len(spaces) == counts[n],
-                  f"{len(spaces)} topologies enumerated on {n} points, wanted {counts[n]}")
+                  "{} topologies enumerated on {} points, wanted {}",
+                  len(spaces), n, counts[n])
         for t in spaces:
             lat = t.lattice()
             for values in product(GRID3, repeat=n):
                 cont = top.is_continuous(t, values)
                 e = top.spectral_family_of_continuous(t, values)
                 res.check(not isinstance(e, top.NotASpectralFamily),
-                          f"{t!r}: {values} failed to induce a family")
+                          "{!r}: {} failed to induce a family", t, values)
                 if isinstance(e, top.NotASpectralFamily):
                     continue
                 if cont:
                     sr, witness = top.is_strongly_regular(t, e)
-                    res.check(sr, f"{t!r}: continuous {values} gave a family "
-                                  f"that is not strongly regular at {witness}")
+                    res.check(sr, "{!r}: continuous {} gave a family "
+                                  "that is not strongly regular at {}", t, values, witness)
                     res.check(top.admissible_domain(t, e) == t.full,
-                              f"{t!r}: admissible domain not the whole space")
+                              "{!r}: admissible domain not the whole space", t)
                     res.check(top.induced_function(t, e) == values,
-                              f"{t!r}: induced function differs from {values}")
+                              "{!r}: induced function differs from {}", t, values)
             # the family-side direction quantifies over all bounded families
             for e in fam.enumerate_families(lat, GRID3):
                 sr, _ = top.is_strongly_regular(t, e)
                 dom = top.admissible_domain(t, e)
                 masks = [lat.payload[v] for v in e.values]
-                res.check(dom == t.full, f"{t!r}: bounded family with partial domain")
+                res.check(dom == t.full, "{!r}: bounded family with partial domain", t)
                 res.check(all(o & dom for o in t.opens if o),
-                          f"{t!r}: domain of {e!r} is not dense")
+                          "{!r}: domain of {!r} is not dense", t, e)
                 if sr:
                     res.check(dom in t.opens,
-                              f"{t!r}: domain of strongly regular {e!r} is not open")
+                              "{!r}: domain of strongly regular {!r} is not open", t, e)
                     induced = top.induced_function(t, e)
                     res.check(top.is_continuous(t, induced),
-                              f"{t!r}: strongly regular {e!r} induced a "
-                              f"discontinuous function {induced}")
+                              "{!r}: strongly regular {!r} induced a "
+                              "discontinuous function {}", t, e, induced)
                     back = top.spectral_family_of_continuous(t, induced)
                     res.check(back == e,
-                              f"{t!r}: restriction identity fails for {e!r}")
+                              "{!r}: restriction identity fails for {!r}", t, e)
                     res.check(all(t.is_regular_open(m) for m in masks),
-                              f"{t!r}: strongly regular {e!r} has a non-regular value")
+                              "{!r}: strongly regular {!r} has a non-regular value", t, e)
                     sp = fam.spectrum_of(e).spectrum
                     res.check(tuple(sorted(set(induced))) == sp,
-                              f"{t!r}: spectrum of {e!r} differs from the image closure")
+                              "{!r}: spectrum of {!r} differs from the image closure", t, e)
     # a two-point discrete space: the indicator of a clopen piece jumps at 1
     disc = top.TopSpace.discrete(("1", "2"))
     e = top.spectral_family_of_continuous(disc, (Fraction(1), Fraction(0)))
@@ -283,7 +286,7 @@ def suite_correspondence(max_size: int = 4, seed: int = 0) -> SuiteResult:
     else:
         t, e = found
         res.check(top.classify_family(t, e) == "regular",
-                  f"witness search returned a non-witness on {t!r}")
+                  "witness search returned a non-witness on {!r}", t)
         res.notes.append(f"regular-but-not-strongly-regular witness on {t!r}: {e!r}")
     return res
 
@@ -323,13 +326,13 @@ def suite_quotient(max_size: int = 4, seed: int = 0) -> SuiteResult:
             members = {lat.payload[e] for e in bits(space.points[k])}
             acc = members if acc is None else acc & members
         res.check(acc == perp,
-                  f"ideal {ideal!r}: quasipoint intersection differs from the dual filter")
+                  "ideal {!r}: quasipoint intersection differs from the dual filter", ideal)
         for a, b in product(perp, repeat=2):
             res.check(a & b in perp,
-                      f"ideal {ideal!r}: dual filter not closed under intersection")
+                      "ideal {!r}: dual filter not closed under intersection", ideal)
         # quotient quasipoints biject with the embedded ones, member-compatibly
         res.check(len(embedded) == q.stone().n_points,
-                  f"ideal {ideal!r}: embedding is not a bijection")
+                  "ideal {!r}: embedding is not a bijection", ideal)
         for j, k in enumerate(embedded):
             for m in f.members():
                 in_original = bool(space.points[k] >> f.element_of(m) & 1)
@@ -337,7 +340,7 @@ def suite_quotient(max_size: int = 4, seed: int = 0) -> SuiteResult:
                 in_quotient = bool(
                     q.stone().points[j] >> q.reduced.element_of(rm) & 1)
                 res.check(in_original == in_quotient,
-                          f"ideal {ideal!r}: membership mismatch for {f.set_name(m)}")
+                          "ideal {!r}: membership mismatch for {}", ideal, f.set_name(m))
         # kernel law and representative independence over the value grid
         for assignment in product(GRID3, repeat=len(f.atoms)):
             values = [None] * n
@@ -349,14 +352,14 @@ def suite_quotient(max_size: int = 4, seed: int = 0) -> SuiteResult:
             vanishes = all(v == 0 for v in g.values)
             outside = all(values[p] == 0 for p in bits(q.survivors))
             res.check(vanishes == outside,
-                      f"ideal {ideal!r}: kernel law fails for {phi!r}")
+                      "ideal {!r}: kernel law fails for {!r}", ideal, phi)
             psi_values = list(values)
             for p in bits(ideal.mask):
                 psi_values[p] = values[p] + 1  # change only inside the ideal
             if ideal.mask:
                 psi = mea.MeasurableFunction(f, psi_values)
                 res.check(mea.gamma_transform(psi, q) == g,
-                          f"ideal {ideal!r}: representative dependence for {phi!r}")
+                          "ideal {!r}: representative dependence for {!r}", ideal, phi)
         # lift round trip on every bounded family of the quotient
         for e in fam.enumerate_families(q.lattice(), GRID3):
             phi = mea.lift_spectral_family(q, e)
@@ -365,10 +368,10 @@ def suite_quotient(max_size: int = 4, seed: int = 0) -> SuiteResult:
                 q.class_of(lat.payload[back.eval(t)]) ==
                 q.reduced.lattice().payload[e.eval(t)]
                 for t in (Fraction(-1),) + GRID3)
-            res.check(lifted_ok, f"ideal {ideal!r}: lifted family has wrong classes")
+            res.check(lifted_ok, "ideal {!r}: lifted family has wrong classes", ideal)
             res.check(mea.gamma_transform(phi, q) ==
                       fam.observable_function(e, q.stone()),
-                      f"ideal {ideal!r}: lift-then-transform differs from f_E")
+                      "ideal {!r}: lift-then-transform differs from f_E", ideal)
     return res
 
 
@@ -388,7 +391,7 @@ def suite_increasing(max_size: int = 4, seed: int = 0) -> SuiteResult:
     for t in spaces:
         lat = t.r_lattice()
         ok, witness = is_completely_distributive(lat)
-        res.check(ok, f"{t!r}: closure law fails for the family {witness}")
+        res.check(ok, "{!r}: closure law fails for the family {}", t, witness)
     for i in range(100):
         t = spaces[i % len(spaces)]
         lat = t.r_lattice()
@@ -398,7 +401,7 @@ def suite_increasing(max_size: int = 4, seed: int = 0) -> SuiteResult:
                  for _ in range(st.n_points)])
         r = top.r_function(t, g)
         ok, witness = top.completely_increasing_check(lat, r)
-        res.check(ok, f"{t!r}: r_g not completely increasing at {witness}")
+        res.check(ok, "{!r}: r_g not completely increasing at {}", t, witness)
     for n in range(1, min(4, max_size) + 1):
         t = top.TopSpace.discrete(_ground(n))
         p = top.pt_structure(t)
@@ -414,8 +417,8 @@ def suite_increasing(max_size: int = 4, seed: int = 0) -> SuiteResult:
             # spectra coincide and the fibre test applies verbatim
             member = top.cpt_membership(p, fam.ObservableFunction(p.stone, values))
             res.check(stars == member,
-                      f"discrete({n}): infimum condition and fibre test disagree "
-                      f"for {values}")
+                      "discrete({}): infimum condition and fibre test disagree "
+                      "for {}", n, values)
     return res
 
 
@@ -432,13 +435,13 @@ def suite_point_iso(max_size: int = 4, seed: int = 0) -> SuiteResult:
         t = top.TopSpace.discrete(_ground(n))
         st = stone_space(t.lattice())
         p = top.pt_structure(t)
-        res.check(st.n_points == n, f"discrete({n}): spectrum size {st.n_points}")
+        res.check(st.n_points == n, "discrete({}): spectrum size {}", n, st.n_points)
         res.check(p.pt is not None and sorted(p.pt.values()) == list(range(n)),
-                  f"discrete({n}): fibre map is not a bijection")
+                  "discrete({}): fibre map is not a bijection", n)
         res.check(top.identification_check(p),
-                  f"discrete({n}): identification topology differs")
+                  "discrete({}): identification topology differs", n)
         res.check(top.covers_spectrum(p),
-                  f"discrete({n}): some quasipoint lies over no point")
+                  "discrete({}): some quasipoint lies over no point", n)
         qp_over = {x: k for k, x in p.pt.items()}
 
         small = (Fraction(0), Fraction(1))
@@ -452,9 +455,9 @@ def suite_point_iso(max_size: int = 4, seed: int = 0) -> SuiteResult:
             phi_re = [g.re.values[qp_over[x]] for x in range(n)]
             phi_im = [g.im.values[qp_over[x]] for x in range(n)]
             back = top.f_star(t, phi_re, phi_im)
-            res.check(back == g, f"discrete({n}): transform misses the target {re}+i{im}")
+            res.check(back == g, "discrete({}): transform misses the target {}+i{}", n, re, im)
             res.check(top.cpt_membership(p, g.re) and top.cpt_membership(p, g.im),
-                      f"discrete({n}): target not fibre-constant")
+                      "discrete({}): target not fibre-constant", n)
             target_count += 1
         res.notes.append(f"discrete({n}): {target_count} exhaustive surjectivity targets")
         for _ in range(25):
@@ -467,21 +470,21 @@ def suite_point_iso(max_size: int = 4, seed: int = 0) -> SuiteResult:
             for k in range(n):
                 x = p.pt[k]
                 res.check(g1.value(k) == (re1[x], im1[x]),
-                          f"discrete({n}): value at the quasipoint over {t.points[x]} "
-                          f"differs from the point value")
+                          "discrete({}): value at the quasipoint over {} "
+                          "differs from the point value", n, t.points[x])
             s_re = [a + b for a, b in zip(re1, re2)]
             s_im = [a + b for a, b in zip(im1, im2)]
             res.check(top.f_star(t, s_re, s_im) == g1 + g2,
-                      f"discrete({n}): additivity fails")
+                      "discrete({}): additivity fails", n)
             p_re = [a * c - b * d for a, b, c, d in zip(re1, im1, re2, im2)]
             p_im = [a * d + b * c for a, b, c, d in zip(re1, im1, re2, im2)]
             res.check(top.f_star(t, p_re, p_im) == g1 * g2,
-                      f"discrete({n}): multiplicativity fails")
+                      "discrete({}): multiplicativity fails", n)
             res.check(top.f_star(t, re1, [-v for v in im1]) == g1.conj(),
-                      f"discrete({n}): conjugation fails")
+                      "discrete({}): conjugation fails", n)
             norm_m = max(a * a + b * b for a, b in zip(re1, im1))
             res.check(g1.sup_norm_squared() == norm_m,
-                      f"discrete({n}): sup norm not preserved")
+                      "discrete({}): sup norm not preserved", n)
     return res
 
 
@@ -496,7 +499,7 @@ def suite_counterexamples(max_size: int = 4, seed: int = 0) -> SuiteResult:
     e = top.spectral_family_of_continuous(sierp, (Fraction(0), Fraction(1)))
     sr, witness = top.is_strongly_regular(sierp, e)
     res.check(not sr and witness == (Fraction(0), HALF),
-              f"two-point space: expected witness (0, 1/2), got {witness}")
+              "two-point space: expected witness (0, 1/2), got {}", witness)
     induced = top.induced_function(sierp, e)
     res.check(not top.is_continuous(sierp, induced),
               "two-point space: induced function should not be continuous")
@@ -507,13 +510,13 @@ def suite_counterexamples(max_size: int = 4, seed: int = 0) -> SuiteResult:
     res.check(not ok and w1 is not None, "MO(2) should fail distributivity")
     ok2, w2 = is_completely_distributive(mo2)
     res.check(not ok2 and set(w2) == {"a", "a'"},
-              f"MO(2) complete distributivity witness should be a, a', got {w2}")
+              "MO(2) complete distributivity witness should be a, a', got {}", w2)
     res.notes.append(f"MO(2) witnesses: distributivity {w1}, closure law {w2}")
 
     c3 = chain_lattice(3)
     space = stone_space(c3)
     res.check(space.n_points == 1,
-              f"chain(3) should have exactly 1 quasipoint, got {space.n_points}")
+              "chain(3) should have exactly 1 quasipoint, got {}", space.n_points)
     res.check(space.points[0] == (1 << c3.eid("m1")) | (1 << c3.eid("1")),
               "chain(3) quasipoint should be the filter of the middle element")
     res.check(dual_ideal_intersection_law(c3, "m1")

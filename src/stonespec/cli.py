@@ -238,6 +238,17 @@ def cmd_emit(args, out) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """An integer argument of at least 1, such as ``--max-size``."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="stonespec",
@@ -292,7 +303,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="run a theorem-check suite (or 'all')")
     sp.add_argument("suite")
-    sp.add_argument("--max-size", type=int, default=4, dest="max_size")
+    sp.add_argument("--max-size", type=_positive_int, default=4, dest="max_size")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_check)
 

@@ -20,6 +20,8 @@ from .stone import StoneSpace, stone_space
 
 
 def _as_fraction(x) -> Fraction:
+    if type(x) is Fraction:
+        return x  # immutable, so safe to share
     if isinstance(x, float):
         raise InputError(f"thresholds must be exact rationals, got float {x!r}")
     return Fraction(x)
@@ -37,8 +39,9 @@ class SpectralFamily:
         for (t1, _), (t2, _) in zip(jumps, jumps[1:]):
             if not t1 < t2:
                 raise InvalidFamilyError(f"thresholds not strictly increasing at {t2}")
-        for (_, v1), (t2, v2) in zip(jumps, jumps[1:]):
-            if not lattice.le(v1, v2):
+        up = lattice.up
+        for (_, v1), (_, v2) in zip(jumps, jumps[1:]):
+            if not up[v1] >> v2 & 1:
                 raise InvalidFamilyError(
                     f"values not monotone: {lattice.names[v1]} then {lattice.names[v2]}")
         if jumps[-1][1] != lattice.top:

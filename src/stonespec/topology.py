@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import InputError, UnsupportedStructureError
 from .family import (ComplexObservableFunction, ObservableFunction,
@@ -46,6 +45,14 @@ class TopSpace:
                         f"not closed under intersection: {self.set_name(a)}, {self.set_name(b)}")
         self.opens = opens
         self._open_list = seq
+        # element ids of the open-set lattice, which is built from _open_list
+        self._open_id = {o: i for i, o in enumerate(seq)}
+        # minimal open neighbourhood U_x: the intersection of the opens around x
+        nbhd = [self.full] * len(self.points)
+        for o in seq:
+            for i in bits(o):
+                nbhd[i] &= o
+        self._nbhd = tuple(nbhd)
         self._interior = {}
         self._lattice = None
         self._r_lattice = None
@@ -180,27 +187,27 @@ def _point_values(space: TopSpace, values) -> tuple:
             values = [values[p] for p in space.points]
         except KeyError as e:
             raise InputError(f"no value for point {e.args[0]!r}") from None
-    values = tuple(Fraction(v) for v in values)
+    # Fractions are immutable, so exact inputs are shared rather than rebuilt
+    values = tuple([v if type(v) is Fraction else Fraction(v) for v in values])
     if len(values) != len(space.points):
         raise InputError("one value per point required")
     return values
 
 
 def is_continuous(space: TopSpace, values) -> bool:
-    """Preimages of open intervals must be open; intervals with endpoints on
-    the midpoint grid between consecutive values suffice at finite scale."""
+    """f is continuous iff it is constant on every minimal open neighbourhood.
+
+    If y lies in U_x then x lies in the closure of {y}, so f(x) lies in the
+    closure of {f(y)}, which is {f(y)} because the reals are T1.  Conversely,
+    if f is constant on each U_x, the preimage of any set is the union of the
+    U_x over its points, hence open (Alexandroff 1937; Stong 1966).
+    """
     values = _point_values(space, values)
-    distinct = sorted(set(values))
-    cuts = [distinct[0] - 1]
-    cuts += [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
-    cuts.append(distinct[-1] + 1)
-    for lo, hi in combinations(cuts, 2):
-        mask = 0
-        for i, v in enumerate(values):
-            if lo < v < hi:
-                mask |= 1 << i
-        if mask not in space.opens:
-            return False
+    for i, u in enumerate(space._nbhd):
+        v = values[i]
+        for j in bits(u ^ 1 << i):
+            if values[j] != v:
+                return False
     return True
 
 
@@ -224,24 +231,23 @@ def spectral_family_of_continuous(space: TopSpace, values):
     back; for arbitrary inputs it is still a bounded family at finite scale.
     """
     values = _point_values(space, values)
-    thresholds = sorted(set(values))
+    order = sorted(range(len(values)), key=values.__getitem__)
     jumps = []
-    union = 0
-    for t in thresholds:
-        cum = 0
-        for i, v in enumerate(values):
-            if v <= t:
-                cum |= 1 << i
+    union = cum = 0
+    for i, j in zip(order, order[1:] + [None]):
+        cum |= 1 << i
+        if j is not None and values[j] == values[i]:
+            continue  # the level set {f <= values[i]} is not complete yet
         e = space.interior(cum)
         union |= e
-        jumps.append((t, e))
+        jumps.append((values[i], e))
     if union != space.full:
         return NotASpectralFamily(
             tuple(t for t, _ in jumps), tuple(e for _, e in jumps),
             space.full ^ union,
             "level-set interiors do not exhaust the space")
-    lat = space.lattice()
-    return SpectralFamily(lat, [(t, lat.payload.index(e)) for t, e in jumps])
+    ids = space._open_id
+    return SpectralFamily(space.lattice(), [(t, ids[e]) for t, e in jumps])
 
 
 def _family_payloads(space: TopSpace, family: SpectralFamily) -> list:

@@ -140,3 +140,11 @@ class TestCheckCommand:
         a = run("check", "continuity", "--seed", "3", "--max-size", "3")
         b = run("check", "continuity", "--seed", "3", "--max-size", "3")
         assert a == b
+
+    def test_max_size_below_one_rejected_at_parsing(self):
+        for value in ("0", "-3"):
+            code, out, err = run("check", "all", "--max-size", value)
+            assert code == 2 and out == ""
+            assert "--max-size: must be at least 1" in err
+        code, out, err = run("check", "counterexamples", "--max-size", "x")
+        assert code == 2 and out == "" and "invalid int value: 'x'" in err

@@ -1,6 +1,7 @@
 """Spectral families, observable functions, the transferred algebra,
 two-parameter families and step-sum integration."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,20 @@ class TestEval:
     def test_floats_rejected(self):
         with pytest.raises(InputError):
             SpectralFamily(boolean_lattice(2), [(0.5, "1")])
+
+    def test_thresholds_normalised_to_fraction(self):
+        class Sub(Fraction):
+            pass
+
+        b2 = boolean_lattice(2)
+        for t in (1, "1", Fraction(1), Decimal(1), Sub(1)):
+            e = SpectralFamily(b2, [(t, "x"), (Fraction(3, 2), "1")])
+            assert [type(s) for s in e.thresholds] == [Fraction, Fraction]
+            assert e.thresholds == (Fraction(1), Fraction(3, 2))
+        assert SpectralFamily(b2, [(1, "1")]) == SpectralFamily(b2, [(Fraction(1), "1")])
+        assert e.eval(Decimal("1.5")) == b2.top
+        with pytest.raises(InputError):
+            SpectralFamily(b2, [(Fraction(0), "x"), (1.0, "1")])
 
 
 class TestObservableFunction:

@@ -1,8 +1,10 @@
 """Finite spaces, regular opens, strong regularity, quasipoints over points
 and the completely increasing calculus."""
 
+import random
+from decimal import Decimal
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -15,7 +17,9 @@ from stonespec import (InputError, ObservableFunction, SpectralFamily,
                        spectral_family_of_continuous, star_condition_check,
                        stone_space)
 from stonespec.lattice import bits
-from stonespec.topology import NotASpectralFamily, covers_spectrum
+from stonespec.checks import GRID3
+from stonespec.topology import (NotASpectralFamily, _point_values,
+                                covers_spectrum)
 
 HALF = Fraction(1, 2)
 
@@ -31,6 +35,54 @@ def oracle_interior(space, x):
         if o & ~x == 0:
             acc |= o
     return acc
+
+
+def oracle_is_continuous(space, values):
+    """Preimages of open intervals must be open; intervals with endpoints on
+    the midpoint grid between consecutive values suffice at finite scale."""
+    values = tuple(Fraction(v) for v in values)
+    distinct = sorted(set(values))
+    cuts = [distinct[0] - 1]
+    cuts += [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
+    cuts.append(distinct[-1] + 1)
+    for lo, hi in combinations(cuts, 2):
+        mask = 0
+        for i, v in enumerate(values):
+            if lo < v < hi:
+                mask |= 1 << i
+        if mask not in space.opens:
+            return False
+    return True
+
+
+def oracle_spectral_family(space, values):
+    """The step family t -> interior({f <= t}), one threshold scan per value."""
+    values = tuple(Fraction(v) for v in values)
+    jumps = []
+    union = 0
+    for t in sorted(set(values)):
+        cum = 0
+        for i, v in enumerate(values):
+            if v <= t:
+                cum |= 1 << i
+        e = space.interior(cum)
+        union |= e
+        jumps.append((t, e))
+    if union != space.full:
+        return NotASpectralFamily(
+            tuple(t for t, _ in jumps), tuple(e for _, e in jumps),
+            space.full ^ union,
+            "level-set interiors do not exhaust the space")
+    lat = space.lattice()
+    return SpectralFamily(lat, [(t, lat.payload.index(e)) for t, e in jumps])
+
+
+def value_tuples(n, rng):
+    """Every GRID3 tuple, then seeded tuples with ties and negative values."""
+    yield from product(GRID3, repeat=n)
+    pool = [Fraction(k, 2) for k in range(-3, 4)]
+    for _ in range(12):
+        yield tuple(rng.choice(pool) for _ in range(n))
 
 
 class TestSpaceBasics:
@@ -57,6 +109,13 @@ class TestSpaceBasics:
                 for x in range(s.full + 1):
                     assert s.interior(x) == oracle_interior(s, x)
                     assert s.closure(x) == s.full ^ oracle_interior(s, s.full ^ x)
+
+    def test_minimal_neighbourhoods(self):
+        for n in (1, 2, 3):
+            for s in all_topologies(n):
+                for i, u in enumerate(s._nbhd):
+                    assert u in s.opens and u >> i & 1
+                    assert all(u & ~o == 0 for o in s.opens if o >> i & 1)
 
     def test_discrete_detection(self):
         assert TopSpace.discrete(("1", "2")).is_discrete
@@ -114,6 +173,38 @@ class TestContinuity:
         d = TopSpace.discrete(("1", "2", "3"))
         for values in product((0, HALF, 1), repeat=3):
             assert is_continuous(d, values)
+
+
+class TestClosedFormsAgainstOracles:
+    def test_agreement_on_every_small_space(self):
+        rng = random.Random(0)
+        pairs = 0
+        for n in (1, 2, 3, 4):
+            for t in all_topologies(n):
+                for values in value_tuples(n, rng):
+                    assert is_continuous(t, values) == oracle_is_continuous(t, values)
+                    got = spectral_family_of_continuous(t, values)
+                    want = oracle_spectral_family(t, values)
+                    assert isinstance(got, NotASpectralFamily) == \
+                        isinstance(want, NotASpectralFamily)
+                    assert got.thresholds == want.thresholds
+                    assert got.values == want.values
+                    assert got == want
+                    pairs += 1
+        assert pairs == 29577 + 12 * 389
+
+    def test_point_values_normalised_to_fraction(self):
+        class Sub(Fraction):
+            pass
+
+        s = sierpinski()
+        for v in (1, "1", Fraction(1), Decimal(1), Sub(1)):
+            out = _point_values(s, (v, v))
+            assert [type(x) for x in out] == [Fraction, Fraction]
+            assert out == (Fraction(1), Fraction(1))
+        assert _point_values(s, {"1": HALF, "2": 0})[0] is HALF
+        with pytest.raises(InputError):
+            _point_values(s, (1,))
 
 
 class TestInducedFamilies:
