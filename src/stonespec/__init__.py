@@ -26,7 +26,7 @@ from .stone import (DualIdeal, StoneSpace, dual_ideal_intersection_law,
                     enumerate_quasipoints, is_completely_distributive,
                     principal_dual_ideal, stone_space)
 from .topology import (NotASpectralFamily, PtStructure, TopSpace,
-                       admissible_domain, all_topologies, classify_family,
+                       all_topologies, classify_family,
                        completely_increasing_check, cpt_membership, f_star,
                        identification_check, induced_function, is_continuous,
                        is_strongly_regular, pt_structure, r_function,

@@ -233,11 +233,12 @@ def suite_correspondence(max_size: int = 4, seed: int = 0) -> SuiteResult:
         res.check(len(spaces) == counts[n],
                   "{} topologies enumerated on {} points, wanted {}",
                   len(spaces), n, counts[n])
+        grid_fns = _grid3_functions(n)
         for t in spaces:
             lat = t.lattice()
-            for values in product(GRID3, repeat=n):
-                cont = top.is_continuous(t, values)
-                e = top.spectral_family_of_continuous(t, values)
+            for ranks, values in grid_fns:
+                cont = top._constant_on_nbhds(t, ranks)
+                e = top._level_family(t, ranks, values)
                 res.check(not isinstance(e, top.NotASpectralFamily),
                           "{!r}: {} failed to induce a family", t, values)
                 if isinstance(e, top.NotASpectralFamily):
@@ -246,14 +247,14 @@ def suite_correspondence(max_size: int = 4, seed: int = 0) -> SuiteResult:
                     sr, witness = top.is_strongly_regular(t, e)
                     res.check(sr, "{!r}: continuous {} gave a family "
                                   "that is not strongly regular at {}", t, values, witness)
-                    res.check(top.admissible_domain(t, e) == t.full,
+                    res.check(_domain(lat, e) == t.full,
                               "{!r}: admissible domain not the whole space", t)
                     res.check(top.induced_function(t, e) == values,
                               "{!r}: induced function differs from {}", t, values)
             # the family-side direction quantifies over all bounded families
             for e in fam.enumerate_families(lat, GRID3):
                 sr, _ = top.is_strongly_regular(t, e)
-                dom = top.admissible_domain(t, e)
+                dom = _domain(lat, e)
                 masks = [lat.payload[v] for v in e.values]
                 res.check(dom == t.full, "{!r}: bounded family with partial domain", t)
                 res.check(all(o & dom for o in t.opens if o),
@@ -291,11 +292,27 @@ def suite_correspondence(max_size: int = 4, seed: int = 0) -> SuiteResult:
     return res
 
 
+def _grid3_functions(n: int) -> list:
+    """Every GRID3-valued function on n points as (ranks, values); GRID3 is
+    strictly increasing, so ranks are exact order keys for the values."""
+    return [(ranks, tuple([GRID3[k] for k in ranks]))
+            for ranks in product(range(len(GRID3)), repeat=n)]
+
+
+def _domain(lat: Lattice, e: fam.SpectralFamily) -> int:
+    """The points some value of the family contains: its admissible domain."""
+    dom = 0
+    for v in e.values:
+        dom |= lat.payload[v]
+    return dom
+
+
 def _regular_not_strongly_regular(n_max: int):
     for n in range(1, n_max + 1):
+        grid_fns = _grid3_functions(n)
         for t in top.all_topologies(n):
-            for values in product(GRID3, repeat=n):
-                e = top.spectral_family_of_continuous(t, values)
+            for ranks, values in grid_fns:
+                e = top._level_family(t, ranks, values)
                 if isinstance(e, top.NotASpectralFamily):
                     continue
                 if top.classify_family(t, e) == "regular":

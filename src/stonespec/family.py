@@ -33,29 +33,34 @@ class SpectralFamily:
     __slots__ = ("lattice", "thresholds", "values")
 
     def __init__(self, lattice: Lattice, jumps):
-        jumps = [(_as_fraction(t), lattice.eid(v)) for t, v in jumps]
-        if not jumps:
+        n = lattice.n
+        ts = []
+        vs = []
+        for t, v in jumps:
+            ts.append(t if type(t) is Fraction else _as_fraction(t))
+            vs.append(v if type(v) is int and 0 <= v < n else lattice.eid(v))
+        if not ts:
             raise InvalidFamilyError("a bounded family needs at least one jump")
-        for (t1, _), (t2, _) in zip(jumps, jumps[1:]):
+        for t1, t2 in zip(ts, ts[1:]):
             if not t1 < t2:
                 raise InvalidFamilyError(f"thresholds not strictly increasing at {t2}")
         up = lattice.up
-        for (_, v1), (_, v2) in zip(jumps, jumps[1:]):
+        for v1, v2 in zip(vs, vs[1:]):
             if not up[v1] >> v2 & 1:
                 raise InvalidFamilyError(
                     f"values not monotone: {lattice.names[v1]} then {lattice.names[v2]}")
-        if jumps[-1][1] != lattice.top:
+        top, bottom = lattice.top, lattice.bottom
+        if vs[-1] != top:
             raise InvalidFamilyError("family is not bounded above (last value must be top)")
-        canonical = []
-        for t, v in jumps:
-            if v == lattice.bottom and lattice.top != lattice.bottom:
-                continue
-            if canonical and canonical[-1][1] == v:
-                continue
-            canonical.append((t, v))
+        # canonical form: drop bottom jumps (unless top is bottom) and repeats
+        thresholds, values = [], []
+        for t, v in zip(ts, vs):
+            if (v != bottom or top == bottom) and (not values or values[-1] != v):
+                thresholds.append(t)
+                values.append(v)
         self.lattice = lattice
-        self.thresholds = tuple(t for t, _ in canonical)
-        self.values = tuple(v for _, v in canonical)
+        self.thresholds = tuple(thresholds)
+        self.values = tuple(values)
 
     def eval(self, lam) -> int:
         """E at lam: bottom below the first threshold, else the step value."""
@@ -102,7 +107,7 @@ class ObservableFunction:
     __slots__ = ("space", "values")
 
     def __init__(self, space: StoneSpace, values):
-        values = tuple(Fraction(v) for v in values)
+        values = tuple([v if type(v) is Fraction else Fraction(v) for v in values])
         if len(values) != space.n_points:
             raise InputError("one value per quasipoint required")
         self.space = space

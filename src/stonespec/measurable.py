@@ -198,7 +198,7 @@ class MeasurableFunction:
                 values = [values[p] for p in field.ground]
             except KeyError as e:
                 raise InputError(f"no value for point {e.args[0]!r}") from None
-        values = tuple(Fraction(v) for v in values)
+        values = tuple([v if type(v) is Fraction else Fraction(v) for v in values])
         if len(values) != len(field.ground):
             raise InputError("one value per point required")
         for a in field.atoms:
@@ -376,6 +376,7 @@ class QuotientAlgebra:
         self.reduced = FieldOfSets(ground, atoms)
         self._shift = shift
         self._unshift = keep_points
+        self._embedded = None
 
     def class_of(self, mask: int) -> int:
         """Canonical representative (as a reduced-field mask) of a member."""
@@ -400,28 +401,30 @@ class QuotientAlgebra:
     def embedded_point_indices(self) -> tuple:
         """Indices, into the original Stone space, of the quasipoints containing
         the ideal's dual filter, ordered to match the reduced Stone space."""
-        space = self.field.stone()
-        lat = self.field.lattice()
-        perp_ids = [lat.payload.index(m) for m in self.ideal.perp_members()]
-        keep = [k for k, members in enumerate(space.points)
-                if all(members >> e & 1 for e in perp_ids)]
-        # order by the underlying atom, matching the reduced enumeration
-        def generator_points(sp, l, k):
-            for e in bits(sp.points[k]):
-                if l.up[e] == sp.points[k]:
-                    return l.payload[e]
-            raise InputError("quasipoint is not principal")
-        reduced_space = self.stone()
-        reduced_lat = self.reduced.lattice()
-        want = []
-        for k in range(reduced_space.n_points):
-            rm = generator_points(reduced_space, reduced_lat, k)
-            back = 0
-            for p in bits(rm):
-                back |= 1 << self._unshift[p]
-            want.append(back)
-        by_atom = {generator_points(space, lat, k): k for k in keep}
-        return tuple(by_atom[m] for m in want)
+        if self._embedded is None:
+            space = self.field.stone()
+            lat = self.field.lattice()
+            perp_ids = [lat.payload.index(m) for m in self.ideal.perp_members()]
+            keep = [k for k, members in enumerate(space.points)
+                    if all(members >> e & 1 for e in perp_ids)]
+            # order by the underlying atom, matching the reduced enumeration
+            def generator_points(sp, l, k):
+                for e in bits(sp.points[k]):
+                    if l.up[e] == sp.points[k]:
+                        return l.payload[e]
+                raise InputError("quasipoint is not principal")
+            reduced_space = self.stone()
+            reduced_lat = self.reduced.lattice()
+            want = []
+            for k in range(reduced_space.n_points):
+                rm = generator_points(reduced_space, reduced_lat, k)
+                back = 0
+                for p in bits(rm):
+                    back |= 1 << self._unshift[p]
+                want.append(back)
+            by_atom = {generator_points(space, lat, k): k for k in keep}
+            self._embedded = tuple(by_atom[m] for m in want)
+        return self._embedded
 
 
 def quotient(field: FieldOfSets, ideal: SetIdeal) -> QuotientAlgebra:

@@ -194,6 +194,17 @@ def _point_values(space: TopSpace, values) -> tuple:
     return values
 
 
+def _constant_on_nbhds(space: TopSpace, keys) -> bool:
+    """Is ``keys`` constant on every minimal open neighbourhood?  Only key
+    equality is read, so values and their ranks in a grid agree."""
+    for i, u in enumerate(space._nbhd):
+        k = keys[i]
+        for j in bits(u ^ 1 << i):
+            if keys[j] != k:
+                return False
+    return True
+
+
 def is_continuous(space: TopSpace, values) -> bool:
     """f is continuous iff it is constant on every minimal open neighbourhood.
 
@@ -202,13 +213,7 @@ def is_continuous(space: TopSpace, values) -> bool:
     if f is constant on each U_x, the preimage of any set is the union of the
     U_x over its points, hence open (Alexandroff 1937; Stong 1966).
     """
-    values = _point_values(space, values)
-    for i, u in enumerate(space._nbhd):
-        v = values[i]
-        for j in bits(u ^ 1 << i):
-            if values[j] != v:
-                return False
-    return True
+    return _constant_on_nbhds(space, _point_values(space, values))
 
 
 @dataclass(frozen=True)
@@ -224,6 +229,29 @@ class NotASpectralFamily:
     message: str
 
 
+def _level_family(space: TopSpace, keys, values):
+    """The step family t -> interior({f <= t}), with points sorted and tied by
+    ``keys`` and ``values[i]`` as the thresholds: exact whenever ``keys`` has
+    the order and ties of ``values``, e.g. ranks into an increasing grid."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ids = space._open_id
+    jumps = []
+    union = cum = 0
+    for i, j in zip(order, order[1:] + [None]):
+        cum |= 1 << i
+        if j is not None and keys[j] == keys[i]:
+            continue  # the level set {f <= values[i]} is not complete yet
+        e = space.interior(cum)
+        union |= e
+        jumps.append((values[i], ids[e]))
+    if union != space.full:
+        return NotASpectralFamily(
+            tuple(t for t, _ in jumps), tuple(space._open_list[v] for _, v in jumps),
+            space.full ^ union,
+            "level-set interiors do not exhaust the space")
+    return SpectralFamily(space.lattice(), jumps)
+
+
 def spectral_family_of_continuous(space: TopSpace, values):
     """The step family t -> interior(preimage of (-inf, t]).
 
@@ -231,23 +259,7 @@ def spectral_family_of_continuous(space: TopSpace, values):
     back; for arbitrary inputs it is still a bounded family at finite scale.
     """
     values = _point_values(space, values)
-    order = sorted(range(len(values)), key=values.__getitem__)
-    jumps = []
-    union = cum = 0
-    for i, j in zip(order, order[1:] + [None]):
-        cum |= 1 << i
-        if j is not None and values[j] == values[i]:
-            continue  # the level set {f <= values[i]} is not complete yet
-        e = space.interior(cum)
-        union |= e
-        jumps.append((values[i], e))
-    if union != space.full:
-        return NotASpectralFamily(
-            tuple(t for t, _ in jumps), tuple(e for _, e in jumps),
-            space.full ^ union,
-            "level-set interiors do not exhaust the space")
-    ids = space._open_id
-    return SpectralFamily(space.lattice(), [(t, ids[e]) for t, e in jumps])
+    return _level_family(space, values, values)
 
 
 def _family_payloads(space: TopSpace, family: SpectralFamily) -> list:
@@ -269,7 +281,7 @@ def is_strongly_regular(space: TopSpace, family: SpectralFamily):
     ts = family.thresholds
     for i, m in enumerate(masks):
         if space.closure(m) & ~m:
-            mu = ts[i] + (ts[i + 1] - ts[i]) / 2 if i + 1 < len(ts) else ts[i] + 1
+            mu = (ts[i] + ts[i + 1]) / 2 if i + 1 < len(ts) else ts[i] + 1
             return False, (ts[i], mu)
     return True, None
 
@@ -284,17 +296,9 @@ def classify_family(space: TopSpace, family: SpectralFamily) -> str:
     return "neither"
 
 
-def admissible_domain(space: TopSpace, family: SpectralFamily) -> int:
-    """Points missed by some value; the whole space for bounded step families
-    (below the first threshold the family is empty)."""
-    _family_payloads(space, family)
-    inter = 0  # the value below every threshold
-    return space.full ^ inter
-
-
 def induced_function(space: TopSpace, family: SpectralFamily) -> tuple:
-    """The least threshold whose value contains each point of the admissible
-    domain (total here, since bounded families have full domain)."""
+    """The least threshold whose value contains each point (total, since the
+    last value of a bounded family is the whole space)."""
     masks = _family_payloads(space, family)
     out = []
     for p in range(len(space.points)):
@@ -485,9 +489,11 @@ _TOPOLOGY_CACHE = {}
 def all_topologies(n: int) -> tuple:
     """Every topology on n labeled points (1, 4, 29, 355 for n = 1..4).
 
-    Families closed under union and intersection are generated by closing
-    single-set extensions starting from the indiscrete topology; the result
-    set is exactly the closures of all subfamilies of the power set.
+    A finite topology is fixed by its minimal open neighbourhoods U_x, and
+    the vectors (U_1, ..., U_n) that occur are exactly those with x in U_x
+    and y in U_x => U_y inside U_x, i.e. the preorders on the points (Stong
+    1966).  The vectors are built point by point, each new U_x checked
+    against the ones before it; the opens are the unions of the U_x.
     """
     if n < 1:
         raise InputError("need at least one point")
@@ -495,38 +501,27 @@ def all_topologies(n: int) -> tuple:
         raise InputError("exhaustive topology generation capped at 4 points")
     if n in _TOPOLOGY_CACHE:
         return _TOPOLOGY_CACHE[n]
-    full = (1 << n) - 1
+    families = []
+    nbhd = []
 
-    def close(fam: frozenset) -> frozenset:
-        fam = set(fam)
-        changed = True
-        while changed:
-            changed = False
-            pairs = list(fam)
-            for a in pairs:
-                for b in pairs:
-                    u, i = a | b, a & b
-                    if u not in fam:
-                        fam.add(u)
-                        changed = True
-                    if i not in fam:
-                        fam.add(i)
-                        changed = True
-        return frozenset(fam)
+    def extend(i: int) -> None:
+        if i == n:
+            opens = [0]
+            for u in nbhd:
+                opens += [o | u for o in opens]
+            families.append(frozenset(opens))
+            return
+        for u in range(1 << n):
+            if u >> i & 1 and all(
+                    (not u >> j & 1 or v & ~u == 0) and (not v >> i & 1 or u & ~v == 0)
+                    for j, v in enumerate(nbhd)):
+                nbhd.append(u)
+                extend(i + 1)
+                nbhd.pop()
 
-    start = frozenset({0, full})
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        fam = frontier.pop()
-        for m in range(1, full):
-            if m not in fam:
-                bigger = close(fam | {m})
-                if bigger not in seen:
-                    seen.add(bigger)
-                    frontier.append(bigger)
+    extend(0)
     labels = tuple(str(i + 1) for i in range(n))
-    ordered = sorted(seen, key=lambda fam: (len(fam), tuple(sorted(fam))))
+    ordered = sorted(families, key=lambda fam: (len(fam), tuple(sorted(fam))))
     spaces = tuple(TopSpace(labels, fam) for fam in ordered)
     _TOPOLOGY_CACHE[n] = spaces
     return spaces

@@ -2,7 +2,9 @@
 
 import io
 import os
+from fractions import Fraction
 
+from stonespec import dsl, observable_function, riemann_stieltjes
 from stonespec.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -111,6 +113,41 @@ class TestTables:
         assert code == 0 and "max deviation from f_E: 0" in out
         code, _, err = run("integrate", fixture("mo2.lat"), "E0", "--eps", "0")
         assert code == 2
+
+    def test_integrate_matches_the_explicit_grid(self):
+        # the closed-form tags against the step sum along every grid point
+        def grid_output(e, eps):
+            lo, hi = e.bounds()
+            steps = int((hi - lo) / eps) + 1
+            grid = [lo + k * eps for k in range(steps + 1)]
+            s = riemann_stieltjes(e, grid)
+            g = observable_function(e)
+            err = max(abs(a - b) for a, b in zip(s.values, g.values))
+            lines = [f"{s.space.point_name(k)}: {s.values[k]}"
+                     for k in range(s.space.n_points)]
+            lines.append(f"max deviation from f_E: {err} (eps = {eps})")
+            return "\n".join(lines) + "\n"
+
+        families = 0
+        for name in sorted(os.listdir(FIXTURES)):
+            with open(fixture(name), encoding="utf-8") as handle:
+                file = dsl.parse(handle.read()).file
+            for block in file.blocks:
+                if block.kind != "family":
+                    continue
+                families += 1
+                for eps in ("1", "1/2", "1/3", "3/10", "1/7", "2"):
+                    code, out, _ = run("integrate", fixture(name), block.name,
+                                       "--eps", eps)
+                    assert code == 0
+                    assert out == grid_output(block.obj, Fraction(eps))
+        assert families == 6
+
+    def test_integrate_tiny_eps_builds_no_grid(self):
+        code, out, _ = run("integrate", fixture("mo2.lat"), "E0",
+                           "--eps", "1/1000000000")
+        assert code == 0
+        assert out.endswith("max deviation from f_E: 0 (eps = 1/1000000000)\n")
 
     def test_emit_json_and_dot(self):
         code, out, _ = run("emit", "json", fixture("mo2.lat"), "MO2")

@@ -1,6 +1,7 @@
 """Spectral families, observable functions, the transferred algebra,
 two-parameter families and step-sum integration."""
 
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -19,6 +20,90 @@ from stonespec import (ComplexSpectralFamily, InputError, InvalidFamilyError,
 from stonespec import family as fam
 
 HALF = Fraction(1, 2)
+
+
+def oracle_family_init(lattice, jumps):
+    """``SpectralFamily.__init__`` as it was before the thresholds and values
+    were kept in separate lists; returns (thresholds, values)."""
+    jumps = [(fam._as_fraction(t), lattice.eid(v)) for t, v in jumps]
+    if not jumps:
+        raise InvalidFamilyError("a bounded family needs at least one jump")
+    for (t1, _), (t2, _) in zip(jumps, jumps[1:]):
+        if not t1 < t2:
+            raise InvalidFamilyError(f"thresholds not strictly increasing at {t2}")
+    up = lattice.up
+    for (_, v1), (_, v2) in zip(jumps, jumps[1:]):
+        if not up[v1] >> v2 & 1:
+            raise InvalidFamilyError(
+                f"values not monotone: {lattice.names[v1]} then {lattice.names[v2]}")
+    if jumps[-1][1] != lattice.top:
+        raise InvalidFamilyError("family is not bounded above (last value must be top)")
+    canonical = []
+    for t, v in jumps:
+        if v == lattice.bottom and lattice.top != lattice.bottom:
+            continue
+        if canonical and canonical[-1][1] == v:
+            continue
+        canonical.append((t, v))
+    return tuple(t for t, _ in canonical), tuple(v for _, v in canonical)
+
+
+def jump_lists(lat, rng):
+    """Valid families spelled in every accepted form, then broken variants."""
+    yield []
+    yield [(0, lat.bottom)]
+    yield [(0, lat.bottom), (1, lat.names[lat.bottom])]
+    yield [(0, lat.top), (0, lat.top)]
+    spell_t = (lambda t: t, lambda t: str(t), lambda t: int(t) if t.denominator == 1 else t,
+               lambda t: float(t), lambda t: Decimal(t.numerator) / t.denominator)
+    spell_v = (lambda v: v, lambda v: lat.names[v], lambda v: bool(v) if v < 2 else v)
+    bad_t = ("x", "1/0", 0.25, None)
+    bad_v = (-1, lat.n, lat.n + 3, "nope", 1.0, Fraction(1))
+    grid = [Fraction(k, 2) for k in range(-1, 4)]
+    for e in enumerate_families(lat, grid):
+        for _ in range(3):
+            jumps = [[t, v] for t, v in zip(e.thresholds, e.values)]
+            if rng.random() < 0.3:
+                jumps.insert(0, [e.thresholds[0] - 1, lat.bottom])
+            jumps = [[rng.choice(spell_t)(t), rng.choice(spell_v)(v)] for t, v in jumps]
+            kind = rng.randrange(8)
+            i = rng.randrange(len(jumps))
+            if kind == 0 and len(jumps) > 1:
+                jumps.reverse()  # unsorted thresholds
+            elif kind == 1:
+                jumps.insert(i, [jumps[i][0], jumps[i][1]])  # equal thresholds
+            elif kind == 2:
+                jumps.pop()  # missing top
+            elif kind == 3:
+                jumps[i][1] = rng.randrange(lat.n)  # possibly non-monotone
+            elif kind == 4:
+                jumps[i][0] = rng.choice(bad_t)
+            elif kind == 5:
+                jumps[i][1] = rng.choice(bad_v)
+            yield [tuple(j) for j in jumps]
+
+
+class TestConstructorAgainstOracle:
+    def test_same_family_or_same_error(self):
+        rng = random.Random(0)
+        outcomes = set()
+        for lat in (boolean_lattice(2), mo_lattice(2), chain_lattice(3)):
+            for jumps in jump_lists(lat, rng):
+                try:
+                    want = oracle_family_init(lat, jumps)
+                except Exception as exc:  # the oracle's exact failure
+                    want = (type(exc), str(exc))
+                try:
+                    e = SpectralFamily(lat, jumps)
+                    got = (e.thresholds, e.values)
+                    assert all(type(t) is Fraction for t in e.thresholds)
+                    assert all(type(v) is int for v in e.values)
+                except Exception as exc:
+                    got = (type(exc), str(exc))
+                assert got == want, jumps
+                outcomes.add(want[0] if isinstance(want[0], type) else "ok")
+        assert outcomes == {"ok", InputError, InvalidFamilyError, ValueError,
+                            ZeroDivisionError, TypeError}
 
 
 class TestEval:

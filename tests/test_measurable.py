@@ -201,6 +201,23 @@ class TestQuotient:
                                q.reduced.element_of(rm) & 1)
                 assert in_orig == in_quot
 
+    def test_embedded_indices_memoised_and_match_oracle(self):
+        def generator_labels(field, members):
+            # a quasipoint is the up-set of an atom: its least member
+            lat = field.lattice()
+            return min((frozenset(field.labels_of(lat.payload[e])) for e in bits(members)),
+                       key=len)
+
+        f = pot("1", "2", "3", "4")
+        by_atom = {generator_labels(f, m): k for k, m in enumerate(f.stone().points)}
+        for ideal in ideals_of(f):
+            q = quotient(f, ideal)
+            want = tuple(by_atom[generator_labels(q.reduced, m)]
+                         for m in q.stone().points)
+            first = q.embedded_point_indices()
+            assert first == want
+            assert q.embedded_point_indices() is first
+
     def test_perp_is_intersection_of_embedded_quasipoints(self):
         f = pot("1", "2", "3", "4")
         lat = f.lattice()

@@ -9,17 +9,17 @@ from itertools import combinations, product
 import pytest
 
 from stonespec import (InputError, ObservableFunction, SpectralFamily,
-                       TopSpace, UnsupportedStructureError, admissible_domain,
-                       all_topologies, classify_family,
+                       TopSpace, UnsupportedStructureError, all_topologies,
+                       classify_family,
                        completely_increasing_check, cpt_membership, f_star,
                        identification_check, induced_function, is_continuous,
                        is_strongly_regular, pt_structure, r_function,
                        spectral_family_of_continuous, star_condition_check,
                        stone_space)
 from stonespec.lattice import bits
-from stonespec.checks import GRID3
-from stonespec.topology import (NotASpectralFamily, _point_values,
-                                covers_spectrum)
+from stonespec.checks import GRID3, _domain
+from stonespec.topology import (NotASpectralFamily, _constant_on_nbhds,
+                                _level_family, _point_values, covers_spectrum)
 
 HALF = Fraction(1, 2)
 
@@ -75,6 +75,39 @@ def oracle_spectral_family(space, values):
             "level-set interiors do not exhaust the space")
     lat = space.lattice()
     return SpectralFamily(lat, [(t, lat.payload.index(e)) for t, e in jumps])
+
+
+def oracle_all_topologies(n):
+    """Every topology on n points by closing single-set extensions, starting
+    from the indiscrete topology; sorted as ``all_topologies`` sorts."""
+    full = (1 << n) - 1
+
+    def close(fam):
+        fam = set(fam)
+        changed = True
+        while changed:
+            changed = False
+            pairs = list(fam)
+            for a in pairs:
+                for b in pairs:
+                    for c in (a | b, a & b):
+                        if c not in fam:
+                            fam.add(c)
+                            changed = True
+        return frozenset(fam)
+
+    start = frozenset({0, full})
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        fam = frontier.pop()
+        for m in range(1, full):
+            if m not in fam:
+                bigger = close(fam | {m})
+                if bigger not in seen:
+                    seen.add(bigger)
+                    frontier.append(bigger)
+    return sorted(seen, key=lambda fam: (len(fam), tuple(sorted(fam))))
 
 
 def value_tuples(n, rng):
@@ -193,6 +226,28 @@ class TestClosedFormsAgainstOracles:
                     pairs += 1
         assert pairs == 29577 + 12 * 389
 
+    def test_grid3_strictly_increasing(self):
+        # the sweeps pass ranks into GRID3 as order keys; that is exact only
+        # if ranks and values have the same order and the same ties
+        assert all(type(v) is Fraction for v in GRID3)
+        assert all(a < b for a, b in zip(GRID3, GRID3[1:]))
+
+    def test_rank_kernels_match_public_api(self):
+        cases = 0
+        for n in (1, 2, 3, 4):
+            for t in all_topologies(n):
+                for ranks in product(range(len(GRID3)), repeat=n):
+                    values = tuple(GRID3[k] for k in ranks)
+                    assert _constant_on_nbhds(t, ranks) == is_continuous(t, values)
+                    got = _level_family(t, ranks, values)
+                    want = spectral_family_of_continuous(t, values)
+                    assert type(got) is type(want)
+                    assert got.thresholds == want.thresholds
+                    assert got.values == want.values
+                    assert all(type(x) is Fraction for x in got.thresholds)
+                    cases += 1
+        assert cases == 29577
+
     def test_point_values_normalised_to_fraction(self):
         class Sub(Fraction):
             pass
@@ -229,10 +284,19 @@ class TestInducedFamilies:
         assert induced_function(s, e) == (0, 1)
         assert not is_continuous(s, induced_function(s, e))
 
-    def test_admissible_domain_is_everything(self):
+    def test_domain_is_union_of_values(self):
+        from stonespec import enumerate_families
         s = sierpinski()
         e = spectral_family_of_continuous(s, (0, 1))
-        assert admissible_domain(s, e) == s.full
+        assert _domain(s.lattice(), e) == s.full
+        for t in all_topologies(3):
+            lat = t.lattice()
+            for e in enumerate_families(lat, (0, 1)):
+                reached = 0
+                for p in range(len(t.points)):
+                    if any(lat.payload[v] >> p & 1 for v in e.values):
+                        reached |= 1 << p
+                assert _domain(lat, e) == reached == t.full
 
     def test_classification(self):
         s = sierpinski()
@@ -404,6 +468,12 @@ class TestAllTopologies:
             if all(a | b in fam and a & b in fam for a in fam for b in fam):
                 count += 1
         assert count == 29
+
+    def test_matches_closure_bfs_in_order(self):
+        for n in (1, 2, 3, 4):
+            spaces = all_topologies(n)
+            assert tuple(t.opens for t in spaces) == tuple(oracle_all_topologies(n))
+            assert all(t.points == tuple(str(i + 1) for i in range(n)) for t in spaces)
 
     def test_all_results_valid_and_distinct(self):
         tops = all_topologies(3)
