@@ -39,7 +39,7 @@ print("a function supported inside the ideal maps to zero:",
 print()
 print("== lifting a family of the quotient ==")
 lat = q.lattice()
-e = SpectralFamily(lat, [(0, lat.payload.index(q.reduced.mask_of(["2"]))),
+e = SpectralFamily(lat, [(0, lat.set_ids[q.reduced.mask_of(["2"])]),
                          (1, lat.top)])
 lift = lift_spectral_family(q, e)
 print("lift:", lift)

@@ -14,7 +14,7 @@ from .family import (ComplexObservableFunction, ComplexSpectralFamily,
                      ObservableFunction, SpectralFamily, SpectrumDecomposition,
                      decompose, enumerate_families, from_observable_function,
                      observable_function, observable_function_complex,
-                     product_family, riemann_stieltjes, spectralize, spectrum_of)
+                     product_family, riemann_stieltjes, spectrum_of)
 from .lattice import (Lattice, ValidationReport, Violation, boolean_lattice,
                       build_fixture, chain_lattice, mo_lattice, product_lattice)
 from .measurable import (FieldOfSets, MeasurableFunction, QuotientAlgebra,
@@ -25,7 +25,7 @@ from .measurable import (FieldOfSets, MeasurableFunction, QuotientAlgebra,
 from .stone import (DualIdeal, StoneSpace, dual_ideal_intersection_law,
                     enumerate_quasipoints, is_completely_distributive,
                     principal_dual_ideal, stone_space)
-from .topology import (NotASpectralFamily, PtStructure, TopSpace,
+from .topology import (PtStructure, TopSpace,
                        all_topologies, classify_family,
                        completely_increasing_check, cpt_membership, f_star,
                        identification_check, induced_function, is_continuous,

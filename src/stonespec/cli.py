@@ -13,12 +13,12 @@ import json
 import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 
 from . import checks, dsl
 from . import family as fam
 from . import measurable as mea
 from .errors import InputError, InvalidFamilyError, UnsupportedStructureError
+from .lattice import bits
 from .stone import stone_space
 
 
@@ -44,12 +44,6 @@ def _find(file: dsl.InstanceFile, name: str, kinds) -> dsl.BlockInfo:
     return info
 
 
-def _lattice_of(info: dsl.BlockInfo):
-    if info.kind == "lattice":
-        return info.obj
-    return info.obj.lattice()
-
-
 def cmd_validate(args, out) -> int:
     file = _load(args.file)
     if not file.blocks:
@@ -57,7 +51,7 @@ def cmd_validate(args, out) -> int:
     bad = 0
     for b in file.blocks:
         if b.kind in ("lattice", "topology", "field"):
-            lat = _lattice_of(b)
+            lat = b.lattice()
             report = lat.validate()
             status = "ok" if report.ok else "INVALID"
             print(f"{b.kind} {b.name}: {status}", file=out)
@@ -73,42 +67,27 @@ def cmd_validate(args, out) -> int:
 def cmd_quasipoints(args, out) -> int:
     file = _load(args.file)
     info = _find(file, args.object, ("lattice", "field", "topology"))
-    lat = _lattice_of(info)
+    lat = info.lattice()
     space = stone_space(lat)
     names = [space.point_name(k) for k in range(space.n_points)]
     if args.json:
         doc = {
-            "points": {name: [lat.names[i] for i in _member_ids(space, k)]
+            "points": {name: [lat.names[i] for i in bits(space.points[k])]
                        for k, name in enumerate(names)},
-            "base": {lat.names[a]: [names[k] for k in _member_ids_of_mask(space.base[a])]
+            "base": {lat.names[a]: [names[k] for k in bits(space.base[a])]
                      for a in range(lat.n)},
         }
         print(json.dumps(doc, sort_keys=True), file=out)
         return 0
     for k, name in enumerate(names):
         print(f"{name}: " + ", ".join(
-            lat.names[i] for i in _member_ids(space, k)), file=out)
+            lat.names[i] for i in bits(space.points[k])), file=out)
     print(f"{space.n_points} quasipoints", file=out)
     print("base sets:", file=out)
     for a in range(lat.n):
-        hits = ", ".join(names[k] for k in _member_ids_of_mask(space.base[a]))
+        hits = ", ".join(names[k] for k in bits(space.base[a]))
         print(f"  Q_{lat.names[a]}: {hits if hits else '-'}", file=out)
     return 0
-
-
-def _member_ids_of_mask(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
-def _member_ids(space, k):
-    return _member_ids_of_mask(space.points[k])
 
 
 def cmd_observable(args, out) -> int:
@@ -181,7 +160,7 @@ def cmd_lift(args, out) -> int:
     if fm_info.obj.lattice is not lat and fm_info.obj.lattice != lat:
         raise InputError("the family must live in the named field")
     reduced_lat = q.lattice()
-    jumps = [(t, reduced_lat.payload.index(q.class_of(lat.payload[v])))
+    jumps = [(t, reduced_lat.set_ids[q.class_of(lat.payload[v])])
              for t, v in zip(fm_info.obj.thresholds, fm_info.obj.values)]
     quotient_family = fam.SpectralFamily(reduced_lat, jumps)
     phi = mea.lift_spectral_family(q, quotient_family)
@@ -194,10 +173,9 @@ def cmd_integrate(args, out) -> int:
     file = _load(args.file)
     info = _find(file, args.family, ("family",))
     e = info.obj
-    try:
-        eps = Fraction(args.eps)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"malformed rational --eps {args.eps!r}") from None
+    eps = dsl.parse_rational(args.eps)
+    if eps is None:
+        raise InputError(f"malformed rational --eps {args.eps!r}")
     if eps <= 0:
         raise InputError("--eps must be positive")
     lo, _ = e.bounds()
@@ -205,10 +183,13 @@ def cmd_integrate(args, out) -> int:
     # the step sum along lo, lo + eps, ... tags each quasipoint with the least
     # grid point at or above its value under f_E; the grid is never built
     tags = [lo + math.ceil((v - lo) / eps) * eps for v in g.values]
-    err = max(abs(a - b) for a, b in zip(tags, g.values))
-    for k in range(g.space.n_points):
-        print(f"{g.space.point_name(k)}: {tags[k]}", file=out)
-    print(f"max deviation from f_E: {err} (eps = {eps})", file=out)
+    err = max((abs(a - b) for a, b in zip(tags, g.values)), default=0)
+    try:
+        lines = [f"{g.space.point_name(k)}: {tags[k]}" for k in range(g.space.n_points)]
+        lines.append(f"max deviation from f_E: {err} (eps = {eps})")
+    except ValueError:  # a numerator or denominator beyond str's digit limit
+        raise InputError(f"--eps {args.eps}: the step sums are too long to print") from None
+    print("\n".join(lines), file=out)
     return 0
 
 

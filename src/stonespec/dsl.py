@@ -11,12 +11,14 @@ Grammar (comments run from ``#`` to end of line; clauses end with ``;``)::
     ideal NAME in FIELD { generators: {p} ; }
 
 Rationals are written ``p/q`` or as finite decimals and are converted
-exactly.  Parsing is total: the result is either a resolved instance file or
-a nonempty diagnostic list, never both.
+exactly; a decimal exponent so large that the exact value could not be
+printed is rejected as malformed.  Parsing is total: the result is either a
+resolved instance file or a nonempty diagnostic list, never both.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,6 +68,11 @@ class BlockInfo:
     name: str
     host: str | None
     obj: object
+
+    def lattice(self) -> Lattice:
+        """The lattice of a lattice block, or the lattice of a topology's
+        opens or a field's members."""
+        return self.obj if self.kind == "lattice" else self.obj.lattice()
 
     def __eq__(self, other):
         if not isinstance(other, BlockInfo):
@@ -284,9 +291,20 @@ def _strip_at(piece):
     return stripped.rstrip(), at + (len(text) - len(stripped))
 
 
-def _parse_rational(token: str):
+def parse_rational(token: str):
+    """The exact value of ``p/q`` or a finite decimal, or None if malformed.
+
+    ``Fraction`` expands a decimal exponent e into 10**|e|, which takes
+    unbounded time and can yield integers too long for ``str``.  So a token
+    whose mantissa length plus |e| reaches the interpreter's int-to-str digit
+    limit is rejected first.
+    """
     token = token.strip()
+    mantissa, e, exponent = token.lower().partition("e")
     try:
+        if e and abs(int(exponent)) + len(mantissa) >= (
+                sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits):
+            return None
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         return None
@@ -309,6 +327,21 @@ class _Builder:
     def diag(self, code, msg, at, suggestion=None):
         line, col = self.sc.linecol(at)
         self.diags.append(Diagnostic("error", line, col, code, msg, suggestion))
+
+    def set_list(self, payload: str, at: int):
+        """The set literals of a comma-separated clause payload, or None
+        (with a diagnostic) when a part is not a set literal."""
+        sets = []
+        for part, off in _split_top(payload, ","):
+            if not part.strip():
+                continue
+            lit = _parse_setlit(part)
+            if lit is None:
+                self.diag("malformed-clause", f"expected a set literal, got {part.strip()!r}",
+                          at + off)
+                return None
+            sets.append(lit)
+        return sets
 
     def clause_map(self, rb: _RawBlock, allowed):
         out = {}
@@ -402,17 +435,9 @@ class _Builder:
                       rb.at)
             return None
         key = "opens" if "opens" in cm else "generators"
-        payload, at = cm[key]
-        sets = []
-        for part, off in _split_top(payload, ","):
-            if not part.strip():
-                continue
-            lit = _parse_setlit(part)
-            if lit is None:
-                self.diag("malformed-clause", f"expected a set literal, got {part.strip()!r}",
-                          at + off)
-                return None
-            sets.append(lit)
+        sets = self.set_list(*cm[key])
+        if sets is None:
+            return None
         try:
             if key == "generators":
                 return TopSpace.generated(rb.host_set, sets)
@@ -431,30 +456,17 @@ class _Builder:
             if cm is not None:
                 self.diag("malformed-clause", "field block needs an 'atoms' clause", rb.at)
             return None
-        payload, at = cm["atoms"]
-        blocks = []
-        for part, off in _split_top(payload, ","):
-            if not part.strip():
-                continue
-            lit = _parse_setlit(part)
-            if lit is None:
-                self.diag("malformed-clause", f"expected a set literal, got {part.strip()!r}",
-                          at + off)
-                return None
-            blocks.append(lit)
+        blocks = self.set_list(*cm["atoms"])
+        if blocks is None:
+            return None
         try:
             return FieldOfSets.from_partition(rb.host_set, blocks)
         except InputError as e:
             self.diag("bad-field", str(e), rb.at)
             return None
 
-    def _host_lattice(self, info: BlockInfo):
-        if info.kind == "lattice":
-            return info.obj
-        return info.obj.lattice()
-
     def _resolve_value(self, info: BlockInfo, token_text: str, at):
-        lat = self._host_lattice(info)
+        lat = info.lattice()
         token_text = token_text.strip()
         if info.kind == "lattice":
             if token_text in lat.index:
@@ -467,9 +479,8 @@ class _Builder:
                       f"values over a {info.kind} are set literals, got {token_text!r}", at)
             return None
         try:
-            mask = info.obj.mask_of(lit)
-            return lat.payload.index(mask)
-        except (InputError, ValueError):
+            return lat.set_ids[info.obj.mask_of(lit)]
+        except (InputError, KeyError):
             self.diag("unknown-element",
                       f"{token_text!r} is not a member of {info.name!r}", at)
             return None
@@ -487,7 +498,7 @@ class _Builder:
                 return None
             (t_text, t_at), (v_text, v_at) = parts
             _, t_pos = _strip_at((t_text, at + t_at))
-            t = _parse_rational(t_text)
+            t = parse_rational(t_text)
             if t is None:
                 self.diag("malformed-rational", f"malformed rational {t_text.strip()!r}",
                           t_pos)
@@ -502,7 +513,7 @@ class _Builder:
                 return None
             jumps.append((t, v))
         try:
-            return SpectralFamily(self._host_lattice(info), jumps)
+            return SpectralFamily(info.lattice(), jumps)
         except InvalidFamilyError as e:
             self.diag("invalid-family", str(e), rb.at)
             return None
@@ -522,8 +533,8 @@ class _Builder:
             if len(key_parts) != 2:
                 self.diag("malformed-clause", "grid keys are pairs 'x,y'", at + key_at)
                 return None
-            x = _parse_rational(key_parts[0][0])
-            y = _parse_rational(key_parts[1][0])
+            x = parse_rational(key_parts[0][0])
+            y = parse_rational(key_parts[1][0])
             if x is None or y is None:
                 self.diag("malformed-rational", f"malformed rational in {key.strip()!r}",
                           at + key_at)
@@ -541,7 +552,7 @@ class _Builder:
             return None
         matrix = [[entries[(x, y)] for y in ys] for x in xs]
         try:
-            return ComplexSpectralFamily(self._host_lattice(info), xs, ys, matrix)
+            return ComplexSpectralFamily(info.lattice(), xs, ys, matrix)
         except InvalidFamilyError as e:
             self.diag("invalid-family", str(e), rb.at)
             return None
@@ -562,7 +573,7 @@ class _Builder:
             if p not in ground:
                 self.diag("unknown-element", f"unknown point {p!r}", at + p_at)
                 return None
-            v = _parse_rational(v_text)
+            v = parse_rational(v_text)
             if v is None:
                 self.diag("malformed-rational", f"malformed rational {v_text.strip()!r}",
                           at + v_at)
@@ -589,17 +600,9 @@ class _Builder:
             if cm is not None:
                 self.diag("malformed-clause", "ideal block needs a 'generators' clause", rb.at)
             return None
-        payload, at = cm["generators"]
-        sets = []
-        for part, off in _split_top(payload, ","):
-            if not part.strip():
-                continue
-            lit = _parse_setlit(part)
-            if lit is None:
-                self.diag("malformed-clause", f"expected a set literal, got {part.strip()!r}",
-                          at + off)
-                return None
-            sets.append(lit)
+        sets = self.set_list(*cm["generators"])
+        if sets is None:
+            return None
         try:
             return SetIdeal.from_generators(info.obj, sets)
         except InputError as e:
@@ -696,20 +699,19 @@ def _emit_block(b: BlockInfo, file: InstanceFile) -> str:
                     f"  {x},{y}: {_value_text(host_info, fam.lattice, fam.matrix[i][j])} ;")
         return f"family2 {b.name} in {b.host} {{\n" + "\n".join(entries) + "\n}"
     if b.kind == "function":
-        fn = b.obj
-        if isinstance(fn, MeasurableFunction):
-            ground = fn.field.ground
-            vals = fn.values
-        else:
-            ground = fn.space.points
-            vals = fn.values
-        entries = [f"  {p}: {v} ;" for p, v in zip(ground, vals)]
+        entries = [f"  {p}: {v} ;" for p, v in _point_items(b.obj)]
         return f"function {b.name} on {b.host} {{\n" + "\n".join(entries) + "\n}"
     if b.kind == "ideal":
         ideal = b.obj
         return (f"ideal {b.name} in {b.host} {{\n"
                 f"  generators: {ideal.field.set_name(ideal.mask)} ;\n}}")
     raise InputError(f"cannot emit block kind {b.kind!r}")
+
+
+def _point_items(fn) -> zip:
+    """(point, value) pairs of a measurable function or a point function."""
+    points = fn.field.ground if isinstance(fn, MeasurableFunction) else fn.space.points
+    return zip(points, fn.values)
 
 
 def _value_text(host_info: BlockInfo | None, lat: Lattice, v: int) -> str:
@@ -757,13 +759,8 @@ def emit_json(b: BlockInfo, file: InstanceFile) -> dict:
                 "matrix": [[_value_text(host_info, fam.lattice, v) for v in row]
                            for row in fam.matrix]}
     if b.kind == "function":
-        fn = b.obj
-        if isinstance(fn, MeasurableFunction):
-            ground, vals = fn.field.ground, fn.values
-        else:
-            ground, vals = fn.space.points, fn.values
         return {"kind": "function", "name": b.name, "on": b.host,
-                "values": {str(p): str(v) for p, v in zip(ground, vals)}}
+                "values": {str(p): str(v) for p, v in _point_items(b.obj)}}
     if b.kind == "ideal":
         ideal = b.obj
         return {"kind": "ideal", "name": b.name, "in": b.host,
@@ -773,12 +770,9 @@ def emit_json(b: BlockInfo, file: InstanceFile) -> dict:
 
 def emit_dot(b: BlockInfo) -> str:
     """Hasse diagram of a lattice, topology or field as a DOT digraph."""
-    if b.kind == "lattice":
-        lat = b.obj
-    elif b.kind in ("topology", "field"):
-        lat = b.obj.lattice()
-    else:
+    if b.kind not in ("lattice", "topology", "field"):
         raise InputError(f"cannot draw block kind {b.kind!r}")
+    lat = b.lattice()
     lines = [f'digraph "{b.name}" {{', "  rankdir=BT;"]
     for name in lat.names:
         lines.append(f'  "{name}";')

@@ -27,6 +27,20 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def point_values(labels, values) -> tuple:
+    """One exact value per point label, from a sequence or a label -> value dict."""
+    if isinstance(values, dict):
+        try:
+            values = [values[p] for p in labels]
+        except KeyError as e:
+            raise InputError(f"no value for point {e.args[0]!r}") from None
+    # Fractions are immutable, so exact inputs are shared rather than rebuilt
+    values = tuple([v if type(v) is Fraction else Fraction(v) for v in values])
+    if len(values) != len(labels):
+        raise InputError("one value per point required")
+    return values
+
+
 class SpectralFamily:
     """A bounded monotone step map from the rationals into a lattice."""
 
@@ -85,20 +99,6 @@ class SpectralFamily:
         parts = ", ".join(f"{t}: {self.lattice.names[v]}"
                           for t, v in zip(self.thresholds, self.values))
         return "SpectralFamily{" + parts + "}"
-
-
-def spectralize(lattice: Lattice, pairs) -> SpectralFamily:
-    """Convert a left-closed ("value attained just past the threshold")
-    assignment into the canonical right-continuous step form.
-
-    Replacing each value by the meet over strictly larger arguments turns
-    "v on (t_i, t_{i+1}]" into "v on [t_i, t_{i+1})", so the conversion is a
-    reinterpretation of the same jump list; it is idempotent on canonical
-    families.  Non-monotone values are rejected.
-    """
-    if isinstance(pairs, SpectralFamily):
-        return pairs
-    return SpectralFamily(lattice, pairs)
 
 
 class ObservableFunction:
@@ -195,6 +195,43 @@ class ComplexObservableFunction:
         return self.re.values[k], self.im.values[k]
 
 
+def first_hits(thresholds, masks, n: int) -> tuple:
+    """Each of n points' least threshold whose mask contains it.
+
+    One pass over the (threshold, mask) pairs in increasing threshold order:
+    a point is settled by the first mask that contains it.  Returns the list
+    of thresholds, None where no mask contains the point, and the bitmask of
+    those missed points.
+    """
+    out = [None] * n
+    todo = (1 << n) - 1
+    for t, m in zip(thresholds, masks):
+        hit = m & todo
+        todo ^= hit
+        while hit:
+            low = hit & -hit
+            out[low.bit_length() - 1] = t
+            hit ^= low
+    return out, todo
+
+
+def level_sets(keys) -> list:
+    """One ``(i, mask)`` per distinct key, in increasing key order: ``i`` is a
+    point with that key and ``mask`` the points whose key is at most it.
+
+    One sort and one pass; ties are grouped, so a level set is reported only
+    once it is complete.
+    """
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    out = []
+    mask = 0
+    for i, j in zip(order, order[1:] + [None]):
+        mask |= 1 << i
+        if j is None or keys[j] != keys[i]:
+            out.append((i, mask))
+    return out
+
+
 def observable_function(family: SpectralFamily, space: StoneSpace = None) -> ObservableFunction:
     """f_E: each quasipoint maps to the least threshold whose value it contains.
 
@@ -206,14 +243,10 @@ def observable_function(family: SpectralFamily, space: StoneSpace = None) -> Obs
         space = stone_space(family.lattice)
     elif space.lattice is not family.lattice and space.lattice != family.lattice:
         raise InputError("spectrum was enumerated on a different lattice")
-    values = []
-    for members in space.points:
-        for t, v in zip(family.thresholds, family.values):
-            if members >> v & 1:
-                values.append(t)
-                break
-        else:  # unreachable: the top value lies in every filter
-            raise InvalidFamilyError("family is not bounded above")
+    values, missed = first_hits(family.thresholds,
+                                [space.base[v] for v in family.values], space.n_points)
+    if missed:  # unreachable: the top value lies in every filter
+        raise InvalidFamilyError("family is not bounded above")
     return ObservableFunction(space, values)
 
 
@@ -230,19 +263,6 @@ def _require_boolean(lattice: Lattice) -> None:
             "the inverse transform needs a finite Boolean algebra (not distributive)")
 
 
-def _point_generators(space: StoneSpace) -> list:
-    # each quasipoint of a finite lattice is the up-set of a unique atom
-    gens = []
-    for members in space.points:
-        for e in bits(members):
-            if space.lattice.up[e] == members:
-                gens.append(e)
-                break
-        else:
-            raise InputError("quasipoint is not a principal filter")
-    return gens
-
-
 def from_observable_function(g: ObservableFunction, lattice: Lattice = None) -> SpectralFamily:
     """The unique family with the given observable function, on a Boolean lattice.
 
@@ -252,13 +272,15 @@ def from_observable_function(g: ObservableFunction, lattice: Lattice = None) -> 
     if lattice is None:
         lattice = g.space.lattice
     _require_boolean(lattice)
-    space = g.space
-    gens = _point_generators(space)
-    thresholds = sorted(set(g.values))
+    _, join = lattice._tables()
+    atoms = g.space.atoms
     jumps = []
-    for t in thresholds:
-        e = lattice.join(p for p, val in zip(gens, g.values) if val <= t)
-        jumps.append((t, e))
+    e, joined = lattice.bottom, 0
+    for i, mask in level_sets(g.values):
+        for k in bits(mask ^ joined):
+            e = join[e][atoms[k]]
+        joined = mask
+        jumps.append((g.values[i], e))
     return SpectralFamily(lattice, jumps)
 
 
@@ -446,15 +468,15 @@ def observable_function_complex(e: ComplexSpectralFamily,
     in the quasipoint; packaged as real + imaginary observable functions."""
     if space is None:
         space = stone_space(e.lattice)
-    re = []
-    im = []
-    for members in space.points:
-        re.append(next(x for i, x in enumerate(e.xs)
-                       if any(members >> e.matrix[i][j] & 1 for j in range(len(e.ys)))))
-        im.append(next(y for j, y in enumerate(e.ys)
-                       if any(members >> e.matrix[i][j] & 1 for i in range(len(e.xs)))))
+    rows = [0] * len(e.xs)
+    cols = [0] * len(e.ys)
+    for i, row in enumerate(e.matrix):
+        for j, v in enumerate(row):
+            rows[i] |= space.base[v]
+            cols[j] |= space.base[v]
     return ComplexObservableFunction(
-        ObservableFunction(space, re), ObservableFunction(space, im))
+        ObservableFunction(space, first_hits(e.xs, rows, space.n_points)[0]),
+        ObservableFunction(space, first_hits(e.ys, cols, space.n_points)[0]))
 
 
 def from_complex_observable_function(g: ComplexObservableFunction) -> ComplexSpectralFamily:
@@ -483,15 +505,10 @@ def riemann_stieltjes(family: SpectralFamily, grid, space: StoneSpace = None) ->
     lo, hi = family.bounds()
     if not grid or grid[0] > lo or grid[-1] < hi:
         raise InputError("grid does not cover the family's support")
-    evals = [family.eval(t) for t in grid]
-    values = []
-    for members in space.points:
-        for t, v in zip(grid, evals):
-            if members >> v & 1:
-                values.append(t)
-                break
-        else:
-            raise InputError("grid does not cover the family's support")
+    values, missed = first_hits(grid, [space.base[family.eval(t)] for t in grid],
+                                space.n_points)
+    if missed:
+        raise InputError("grid does not cover the family's support")
     return ObservableFunction(space, values)
 
 

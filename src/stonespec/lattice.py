@@ -27,6 +27,20 @@ def bits(mask: int):
         mask ^= low
 
 
+def label_masks(labels, sets) -> list:
+    """The bitmask of each set of point labels, bit i standing for labels[i]."""
+    index = {p: i for i, p in enumerate(labels)}
+    masks = []
+    for s in sets:
+        m = 0
+        for p in s:
+            if p not in index:
+                raise InputError(f"unknown point {p!r}")
+            m |= 1 << index[p]
+        masks.append(m)
+    return masks
+
+
 @dataclass(frozen=True)
 class Violation:
     code: str
@@ -57,24 +71,16 @@ class Lattice:
     ``order`` is any set of pairs (a, b) meaning a <= b; the reflexive
     transitive closure is taken, so covering pairs suffice.  ``flags`` are
     claimed properties ("distributive", "orthomodular") checked by
-    :meth:`validate`.  ``payload`` optionally attaches opaque per-element data
-    (fields of sets and topologies store the underlying subset masks there).
+    :meth:`validate`.  ``payload`` optionally attaches opaque per-element data;
+    lattices of sets (:meth:`from_sets`) store their masks there and map them
+    back to ids through ``set_ids``, which is None on every other lattice.
     """
 
     def __init__(self, names: Sequence[str], order: Iterable[tuple], *,
                  ortho=None, flags: Iterable[str] = (), payload=None,
                  max_elements: int = DEFAULT_MAX_ELEMENTS):
-        names = tuple(names)
-        if not names:
-            raise InputError("a lattice needs at least one element")
-        if len(names) > max_elements:
-            raise InputError(f"{len(names)} elements exceed the cap of {max_elements}")
-        if len(set(names)) != len(names):
-            raise InputError("duplicate element names")
-        self.names = names
-        self.index = {s: i for i, s in enumerate(names)}
-        n = self.n = len(names)
-
+        self._set_names(names, max_elements)
+        n = self.n
         up = [1 << i for i in range(n)]
         for a, b in order:
             up[self.eid(a)] |= 1 << self.eid(b)
@@ -88,6 +94,62 @@ class Lattice:
                 if acc != up[i]:
                     up[i] = acc
                     changed = True
+        if ortho is not None:
+            omap = [None] * n
+            if isinstance(ortho, Mapping):
+                for a, b in ortho.items():
+                    ia, ib = self.eid(a), self.eid(b)
+                    omap[ia], omap[ib] = ib, ia
+            else:
+                for ia, b in enumerate(ortho):
+                    omap[ia] = self.eid(b)
+            ortho = omap
+        self._set_order(up, ortho, flags, payload)
+
+    @classmethod
+    def from_sets(cls, masks, names, complement=None) -> "Lattice":
+        """The sets ``masks`` ordered by inclusion, as a lattice of sets.
+
+        ``payload`` holds the masks and ``set_ids`` maps each back to its id.
+        With a ``complement`` map on masks the lattice carries it as ortho and
+        is claimed Boolean (flags "distributive" and "orthomodular").
+        """
+        masks = tuple(masks)
+        ids = {m: i for i, m in enumerate(masks)}
+        if len(ids) != len(masks):
+            raise InputError("duplicate sets")
+        lat = cls.__new__(cls)
+        lat._set_names(names, DEFAULT_MAX_ELEMENTS)
+        up = []
+        for a in masks:
+            u = 0
+            for j, b in enumerate(masks):
+                if a & ~b == 0:
+                    u |= 1 << j
+            up.append(u)
+        if complement is None:
+            lat._set_order(up, None, (), masks)
+        else:
+            lat._set_order(up, [ids.get(complement(m)) for m in masks],
+                           ("distributive", "orthomodular"), masks)
+        lat.set_ids = ids
+        return lat
+
+    def _set_names(self, names, max_elements):
+        names = tuple(names)
+        if not names:
+            raise InputError("a lattice needs at least one element")
+        if len(names) > max_elements:
+            raise InputError(f"{len(names)} elements exceed the cap of {max_elements}")
+        if len(set(names)) != len(names):
+            raise InputError("duplicate element names")
+        self.names = names
+        self.index = {s: i for i, s in enumerate(names)}
+        self.n = len(names)
+
+    def _set_order(self, up, ortho, flags, payload):
+        """Finish construction from the closed order ``up`` and the ortho ids."""
+        n = self.n
         self.up = tuple(up)
         down = [0] * n
         for i in range(n):
@@ -101,27 +163,17 @@ class Lattice:
         self.bottom = bottoms[0] if len(bottoms) == 1 else None
         self.top = tops[0] if len(tops) == 1 else None
 
-        if ortho is None:
-            self.ortho = None
-        else:
-            omap = [None] * n
-            if isinstance(ortho, Mapping):
-                for a, b in ortho.items():
-                    ia, ib = self.eid(a), self.eid(b)
-                    omap[ia], omap[ib] = ib, ia
-            else:
-                for ia, b in enumerate(ortho):
-                    omap[ia] = self.eid(b)
-            if any(o is None for o in omap):
-                missing = [names[i] for i, o in enumerate(omap) if o is None]
-                raise InputError(f"ortho map is not total; missing: {missing}")
-            self.ortho = tuple(omap)
+        if ortho is not None and None in ortho:
+            missing = [self.names[i] for i, o in enumerate(ortho) if o is None]
+            raise InputError(f"ortho map is not total; missing: {missing}")
+        self.ortho = None if ortho is None else tuple(ortho)
 
         self.flags = frozenset(flags)
         unknown = self.flags - {"distributive", "orthomodular"}
         if unknown:
             raise InputError(f"unknown lattice flags: {sorted(unknown)}")
         self.payload = None if payload is None else tuple(payload)
+        self.set_ids = None
 
         self._meet = None
         self._join = None
@@ -353,12 +405,8 @@ def boolean_lattice(n: int) -> Lattice:
             return "1"
         return "".join(letters[i] for i in bits(mask))
 
-    masks = list(range(1 << n))
-    names = [label(m) for m in masks]
-    order = [(names[a], names[b]) for a in masks for b in masks if a & ~b == 0]
-    ortho = {names[m]: names[full ^ m] for m in masks}
-    return Lattice(names, order, ortho=ortho,
-                   flags=("distributive", "orthomodular"), payload=masks)
+    masks = range(1 << n)
+    return Lattice.from_sets(masks, map(label, masks), full.__xor__)
 
 
 def chain_lattice(n: int) -> Lattice:

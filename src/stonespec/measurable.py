@@ -13,8 +13,9 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import InputError
-from .family import ObservableFunction, SpectralFamily, observable_function
-from .lattice import Lattice, bits
+from .family import (ObservableFunction, SpectralFamily, first_hits, level_sets,
+                     observable_function, point_values)
+from .lattice import Lattice, bits, label_masks
 from .stone import StoneSpace, stone_space
 
 
@@ -51,31 +52,14 @@ class FieldOfSets:
     def from_partition(cls, ground, blocks) -> "FieldOfSets":
         """Build from a partition given as iterables of point labels."""
         ground = tuple(ground)
-        idx = {p: i for i, p in enumerate(ground)}
-        masks = []
-        for block in blocks:
-            m = 0
-            for p in block:
-                if p not in idx:
-                    raise InputError(f"unknown point {p!r}")
-                m |= 1 << idx[p]
-            masks.append(m)
-        return cls(ground, masks)
+        return cls(ground, label_masks(ground, blocks))
 
     @classmethod
     def from_family(cls, ground, sets) -> "FieldOfSets":
         """Build from an explicit family, validating the closure laws."""
         ground = tuple(ground)
-        idx = {p: i for i, p in enumerate(ground)}
         full = (1 << len(ground)) - 1
-        fam = set()
-        for s in sets:
-            m = 0
-            for p in s:
-                if p not in idx:
-                    raise InputError(f"unknown point {p!r}")
-                m |= 1 << idx[p]
-            fam.add(m)
+        fam = set(label_masks(ground, sets))
         if 0 not in fam or full not in fam:
             raise InputError("a field of sets must contain the empty set and the ground set")
         for m in fam:
@@ -95,13 +79,7 @@ class FieldOfSets:
         return field
 
     def mask_of(self, points) -> int:
-        idx = {p: i for i, p in enumerate(self.ground)}
-        m = 0
-        for p in points:
-            if p not in idx:
-                raise InputError(f"unknown point {p!r}")
-            m |= 1 << idx[p]
-        return m
+        return label_masks(self.ground, [points])[0]
 
     def labels_of(self, mask: int) -> tuple:
         return tuple(self.ground[i] for i in bits(mask))
@@ -109,15 +87,16 @@ class FieldOfSets:
     def set_name(self, mask: int) -> str:
         return "{" + ",".join(str(self.ground[i]) for i in bits(mask)) + "}"
 
+    def union_of(self, combo: int) -> int:
+        """The union of the atoms picked by the set bits of ``combo``."""
+        m = 0
+        for i in bits(combo):
+            m |= self.atoms[i]
+        return m
+
     def members(self) -> tuple:
         """Every union of atoms, sorted by mask value."""
-        out = set()
-        for combo in range(1 << len(self.atoms)):
-            m = 0
-            for i in bits(combo):
-                m |= self.atoms[i]
-            out.add(m)
-        return tuple(sorted(out))
+        return tuple(sorted(map(self.union_of, range(1 << len(self.atoms)))))
 
     def contains(self, mask: int) -> bool:
         covered = 0
@@ -135,15 +114,8 @@ class FieldOfSets:
         """The member sets as a Boolean lattice, complement as ortho."""
         if self._lattice is None:
             masks = self.members()
-            names = [self.set_name(m) for m in masks]
-            order = [(names[i], names[j])
-                     for i, a in enumerate(masks) for j, b in enumerate(masks)
-                     if a & ~b == 0]
-            ortho = {names[i]: names[masks.index(self.full ^ m)]
-                     for i, m in enumerate(masks)}
-            self._lattice = Lattice(names, order, ortho=ortho,
-                                    flags=("distributive", "orthomodular"),
-                                    payload=masks)
+            self._lattice = Lattice.from_sets(
+                masks, map(self.set_name, masks), self.full.__xor__)
         return self._lattice
 
     def stone(self) -> StoneSpace:
@@ -151,10 +123,9 @@ class FieldOfSets:
 
     def element_of(self, mask: int) -> int:
         """Lattice id of a member set."""
-        lat = self.lattice()
         try:
-            return lat.payload.index(mask)
-        except ValueError:
+            return self.lattice().set_ids[mask]
+        except KeyError:
             raise InputError(f"{self.set_name(mask)} is not in the field") from None
 
     def __eq__(self, other):
@@ -193,14 +164,7 @@ class MeasurableFunction:
     __slots__ = ("field", "values")
 
     def __init__(self, field: FieldOfSets, values):
-        if isinstance(values, dict):
-            try:
-                values = [values[p] for p in field.ground]
-            except KeyError as e:
-                raise InputError(f"no value for point {e.args[0]!r}") from None
-        values = tuple([v if type(v) is Fraction else Fraction(v) for v in values])
-        if len(values) != len(field.ground):
-            raise InputError("one value per point required")
+        values = point_values(field.ground, values)
         for a in field.atoms:
             ps = list(bits(a))
             if any(values[p] != values[ps[0]] for p in ps):
@@ -239,10 +203,9 @@ class MeasurableFunction:
 def spectral_family_of(phi: MeasurableFunction) -> SpectralFamily:
     """Level sets of phi as a family in the field's lattice: E at t is
     the preimage of (-inf, t]."""
-    field = phi.field
-    thresholds = sorted(set(phi.values))
-    jumps = [(t, field.element_of(phi.level_mask(t))) for t in thresholds]
-    return SpectralFamily(field.lattice(), jumps)
+    lat = phi.field.lattice()
+    jumps = [(phi.values[i], lat.set_ids[mask]) for i, mask in level_sets(phi.values)]
+    return SpectralFamily(lat, jumps)
 
 
 def function_of(field: FieldOfSets, family: SpectralFamily) -> MeasurableFunction:
@@ -251,15 +214,10 @@ def function_of(field: FieldOfSets, family: SpectralFamily) -> MeasurableFunctio
     lat = field.lattice()
     if family.lattice is not lat and family.lattice != lat:
         raise InputError("family does not live in this field's lattice")
-    payloads = [lat.payload[v] for v in family.values]
-    values = []
-    for p in range(len(field.ground)):
-        for t, m in zip(family.thresholds, payloads):
-            if m >> p & 1:
-                values.append(t)
-                break
-        else:
-            raise InputError("family is not bounded above")
+    values, missed = first_hits(family.thresholds,
+                                [lat.payload[v] for v in family.values], len(field.ground))
+    if missed:
+        raise InputError("family is not bounded above")
     return MeasurableFunction(field, values)
 
 
@@ -339,14 +297,17 @@ class SetIdeal:
 
 def ideals_of(field: FieldOfSets) -> list:
     """Every ideal of the field, ordered by the atom subsets generating them."""
-    k = len(field.atoms)
-    out = []
-    for combo in range((1 << k) - 1):  # the full combination is excluded
-        m = 0
-        for i in bits(combo):
-            m |= field.atoms[i]
-        out.append(SetIdeal(field, m))
-    return out
+    # the full combination, which gives the ground set, is excluded
+    return [SetIdeal(field, field.union_of(combo))
+            for combo in range((1 << len(field.atoms)) - 1)]
+
+
+def _moved(mask: int, where) -> int:
+    """``mask`` with each set bit p moved to bit ``where[p]``."""
+    m = 0
+    for p in bits(mask):
+        m |= 1 << where[p]
+    return m
 
 
 class QuotientAlgebra:
@@ -365,16 +326,9 @@ class QuotientAlgebra:
         self.survivors = field.full ^ ideal.mask
         keep_points = [p for p in range(len(field.ground)) if self.survivors >> p & 1]
         ground = tuple(field.ground[p] for p in keep_points)
-        shift = {p: i for i, p in enumerate(keep_points)}
-        atoms = []
-        for a in field.atoms:
-            if a & self.survivors:
-                m = 0
-                for p in bits(a):
-                    m |= 1 << shift[p]
-                atoms.append(m)
-        self.reduced = FieldOfSets(ground, atoms)
-        self._shift = shift
+        self._shift = {p: i for i, p in enumerate(keep_points)}
+        self.reduced = FieldOfSets(ground, [_moved(a, self._shift) for a in field.atoms
+                                            if a & self.survivors])
         self._unshift = keep_points
         self._embedded = None
 
@@ -382,10 +336,7 @@ class QuotientAlgebra:
         """Canonical representative (as a reduced-field mask) of a member."""
         if not self.field.contains(mask):
             raise InputError("not a member of the field")
-        m = 0
-        for p in bits(mask & self.survivors):
-            m |= 1 << self._shift[p]
-        return m
+        return _moved(mask & self.survivors, self._shift)
 
     def class_members(self, reduced_mask: int) -> tuple:
         """All original members in the class of a reduced member."""
@@ -404,26 +355,14 @@ class QuotientAlgebra:
         if self._embedded is None:
             space = self.field.stone()
             lat = self.field.lattice()
-            perp_ids = [lat.payload.index(m) for m in self.ideal.perp_members()]
-            keep = [k for k, members in enumerate(space.points)
-                    if all(members >> e & 1 for e in perp_ids)]
-            # order by the underlying atom, matching the reduced enumeration
-            def generator_points(sp, l, k):
-                for e in bits(sp.points[k]):
-                    if l.up[e] == sp.points[k]:
-                        return l.payload[e]
-                raise InputError("quasipoint is not principal")
-            reduced_space = self.stone()
-            reduced_lat = self.reduced.lattice()
-            want = []
-            for k in range(reduced_space.n_points):
-                rm = generator_points(reduced_space, reduced_lat, k)
-                back = 0
-                for p in bits(rm):
-                    back |= 1 << self._unshift[p]
-                want.append(back)
-            by_atom = {generator_points(space, lat, k): k for k in keep}
-            self._embedded = tuple(by_atom[m] for m in want)
+            perp_ids = [lat.set_ids[m] for m in self.ideal.perp_members()]
+            # order by the generating atom, matching the reduced enumeration
+            by_atom = {lat.payload[a]: k for k, (a, members)
+                       in enumerate(zip(space.atoms, space.points))
+                       if all(members >> e & 1 for e in perp_ids)}
+            reduced = self.stone()
+            self._embedded = tuple(by_atom[_moved(reduced.lattice.payload[a], self._unshift)]
+                                   for a in reduced.atoms)
         return self._embedded
 
 
@@ -476,13 +415,8 @@ def riemann_stieltjes_on_points(field: FieldOfSets, family: SpectralFamily,
     lo, hi = family.bounds()
     if not grid or grid[0] > lo or grid[-1] < hi:
         raise InputError("grid does not cover the family's support")
-    payloads = [lat.payload[family.eval(t)] for t in grid]
-    values = []
-    for p in range(len(field.ground)):
-        for t, m in zip(grid, payloads):
-            if m >> p & 1:
-                values.append(t)
-                break
-        else:
-            raise InputError("grid does not cover the family's support")
+    values, missed = first_hits(grid, [lat.payload[family.eval(t)] for t in grid],
+                                len(field.ground))
+    if missed:
+        raise InputError("grid does not cover the family's support")
     return MeasurableFunction(field, values)

@@ -1,11 +1,12 @@
 """Stone spectra of finite lattices.
 
 A dual ideal (filter) is a nonempty, upward closed, meet closed element set
-not containing the bottom; in a finite lattice every dual ideal is the up-set
-of its minimum, so the quasipoints (maximal dual ideals) are exactly the
-up-sets of atoms.  Enumeration nevertheless proceeds by greedy descent from
-every element so the maximality argument is exercised rather than assumed,
-and the brute-force subset scan lives in the test suite as an oracle.
+not containing the bottom.  In a finite lattice every dual ideal is the up-set
+of its least element, and a larger filter has a smaller least element, so the
+quasipoints (maximal dual ideals) are exactly the up-sets of the atoms.  They
+are enumerated in that closed form, each point keeping its generating atom;
+the brute-force scan over all element subsets is the oracle in the test
+suite.
 """
 
 from __future__ import annotations
@@ -57,22 +58,21 @@ def principal_dual_ideal(lattice: Lattice, a) -> DualIdeal:
 class StoneSpace:
     """All quasipoints of a lattice plus the basic open sets Q_a.
 
-    ``points`` holds one member bitmask per quasipoint, sorted by the tuple of
-    member ids so two enumerations always agree.  ``base[a]`` is the bitmask,
-    over point indices, of the quasipoints containing element a.
+    ``atoms[k]`` is the atom generating the k-th quasipoint and ``points[k]``
+    its member bitmask, the up-set of that atom; points are sorted by the tuple
+    of member ids so two enumerations always agree.  ``base[a]`` is the
+    bitmask, over point indices, of the quasipoints containing element a.
     """
 
-    def __init__(self, lattice: Lattice, points):
+    def __init__(self, lattice: Lattice, atoms):
         self.lattice = lattice
-        self.points = tuple(points)
+        self.atoms = tuple(atoms)
+        self.points = tuple(lattice.up[a] for a in self.atoms)
         self.point_index = {m: k for k, m in enumerate(self.points)}
-        base = []
-        for a in range(lattice.n):
-            mask = 0
-            for k, members in enumerate(self.points):
-                if members >> a & 1:
-                    mask |= 1 << k
-            base.append(mask)
+        base = [0] * lattice.n
+        for k, members in enumerate(self.points):
+            for a in bits(members):
+                base[a] |= 1 << k
         self.base = tuple(base)
         self.all_points = (1 << len(self.points)) - 1
         self._interior = {}
@@ -126,30 +126,10 @@ class StoneSpace:
 
 
 def enumerate_quasipoints(lattice: Lattice) -> StoneSpace:
-    """Enumerate every maximal dual ideal, deterministically.
-
-    Each principal filter is extended to maximality by greedy descent below
-    its generator (smaller generator = larger filter); duplicates collapse on
-    the canonical bitmask form.
-    """
-    if lattice.bottom is None:
-        raise InputError("lattice has no bottom")
-    bottom = lattice.bottom
-    seen = set()
-    for a in range(lattice.n):
-        if a == bottom:
-            continue
-        m = a
-        while True:
-            for b in range(lattice.n):
-                if b != bottom and b != m and lattice.le(b, m):
-                    m = b
-                    break
-            else:
-                break
-        seen.add(lattice.up[m])
-    points = sorted(seen, key=lambda mask: tuple(bits(mask)))
-    return StoneSpace(lattice, points)
+    """Every maximal dual ideal, as the up-sets of the atoms, deterministically."""
+    up = lattice.up
+    atoms = sorted(lattice.atoms(), key=lambda a: tuple(bits(up[a])))
+    return StoneSpace(lattice, atoms)
 
 
 def stone_space(lattice: Lattice) -> StoneSpace:

@@ -10,12 +10,12 @@ discrete spaces; everything else works for arbitrary finite topologies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError, UnsupportedStructureError
 from .family import (ComplexObservableFunction, ObservableFunction,
-                     SpectralFamily, observable_function)
-from .lattice import Lattice, bits
+                     SpectralFamily, first_hits, level_sets, observable_function,
+                     point_values)
+from .lattice import Lattice, bits, label_masks
 from .stone import StoneSpace, stone_space
 
 
@@ -45,8 +45,6 @@ class TopSpace:
                         f"not closed under intersection: {self.set_name(a)}, {self.set_name(b)}")
         self.opens = opens
         self._open_list = seq
-        # element ids of the open-set lattice, which is built from _open_list
-        self._open_id = {o: i for i, o in enumerate(seq)}
         # minimal open neighbourhood U_x: the intersection of the opens around x
         nbhd = [self.full] * len(self.points)
         for o in seq:
@@ -60,16 +58,7 @@ class TopSpace:
     @classmethod
     def from_sets(cls, points, sets) -> "TopSpace":
         points = tuple(points)
-        idx = {p: i for i, p in enumerate(points)}
-        masks = []
-        for s in sets:
-            m = 0
-            for p in s:
-                if p not in idx:
-                    raise InputError(f"unknown point {p!r}")
-                m |= 1 << idx[p]
-            masks.append(m)
-        return cls(points, masks)
+        return cls(points, label_masks(points, sets))
 
     @classmethod
     def discrete(cls, points) -> "TopSpace":
@@ -80,15 +69,7 @@ class TopSpace:
     def generated(cls, points, sets) -> "TopSpace":
         """Close a generating family under union and intersection."""
         points = tuple(points)
-        idx = {p: i for i, p in enumerate(points)}
-        fam = {0, (1 << len(points)) - 1}
-        for s in sets:
-            m = 0
-            for p in s:
-                if p not in idx:
-                    raise InputError(f"unknown point {p!r}")
-                m |= 1 << idx[p]
-            fam.add(m)
+        fam = {0, (1 << len(points)) - 1, *label_masks(points, sets)}
         changed = True
         while changed:
             changed = False
@@ -101,13 +82,7 @@ class TopSpace:
         return cls(points, fam)
 
     def mask_of(self, labels) -> int:
-        idx = {p: i for i, p in enumerate(self.points)}
-        m = 0
-        for p in labels:
-            if p not in idx:
-                raise InputError(f"unknown point {p!r}")
-            m |= 1 << idx[p]
-        return m
+        return label_masks(self.points, [labels])[0]
 
     def set_name(self, mask: int) -> str:
         return "{" + ",".join(str(self.points[i]) for i in bits(mask)) + "}"
@@ -145,26 +120,15 @@ class TopSpace:
         """The open sets ordered by inclusion (no orthocomplement)."""
         if self._lattice is None:
             masks = self._open_list
-            names = [self.set_name(m) for m in masks]
-            order = [(names[i], names[j])
-                     for i, a in enumerate(masks) for j, b in enumerate(masks)
-                     if a & ~b == 0]
-            self._lattice = Lattice(names, order, payload=masks)
+            self._lattice = Lattice.from_sets(masks, map(self.set_name, masks))
         return self._lattice
 
     def r_lattice(self) -> Lattice:
         """The regular opens as a Boolean lattice, pseudocomplement as ortho."""
         if self._r_lattice is None:
-            masks = list(self.regular_opens())
-            names = [self.set_name(m) for m in masks]
-            order = [(names[i], names[j])
-                     for i, a in enumerate(masks) for j, b in enumerate(masks)
-                     if a & ~b == 0]
-            ortho = {names[i]: names[masks.index(self.pseudocomplement(m))]
-                     for i, m in enumerate(masks)}
-            self._r_lattice = Lattice(names, order, ortho=ortho,
-                                      flags=("distributive", "orthomodular"),
-                                      payload=masks)
+            masks = self.regular_opens()
+            self._r_lattice = Lattice.from_sets(
+                masks, map(self.set_name, masks), self.pseudocomplement)
         return self._r_lattice
 
     def __eq__(self, other):
@@ -179,19 +143,6 @@ class TopSpace:
 
 
 # --- continuity and the induced families -------------------------------------
-
-
-def _point_values(space: TopSpace, values) -> tuple:
-    if isinstance(values, dict):
-        try:
-            values = [values[p] for p in space.points]
-        except KeyError as e:
-            raise InputError(f"no value for point {e.args[0]!r}") from None
-    # Fractions are immutable, so exact inputs are shared rather than rebuilt
-    values = tuple([v if type(v) is Fraction else Fraction(v) for v in values])
-    if len(values) != len(space.points):
-        raise InputError("one value per point required")
-    return values
 
 
 def _constant_on_nbhds(space: TopSpace, keys) -> bool:
@@ -213,43 +164,19 @@ def is_continuous(space: TopSpace, values) -> bool:
     if f is constant on each U_x, the preimage of any set is the union of the
     U_x over its points, hence open (Alexandroff 1937; Stong 1966).
     """
-    return _constant_on_nbhds(space, _point_values(space, values))
+    return _constant_on_nbhds(space, point_values(space.points, values))
 
 
-@dataclass(frozen=True)
-class NotASpectralFamily:
-    """Diagnosis returned when the interiors of the level sets fail to exhaust
-    the space; carries the partial jump data.  Cannot occur for a total
-    function on a finite space (finite functions are bounded) but the code
-    path is kept for the contract."""
-
-    thresholds: tuple
-    values: tuple
-    missing: int
-    message: str
-
-
-def _level_family(space: TopSpace, keys, values):
+def _level_family(space: TopSpace, keys, values) -> SpectralFamily:
     """The step family t -> interior({f <= t}), with points sorted and tied by
     ``keys`` and ``values[i]`` as the thresholds: exact whenever ``keys`` has
-    the order and ties of ``values``, e.g. ranks into an increasing grid."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    ids = space._open_id
-    jumps = []
-    union = cum = 0
-    for i, j in zip(order, order[1:] + [None]):
-        cum |= 1 << i
-        if j is not None and keys[j] == keys[i]:
-            continue  # the level set {f <= values[i]} is not complete yet
-        e = space.interior(cum)
-        union |= e
-        jumps.append((values[i], ids[e]))
-    if union != space.full:
-        return NotASpectralFamily(
-            tuple(t for t, _ in jumps), tuple(space._open_list[v] for _, v in jumps),
-            space.full ^ union,
-            "level-set interiors do not exhaust the space")
-    return SpectralFamily(space.lattice(), jumps)
+    the order and ties of ``values``, e.g. ranks into an increasing grid.
+    The last level set is the whole space, which is open, so the family is
+    bounded."""
+    lat = space.lattice()
+    ids = lat.set_ids
+    return SpectralFamily(lat, [(values[i], ids[space.interior(mask)])
+                                for i, mask in level_sets(keys)])
 
 
 def spectral_family_of_continuous(space: TopSpace, values):
@@ -258,7 +185,7 @@ def spectral_family_of_continuous(space: TopSpace, values):
     For continuous inputs this is strongly regular and induces the function
     back; for arbitrary inputs it is still a bounded family at finite scale.
     """
-    values = _point_values(space, values)
+    values = point_values(space.points, values)
     return _level_family(space, values, values)
 
 
@@ -300,15 +227,7 @@ def induced_function(space: TopSpace, family: SpectralFamily) -> tuple:
     """The least threshold whose value contains each point (total, since the
     last value of a bounded family is the whole space)."""
     masks = _family_payloads(space, family)
-    out = []
-    for p in range(len(space.points)):
-        for t, m in zip(family.thresholds, masks):
-            if m >> p & 1:
-                out.append(t)
-                break
-        else:
-            out.append(None)  # unreachable for bounded families
-    return tuple(out)
+    return tuple(first_hits(family.thresholds, masks, len(space.points))[0])
 
 
 # --- quasipoints over points ---------------------------------------------------
@@ -341,15 +260,8 @@ def pt_structure(space: TopSpace) -> PtStructure:
     lat = space.lattice()
     st = stone_space(lat)
     q_x = [0] * len(space.points)
-    for k, members in enumerate(st.points):
-        gen = None
-        for e in bits(members):
-            if lat.up[e] == members:
-                gen = e
-                break
-        w = lat.payload[gen]
-        cl = space.closure(w)
-        for p in bits(cl):
+    for k, a in enumerate(st.atoms):
+        for p in bits(space.closure(lat.payload[a])):
             q_x[p] |= 1 << k
     q_pt = 0
     for m in q_x:
@@ -401,17 +313,12 @@ def cpt_membership(p: PtStructure, g: ObservableFunction) -> bool:
 def f_star(space: TopSpace, re_values, im_values=None):
     """Send a point function to the observable function of its level-set
     family; complex inputs go componentwise."""
-    e_re = spectral_family_of_continuous(space, re_values)
-    if isinstance(e_re, NotASpectralFamily):
-        raise InputError("the real part does not induce a spectral family")
     st = stone_space(space.lattice())
-    fr = observable_function(e_re, st)
+    fr = observable_function(spectral_family_of_continuous(space, re_values), st)
     if im_values is None:
         return fr
-    e_im = spectral_family_of_continuous(space, im_values)
-    if isinstance(e_im, NotASpectralFamily):
-        raise InputError("the imaginary part does not induce a spectral family")
-    return ComplexObservableFunction(fr, observable_function(e_im, st))
+    return ComplexObservableFunction(
+        fr, observable_function(spectral_family_of_continuous(space, im_values), st))
 
 
 # --- the completely increasing calculus ----------------------------------------

@@ -2,6 +2,8 @@
 
 import io
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 from stonespec import dsl, observable_function, riemann_stieltjes
@@ -185,3 +187,52 @@ class TestCheckCommand:
             assert "--max-size: must be at least 1" in err
         code, out, err = run("check", "counterexamples", "--max-size", "x")
         assert code == 2 and out == "" and "invalid int value: 'x'" in err
+
+
+class TestInputRobustness:
+    def test_quasipoints_of_a_cyclic_order_terminates(self, tmp_path):
+        # a < b < a is not antisymmetric; a greedy descent towards an atom
+        # would cycle between a and b, so run it with a timeout
+        path = tmp_path / "cycle.lat"
+        path.write_text("lattice L { elements: 0, a, b, 1 ;"
+                        " order: 0 < a, a < b, b < a, b < 1 ; }\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-m", "stonespec", "quasipoints",
+                               str(path), "L"], capture_output=True, text=True,
+                              timeout=30, env=env)
+        assert done.returncode == 0
+        assert done.stdout.splitlines()[:2] == ["0 quasipoints", "base sets:"]
+        assert "  Q_a: -" in done.stdout
+
+    def test_integrate_on_a_one_element_lattice(self, tmp_path):
+        path = tmp_path / "one.lat"
+        path.write_text("lattice L1 { elements: 0 ; }\nfamily E in L1 { 0: 0 ; }\n")
+        code, out, err = run("integrate", str(path), "E", "--eps", "1/2")
+        assert (code, out, err) == (0, "max deviation from f_E: 0 (eps = 1/2)\n", "")
+
+    def test_integrate_rejects_an_eps_too_long_to_print(self):
+        for eps in ("1e-5000", "1e-3000000", "1e5000", "1e-9" + "9" * 5000):
+            code, out, err = run("integrate", fixture("mo2.lat"), "E0", "--eps", eps)
+            assert code == 2 and out == ""
+            assert err.startswith("error: malformed rational --eps") and err.count("\n") == 1
+
+    def test_integrate_rejects_step_sums_too_long_to_print(self, tmp_path):
+        # 3**8000 has 3,818 digits and 1e-1000 is accepted, but the deviation
+        # has a denominator of about 4,800 digits: no partial table is printed
+        path = tmp_path / "long.lat"
+        path.write_text("lattice B { elements: 0, x, y, 1 ;"
+                        " order: 0 < x, 0 < y, x < 1, y < 1 ; }\n"
+                        f"family E in B {{ 0: x ; 1/{3 ** 8000}: 1 ; }}\n")
+        code, out, err = run("integrate", str(path), "E", "--eps", "1e-1000")
+        assert code == 2 and out == ""
+        assert err == "error: --eps 1e-1000: the step sums are too long to print\n"
+
+    def test_huge_exponent_in_a_file_is_a_diagnostic(self, tmp_path):
+        path = tmp_path / "huge.lat"
+        path.write_text("lattice B { elements: 0, 1 ; order: 0 < 1 ; }\n"
+                        "family E in B { 1e-5000: 1 ; }\n")
+        code, out, err = run("observable", str(path), "E")
+        assert code == 2 and out == ""
+        assert "malformed-rational" in err and "Traceback" not in err

@@ -2,7 +2,11 @@
 
 import glob
 import os
+import sys
 from fractions import Fraction
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stonespec import dsl
 from stonespec.family import ComplexSpectralFamily, SpectralFamily
@@ -179,3 +183,150 @@ family E in F { 0: {p} ; 1: {p,q} ; }
         dot = dsl.emit_dot(file.find("MO2"))
         assert '"0" -> "a"' in dot and '"a" -> "1"' in dot
         assert '"0" -> "1"' not in dot  # transitive edge reduced
+
+
+class TestRationals:
+    def test_exact_forms(self):
+        assert dsl.parse_rational(" 1/2 ") == Fraction(1, 2)
+        assert dsl.parse_rational("-0.25") == Fraction(-1, 4)
+        assert dsl.parse_rational("1e-3") == Fraction(1, 1000)
+        assert dsl.parse_rational("2.5E2") == 250
+        for bad in ("", "one", "1/0", "1e", "e5", "1/2e3", "nan", "inf", "0.1.2"):
+            assert dsl.parse_rational(bad) is None, bad
+
+    def test_exponents_are_bounded_by_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        # the expanded value keeps fewer digits than str() can print
+        assert dsl.parse_rational(f"1e-{limit - 2}") == Fraction(1, 10 ** (limit - 2))
+        assert dsl.parse_rational(f"1e{limit - 2}") == 10 ** (limit - 2)
+        for token in (f"1e-{limit - 1}", f"1e{limit}", "1e-3000000", "1E+99999999",
+                      "1e-" + "9" * (limit + 1), "123.45e" + str(limit)):
+            assert dsl.parse_rational(token) is None, token[:20]
+        assert dsl.parse_rational("1" * (limit + 1)) is None
+
+
+# --- parser totality on generated text ---------------------------------------------
+
+NAMES = st.sampled_from(["0", "1", "a", "b", "a'", "x", "p", "q", "L", "F", "T", "E"])
+RATIONAL_TOKENS = st.one_of(
+    st.integers(-1000, 1000).map(str),
+    st.builds("{}/{}".format, st.integers(-20, 20), st.integers(0, 20)),
+    st.builds("{}e{}".format, st.sampled_from(["1", "-2.5", "0.001", ".5", "3."]),
+              st.integers(-10 ** 8, 10 ** 8)),
+    st.sampled_from(["1e-5000", "1E+99999999", "1e" + "9" * 5000, "9" * 5000, "nan",
+                     "1/0", "", "1_0", "0x10", "--1", "1/-2"]))
+SET_LITERALS = st.lists(st.sampled_from(["p", "q", "r", "1", "2"]), max_size=3).map(
+    lambda ps: "{" + ",".join(ps) + "}")
+VALUES = st.one_of(NAMES, SET_LITERALS)
+HOSTS = st.sampled_from(["L", "F", "T", "nope"])
+
+
+def _clauses(draw, parts):
+    return " ".join(draw(st.lists(parts, max_size=4)))
+
+
+@st.composite
+def blocks(draw):
+    kind = draw(st.sampled_from(dsl.KINDS))
+    if kind == "lattice":
+        pairs = st.builds("{} < {}".format, NAMES, NAMES)
+        body = (f"elements: {', '.join(draw(st.lists(NAMES, max_size=5)))} ; "
+                f"order: {', '.join(draw(st.lists(pairs, max_size=5)))} ;")
+        if draw(st.booleans()):
+            body += f" ortho: {', '.join(draw(st.lists(st.builds('{} <-> {}'.format, NAMES, NAMES), max_size=3)))} ;"
+        return f"lattice {draw(NAMES)} {{ {body} }}"
+    if kind in ("topology", "field"):
+        key = draw(st.sampled_from(["opens", "generators"] if kind == "topology" else ["atoms"]))
+        sets = ", ".join(draw(st.lists(SET_LITERALS, max_size=5)))
+        return f"{kind} {draw(NAMES)} on {{p, q, r}} {{ {key}: {sets} ; }}"
+    if kind == "family":
+        jump = st.builds("{}: {} ;".format, RATIONAL_TOKENS, VALUES)
+        return f"family {draw(NAMES)} in {draw(HOSTS)} {{ {_clauses(draw, jump)} }}"
+    if kind == "family2":
+        cell = st.builds("{},{}: {} ;".format, RATIONAL_TOKENS, RATIONAL_TOKENS, VALUES)
+        return f"family2 {draw(NAMES)} in {draw(HOSTS)} {{ {_clauses(draw, cell)} }}"
+    if kind == "function":
+        entry = st.builds("{}: {} ;".format, st.sampled_from(["p", "q", "r", "z"]),
+                          RATIONAL_TOKENS)
+        return f"function {draw(NAMES)} on {draw(HOSTS)} {{ {_clauses(draw, entry)} }}"
+    return f"ideal {draw(NAMES)} in {draw(HOSTS)} {{ generators: {draw(SET_LITERALS)} ; }}"
+
+
+FRAGMENTS = st.one_of(st.sampled_from(["{", "}", ";", ":", ",", "<", "<->", "#", "\n", "on",
+                                       "in", "elements:"]),
+                      RATIONAL_TOKENS, st.text(max_size=4))
+
+
+@st.composite
+def texts(draw):
+    """Plausible instance files, then cut and spliced with stray fragments."""
+    text = "\n".join(draw(st.lists(blocks(), max_size=5)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        text = text[:i] + draw(FRAGMENTS) + text[j:]
+    return text
+
+
+FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def instance_files(draw):
+    """Valid instance files built from library objects: one block of every
+    kind, hosted by a fixture lattice, a topology and a field of sets."""
+    from stonespec import (all_fields, all_topologies, build_fixture,
+                           enumerate_families, ideals_of, product_family)
+    grid = draw(st.lists(FRACTIONS, min_size=1, max_size=3, unique=True))
+    lat = build_fixture(draw(st.sampled_from(["boolean", "chain", "MO"])),
+                        draw(st.integers(1, 3)))
+    space = draw(st.sampled_from(all_topologies(draw(st.integers(1, 3)))))
+    field = draw(st.sampled_from(all_fields(("p", "q", "r"))))
+    families = enumerate_families(lat, grid)
+    atom_values = [draw(FRACTIONS) for _ in field.atoms]
+    phi = [next(v for a, v in zip(field.atoms, atom_values) if a >> i & 1)
+           for i in range(3)]
+    blocks = [
+        dsl.BlockInfo("lattice", "L", None, lat),
+        dsl.BlockInfo("topology", "T", None, space),
+        dsl.BlockInfo("field", "F", None, field),
+        dsl.BlockInfo("family", "E", "L", draw(st.sampled_from(families))),
+        dsl.BlockInfo("family2", "G", "L", product_family(
+            draw(st.sampled_from(families)), draw(st.sampled_from(families)))),
+        dsl.BlockInfo("family", "ET", "T", draw(st.sampled_from(
+            enumerate_families(space.lattice(), grid)))),
+        dsl.BlockInfo("family", "EF", "F", draw(st.sampled_from(
+            enumerate_families(field.lattice(), grid)))),
+        dsl.BlockInfo("function", "f", "T", dsl.PointFunction(
+            space, tuple(draw(FRACTIONS) for _ in space.points))),
+        dsl.BlockInfo("function", "phi", "F", MeasurableFunction(field, phi)),
+        dsl.BlockInfo("ideal", "I", "F", draw(st.sampled_from(ideals_of(field)))),
+    ]
+    return dsl.InstanceFile(draw(st.permutations(blocks)))
+
+
+class TestTotality:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(texts())
+    def test_exactly_one_of_file_or_diagnostics(self, text):
+        result = dsl.parse(text)
+        assert (result.file is None) == bool(result.diagnostics)
+        assert result.ok == (result.file is not None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.text(max_size=60))
+    def test_arbitrary_text_never_raises(self, text):
+        result = dsl.parse(text)
+        assert (result.file is None) == bool(result.diagnostics)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(instance_files())
+    def test_emit_parse_fixpoint_on_generated_instances(self, file):
+        first = parse_ok(dsl.emit_text(file))
+        assert [b.name for b in first.blocks] == [b.name for b in file.blocks]
+        emitted = dsl.emit_text(first)
+        again = parse_ok(emitted)
+        assert again == first
+        assert dsl.emit_text(again) == emitted

@@ -15,7 +15,7 @@ from stonespec import (ComplexSpectralFamily, InputError, InvalidFamilyError,
                        chain_lattice, decompose, enumerate_families,
                        from_observable_function, mo_lattice,
                        observable_function, observable_function_complex,
-                       product_family, riemann_stieltjes, spectralize,
+                       product_family, riemann_stieltjes,
                        spectrum_of, stone_space)
 from stonespec import family as fam
 
@@ -296,15 +296,19 @@ class TestSpectrum:
 
 
 class TestSpectralize:
+    """A jump list read as "v on (t_i, t_{i+1}]" and as "v on [t_i, t_{i+1})"
+    is the same list, so the constructor's right-continuous reading is the
+    only conversion there is; these cases check it directly."""
+
     def test_idempotent_on_canonical_families(self):
         mo2 = mo_lattice(2)
         e = SpectralFamily(mo2, [(0, "a"), (1, "1")])
-        assert spectralize(mo2, e) is e
-        assert spectralize(mo2, list(zip(e.thresholds, e.values))) == e
+        assert SpectralFamily(mo2, list(zip(e.thresholds, e.values))) == e
+        assert SpectralFamily(mo2, e.jumps()) == e
 
     def test_open_convention_single_jump(self):
         b2 = boolean_lattice(2)
-        e = spectralize(b2, [(Fraction(3), "1")])
+        e = SpectralFamily(b2, [(Fraction(3), "1")])
         assert e.eval(3) == b2.top and e.eval(3 - Fraction(1, 100)) == b2.bottom
 
     def test_strict_level_sets_spectralize_to_the_closed_family(self):
@@ -327,12 +331,12 @@ class TestSpectralize:
             # of the previous step; on reinterpretation they coincide
             strict = [(t, m) for (t, _), (_, m) in zip(pairs, pairs[1:])]
             strict.append((pairs[-1][0], lat.top))
-            got = spectralize(lat, strict)
+            got = SpectralFamily(lat, strict)
             assert got == spectral_family_of(phi)
 
     def test_non_monotone_rejected(self):
         with pytest.raises(InvalidFamilyError):
-            spectralize(boolean_lattice(2), [(0, "x"), (1, "y")])
+            SpectralFamily(boolean_lattice(2), [(0, "x"), (1, "y")])
 
 
 def oracle_decompositions(e, candidates):

@@ -1,0 +1,94 @@
+"""Golden outputs: every CLI subcommand on every applicable fixture object.
+
+Each fixture ``fixtures/<name>.lat`` has a golden file
+``tests/goldens/<name>.txt`` that records, for every call, the arguments,
+the exit code, stdout and stderr, byte for byte.  After an intended output
+change, regenerate the files and review the diff:
+
+    PYTHONPATH=src python tests/test_goldens.py
+"""
+
+import io
+import os
+
+import pytest
+
+from stonespec import dsl
+from stonespec.cli import main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+FIXTURES = os.path.join(HERE, "..", "fixtures")
+GOLDENS = os.path.join(HERE, "goldens")
+EPS = ("1", "1/3", "1/4", "3/10")
+FIXTURE_NAMES = sorted(name for name in os.listdir(FIXTURES) if name.endswith(".lat"))
+
+
+def calls(path):
+    """Every subcommand on every object of the file it applies to."""
+    with open(path, encoding="utf-8") as handle:
+        blocks = dsl.parse(handle.read()).file.blocks
+    out = [["validate", path]]
+    for b in blocks:
+        out.append(["emit", "json", path, b.name])
+        out.append(["emit", "dot", path, b.name])
+        if b.kind in ("lattice", "field", "topology"):
+            out.append(["quasipoints", path, b.name])
+            out.append(["quasipoints", path, b.name, "--json"])
+        if b.kind in ("family", "family2"):
+            out.append(["observable", path, b.name])
+            out.append(["observable", path, b.name, "--json"])
+        if b.kind == "family":
+            out.append(["spectrum", path, b.name])
+            out += [["integrate", path, b.name, "--eps", eps] for eps in EPS]
+        if b.kind == "family2":
+            out.append(["decompose", path, b.name])
+        if b.kind == "ideal":
+            out.append(["quotient", path, b.host, b.name])
+            out += [["lift", path, b.host, b.name, f.name]
+                    for f in blocks if f.kind == "family" and f.host == b.host]
+    return out
+
+
+def render(name):
+    """The golden text of one fixture: each call and what it printed."""
+    path = os.path.join(FIXTURES, name)
+    chunks = []
+    for argv in calls(path):
+        out, err = io.StringIO(), io.StringIO()
+        code = main(argv, out=out, err=err)
+        shown = " ".join(name if a == path else a for a in argv)
+        chunks.append(f"$ stonespec {shown}\n[exit {code}]\n{out.getvalue()}")
+        if err.getvalue():
+            chunks.append(f"[stderr]\n{err.getvalue()}")
+    return "".join(chunks)
+
+
+def golden_path(name):
+    return os.path.join(GOLDENS, name[:-len(".lat")] + ".txt")
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_cli_output_matches_golden(name):
+    with open(golden_path(name), encoding="utf-8") as handle:
+        want = handle.read()
+    assert render(name) == want
+
+
+def test_every_fixture_has_a_golden():
+    assert sorted(os.listdir(GOLDENS)) == sorted(
+        name[:-len(".lat")] + ".txt" for name in FIXTURE_NAMES)
+
+
+def test_every_subcommand_is_covered():
+    from stonespec.cli import _parser
+    sub = next(a for a in _parser()._actions if a.dest == "command")
+    used = {argv[0] for name in FIXTURE_NAMES
+            for argv in calls(os.path.join(FIXTURES, name))}
+    assert used == set(sub.choices) - {"check"}
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDENS, exist_ok=True)
+    for fixture_name in FIXTURE_NAMES:
+        with open(golden_path(fixture_name), "w", encoding="utf-8") as handle:
+            handle.write(render(fixture_name))

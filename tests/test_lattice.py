@@ -210,3 +210,80 @@ class TestFixtures:
 def test_bits_iterates_low_to_high():
     assert list(bits(0b101001)) == [0, 3, 5]
     assert list(bits(0)) == []
+
+
+def oracle_set_lattice(masks, names, complement=None):
+    """A lattice of sets the way it was built before ``Lattice.from_sets``:
+    every comparable name pair goes to the constructor, which closes the
+    order, and the ortho map goes by names."""
+    masks = list(masks)
+    names = list(names)
+    order = [(names[i], names[j])
+             for i, a in enumerate(masks) for j, b in enumerate(masks)
+             if a & ~b == 0]
+    if complement is None:
+        return Lattice(names, order, payload=masks)
+    ortho = {names[i]: names[masks.index(complement(m))] for i, m in enumerate(masks)}
+    return Lattice(names, order, ortho=ortho,
+                   flags=("distributive", "orthomodular"), payload=masks)
+
+
+def assert_same_set_lattice(got, want):
+    assert got == want
+    assert (got.down, got.bottom, got.top) == (want.down, want.bottom, want.top)
+    assert got.set_ids == {m: i for i, m in enumerate(want.payload)}
+
+
+class TestFromSets:
+    def test_boolean_lattices_match_the_name_pair_builder(self):
+        for n in range(1, 7):
+            lat = boolean_lattice(n)
+            full = (1 << n) - 1
+            assert lat.payload == tuple(range(1 << n))
+            assert_same_set_lattice(lat, oracle_set_lattice(
+                lat.payload, lat.names, full.__xor__))
+            assert lat.validate().ok
+
+    def test_fields_match_the_name_pair_builder(self):
+        from stonespec import all_fields
+        count = 0
+        for n in range(1, 5):
+            for f in all_fields(tuple(str(i) for i in range(1, n + 1))):
+                masks = f.members()
+                want = oracle_set_lattice(masks, [f.set_name(m) for m in masks],
+                                          f.full.__xor__)
+                assert_same_set_lattice(f.lattice(), want)
+                count += 1
+        assert count == 1 + 2 + 5 + 15
+
+    def test_topologies_match_the_name_pair_builder(self):
+        from stonespec import all_topologies
+        count = 0
+        for n in range(1, 5):
+            for t in all_topologies(n):
+                opens = sorted(t.opens)
+                assert_same_set_lattice(t.lattice(), oracle_set_lattice(
+                    opens, [t.set_name(m) for m in opens]))
+                regular = t.regular_opens()
+                assert_same_set_lattice(t.r_lattice(), oracle_set_lattice(
+                    regular, [t.set_name(m) for m in regular], t.pseudocomplement))
+                count += 1
+        assert count == 1 + 4 + 29 + 355
+
+    def test_without_complement_no_ortho_and_no_flags(self):
+        lat = Lattice.from_sets([0b0, 0b1, 0b11], ["e", "a", "ab"])
+        assert lat.ortho is None and lat.flags == frozenset()
+        assert lat.set_ids == {0: 0, 1: 1, 3: 2}
+        assert lat.up == (0b111, 0b110, 0b100)
+        assert lat.validate().ok
+
+    def test_rejects_partial_complement_and_duplicates(self):
+        with pytest.raises(InputError, match="ortho map is not total"):
+            Lattice.from_sets([0b0, 0b1, 0b11], ["e", "a", "ab"], (0b11).__xor__)
+        with pytest.raises(InputError, match="duplicate sets"):
+            Lattice.from_sets([0b0, 0b1, 0b1], ["e", "a", "b"])
+        with pytest.raises(InputError, match="duplicate element names"):
+            Lattice.from_sets([0b0, 0b1], ["e", "e"])
+
+    def test_other_lattices_carry_no_set_ids(self):
+        assert chain_lattice(3).set_ids is None and mo_lattice(2).set_ids is None

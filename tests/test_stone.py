@@ -1,7 +1,7 @@
 """Dual ideals, quasipoint enumeration and the spectrum topology.
 
 The oracle enumerates dual ideals by brute force over all element subsets,
-independently of the library's greedy descent.
+independently of the library's closed form (the up-sets of the atoms).
 """
 
 import pytest
@@ -108,6 +108,28 @@ class TestEnumeration:
                 assert is_dual_ideal(lat, members)
                 assert not any(other != members and other & members == members
                                for other in ideals)
+
+    def test_each_point_is_the_up_set_of_its_stored_atom(self):
+        n5 = Lattice(["0", "a", "c", "b", "1"],
+                     [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")])
+        for lat in (boolean_lattice(3), mo_lattice(2), chain_lattice(4), n5):
+            space = enumerate_quasipoints(lat)
+            assert sorted(space.atoms) == sorted(lat.atoms())
+            assert space.points == tuple(lat.up[a] for a in space.atoms)
+
+    def test_order_with_a_cycle_has_no_quasipoints(self):
+        # a <= b <= a is not a lattice order (validate reports it), so the
+        # closed form makes no claim here; it must still terminate.  Neither
+        # a nor b is an atom, each having the other below it, so there are
+        # no points; a descent from a or b would cycle forever
+        lat = Lattice(["0", "a", "b", "1"],
+                      [("0", "a"), ("a", "b"), ("b", "a"), ("b", "1")])
+        assert "antisymmetry" in lat.validate().codes()
+        assert enumerate_quasipoints(lat).points == ()
+
+    def test_no_bottom_is_an_input_error(self):
+        with pytest.raises(InputError, match="no bottom"):
+            enumerate_quasipoints(Lattice(["a", "b"], []))
 
     def test_boolean_quasipoints_biject_with_atoms(self):
         for n in (2, 3, 4):

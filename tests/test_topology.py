@@ -18,8 +18,8 @@ from stonespec import (InputError, ObservableFunction, SpectralFamily,
                        stone_space)
 from stonespec.lattice import bits
 from stonespec.checks import GRID3, _domain
-from stonespec.topology import (NotASpectralFamily, _constant_on_nbhds,
-                                _level_family, _point_values, covers_spectrum)
+from stonespec.family import point_values
+from stonespec.topology import _constant_on_nbhds, _level_family, covers_spectrum
 
 HALF = Fraction(1, 2)
 
@@ -56,7 +56,11 @@ def oracle_is_continuous(space, values):
 
 
 def oracle_spectral_family(space, values):
-    """The step family t -> interior({f <= t}), one threshold scan per value."""
+    """The step family t -> interior({f <= t}), one threshold scan per value.
+
+    Asserts that the interiors exhaust the space: the last level set is the
+    whole space, which is open, so a total function always gives a bounded
+    family and no "not a spectral family" outcome exists."""
     values = tuple(Fraction(v) for v in values)
     jumps = []
     union = 0
@@ -68,11 +72,7 @@ def oracle_spectral_family(space, values):
         e = space.interior(cum)
         union |= e
         jumps.append((t, e))
-    if union != space.full:
-        return NotASpectralFamily(
-            tuple(t for t, _ in jumps), tuple(e for _, e in jumps),
-            space.full ^ union,
-            "level-set interiors do not exhaust the space")
+    assert union == space.full, "level-set interiors do not exhaust the space"
     lat = space.lattice()
     return SpectralFamily(lat, [(t, lat.payload.index(e)) for t, e in jumps])
 
@@ -218,8 +218,7 @@ class TestClosedFormsAgainstOracles:
                     assert is_continuous(t, values) == oracle_is_continuous(t, values)
                     got = spectral_family_of_continuous(t, values)
                     want = oracle_spectral_family(t, values)
-                    assert isinstance(got, NotASpectralFamily) == \
-                        isinstance(want, NotASpectralFamily)
+                    assert type(got) is type(want) is SpectralFamily
                     assert got.thresholds == want.thresholds
                     assert got.values == want.values
                     assert got == want
@@ -254,12 +253,12 @@ class TestClosedFormsAgainstOracles:
 
         s = sierpinski()
         for v in (1, "1", Fraction(1), Decimal(1), Sub(1)):
-            out = _point_values(s, (v, v))
+            out = point_values(s.points, (v, v))
             assert [type(x) for x in out] == [Fraction, Fraction]
             assert out == (Fraction(1), Fraction(1))
-        assert _point_values(s, {"1": HALF, "2": 0})[0] is HALF
+        assert point_values(s.points, {"1": HALF, "2": 0})[0] is HALF
         with pytest.raises(InputError):
-            _point_values(s, (1,))
+            point_values(s.points, (1,))
 
 
 class TestInducedFamilies:
@@ -327,7 +326,8 @@ class TestInducedFamilies:
             lat = t.lattice()
             for values in product((0, HALF, 1), repeat=3):
                 e = spectral_family_of_continuous(t, values)
-                assert not isinstance(e, NotASpectralFamily)
+                assert isinstance(e, SpectralFamily)
+                assert _domain(lat, e) == t.full
                 if is_continuous(t, values):
                     assert is_strongly_regular(t, e)[0]
                     assert induced_function(t, e) == tuple(Fraction(v) for v in values)
