@@ -49,6 +49,12 @@ class SuiteResult:
         return out
 
 
+def _clamp(max_size: int, cap: int) -> int:
+    """The size a sweep runs at when asked for ``max_size``: at most ``cap``,
+    the largest size that sweep affords."""
+    return min(cap, max_size)
+
+
 def _ground(n):
     return tuple(str(i) for i in range(1, n + 1))
 
@@ -60,7 +66,7 @@ def suite_bijection(max_size: int = 4, seed: int = 0) -> SuiteResult:
     """Round-trip the level-set family and induced-function transforms over
     every field of sets on a small ground set and every grid function."""
     res = SuiteResult("bijection")
-    n = min(4, max_size)
+    n = _clamp(max_size, 4)
     fields = mea.all_fields(_ground(n))
     res.notes.append(f"{len(fields)} fields of sets on {n} points, grid {GRID3}")
     for f in fields:
@@ -75,11 +81,11 @@ def suite_bijection(max_size: int = 4, seed: int = 0) -> SuiteResult:
 
 def _injectivity_fixtures(max_size: int):
     out = []
-    for n in range(1, min(4, max_size) + 1):
+    for n in range(1, _clamp(max_size, 4) + 1):
         out.append((f"boolean({n})", boolean_lattice(n)))
-    for k in range(1, min(3, max_size) + 1):
+    for k in range(1, _clamp(max_size, 3) + 1):
         out.append((f"MO({k})", mo_lattice(k)))
-    for m in range(2, min(5, max_size + 1) + 1):
+    for m in range(2, _clamp(max_size + 1, 5) + 1):
         out.append((f"chain({m})", chain_lattice(m)))
     return out
 
@@ -131,7 +137,7 @@ def suite_continuity(max_size: int = 4, seed: int = 0) -> SuiteResult:
     Stone topology, for seeded random families."""
     res = SuiteResult("continuity")
     rng = random.Random(seed)
-    lattices = [mo_lattice(min(3, max_size)), boolean_lattice(min(4, max_size))]
+    lattices = [mo_lattice(_clamp(max_size, 3)), boolean_lattice(_clamp(max_size, 4))]
     spaces = [stone_space(lat) for lat in lattices]
     res.notes.append(f"seed {seed}, 200 random families")
     for i in range(200):
@@ -226,8 +232,9 @@ def suite_correspondence(max_size: int = 4, seed: int = 0) -> SuiteResult:
     function: continuity matches strong regularity in both directions, with
     the domain/regularity side conditions."""
     res = SuiteResult("continuous-correspondence")
-    n_max = min(4, max_size)
+    n_max = _clamp(max_size, 4)
     counts = {1: 1, 2: 4, 3: 29, 4: 355}
+    found = None  # the first regular family that is not strongly regular
     for n in range(1, n_max + 1):
         spaces = top.all_topologies(n)
         res.check(len(spaces) == counts[n],
@@ -239,6 +246,8 @@ def suite_correspondence(max_size: int = 4, seed: int = 0) -> SuiteResult:
             for ranks, values in grid_fns:
                 cont = top._constant_on_nbhds(t, ranks)
                 e = top._level_family(t, ranks, values)
+                if found is None and top.classify_family(t, e) == "regular":
+                    found = t, e
                 res.check(_domain(lat, e) == t.full,
                           "{!r}: the family of {} does not cover the space", t, values)
                 if cont:
@@ -279,7 +288,6 @@ def suite_correspondence(max_size: int = 4, seed: int = 0) -> SuiteResult:
               and e.eval(1 - Fraction(1, 1000)) != e.eval(1)
               and top.is_strongly_regular(disc, e)[0],
               "clopen indicator family should be strongly regular with a left jump at 1")
-    found = _regular_not_strongly_regular(n_max)
     if found is None:
         res.notes.append("regular-but-not-strongly-regular family: no witness at scale")
     else:
@@ -305,17 +313,6 @@ def _domain(lat: Lattice, e: fam.SpectralFamily) -> int:
     return dom
 
 
-def _regular_not_strongly_regular(n_max: int):
-    for n in range(1, n_max + 1):
-        grid_fns = _grid3_functions(n)
-        for t in top.all_topologies(n):
-            for ranks, values in grid_fns:
-                e = top._level_family(t, ranks, values)
-                if top.classify_family(t, e) == "regular":
-                    return t, e
-    return None
-
-
 # --- quotient algebras and the induced transform --------------------------------
 
 
@@ -323,7 +320,7 @@ def suite_quotient(max_size: int = 4, seed: int = 0) -> SuiteResult:
     """All ideals of the power set on four points: dual-filter laws, the
     kernel law, representative independence and the lift round trip."""
     res = SuiteResult("quotient")
-    n = min(4, max_size)
+    n = _clamp(max_size, 4)
     f = mea.FieldOfSets.from_partition(_ground(n), [[p] for p in _ground(n)])
     space = f.stone()
     lat = f.lattice()
@@ -355,11 +352,7 @@ def suite_quotient(max_size: int = 4, seed: int = 0) -> SuiteResult:
                 res.check(in_original == in_quotient,
                           "ideal {!r}: membership mismatch for {}", ideal, f.set_name(m))
         # kernel law and representative independence over the value grid
-        for assignment in product(GRID3, repeat=len(f.atoms)):
-            values = [None] * n
-            for a, v in zip(f.atoms, assignment):
-                for p in bits(a):
-                    values[p] = v
+        for values in mea.atom_grid_values(f, GRID3):
             phi = mea.MeasurableFunction(f, values)
             g = mea.gamma_transform(phi, q)
             vanishes = all(v == 0 for v in g.values)
@@ -398,7 +391,7 @@ def suite_increasing(max_size: int = 4, seed: int = 0) -> SuiteResult:
     res = SuiteResult("increasing-calculus")
     rng = random.Random(seed)
     spaces = []
-    for n in range(1, min(4, max_size) + 1):
+    for n in range(1, _clamp(max_size, 4) + 1):
         spaces.extend(top.all_topologies(n))
     res.notes.append(f"{len(spaces)} topologies, seed {seed}, 100 seeded functions")
     for t in spaces:
@@ -415,7 +408,7 @@ def suite_increasing(max_size: int = 4, seed: int = 0) -> SuiteResult:
         r = top.r_function(t, g)
         ok, witness = top.completely_increasing_check(lat, r)
         res.check(ok, "{!r}: r_g not completely increasing at {}", t, witness)
-    for n in range(1, min(4, max_size) + 1):
+    for n in range(1, _clamp(max_size, 4) + 1):
         t = top.TopSpace.discrete(_ground(n))
         p = top.pt_structure(t)
         st = stone_space(t.r_lattice())
@@ -444,7 +437,7 @@ def suite_point_iso(max_size: int = 4, seed: int = 0) -> SuiteResult:
     spectrum reproduces the space."""
     res = SuiteResult("point-isomorphism")
     rng = random.Random(seed)
-    for n in range(1, min(5, max_size) + 1):
+    for n in range(1, _clamp(max_size, 5) + 1):
         t = top.TopSpace.discrete(_ground(n))
         st = stone_space(t.lattice())
         p = top.pt_structure(t)

@@ -70,49 +70,38 @@ def cmd_quasipoints(args, out) -> int:
     lat = info.lattice()
     space = stone_space(lat)
     names = [space.point_name(k) for k in range(space.n_points)]
+    points = {name: [lat.names[i] for i in bits(space.points[k])]
+              for k, name in enumerate(names)}
+    base = {lat.names[a]: [names[k] for k in bits(space.base[a])] for a in range(lat.n)}
     if args.json:
-        doc = {
-            "points": {name: [lat.names[i] for i in bits(space.points[k])]
-                       for k, name in enumerate(names)},
-            "base": {lat.names[a]: [names[k] for k in bits(space.base[a])]
-                     for a in range(lat.n)},
-        }
-        print(json.dumps(doc, sort_keys=True), file=out)
+        print(json.dumps({"points": points, "base": base}, sort_keys=True), file=out)
         return 0
-    for k, name in enumerate(names):
-        print(f"{name}: " + ", ".join(
-            lat.names[i] for i in bits(space.points[k])), file=out)
+    for name, members in points.items():
+        print(f"{name}: " + ", ".join(members), file=out)
     print(f"{space.n_points} quasipoints", file=out)
     print("base sets:", file=out)
-    for a in range(lat.n):
-        hits = ", ".join(names[k] for k in bits(space.base[a]))
-        print(f"  Q_{lat.names[a]}: {hits if hits else '-'}", file=out)
+    for a, hits in base.items():
+        print(f"  Q_{a}: {', '.join(hits) or '-'}", file=out)
     return 0
 
 
 def cmd_observable(args, out) -> int:
     file = _load(args.file)
     info = _find(file, args.family, ("family", "family2"))
+    # one row per quasipoint: its value, or its real part and imaginary part
     if info.kind == "family":
         g = fam.observable_function(info.obj)
-        table = g.as_dict()
-        if args.json:
-            print(json.dumps({k: str(v) for k, v in table.items()},
-                             sort_keys=True), file=out)
-        else:
-            for k in range(g.space.n_points):
-                print(f"{g.space.point_name(k)}: {g.values[k]}", file=out)
+        space, rows = g.space, [[v] for v in g.values]
     else:
         g = fam.observable_function_complex(info.obj)
-        space = g.re.space
-        if args.json:
-            print(json.dumps(
-                {space.point_name(k): f"{g.re.values[k]}+{g.im.values[k]}i"
-                 for k in range(space.n_points)}, sort_keys=True), file=out)
-        else:
-            for k in range(space.n_points):
-                print(f"{space.point_name(k)}: {g.re.values[k]} + {g.im.values[k]}i",
-                      file=out)
+        space, rows = g.re.space, [[a, f"{b}i"] for a, b in zip(g.re.values, g.im.values)]
+    names = [space.point_name(k) for k in range(space.n_points)]
+    if args.json:
+        print(json.dumps({name: "+".join(map(str, row)) for name, row in zip(names, rows)},
+                         sort_keys=True), file=out)
+    else:
+        for name, row in zip(names, rows):
+            print(f"{name}: " + " + ".join(map(str, row)), file=out)
     return 0
 
 
@@ -126,12 +115,9 @@ def cmd_spectrum(args, out) -> int:
 def cmd_decompose(args, out) -> int:
     file = _load(args.file)
     info = _find(file, args.family, ("family2",))
-    e1, e2 = fam.decompose(info.obj)
-    lat = e1.lattice
-    print("first:  " + "; ".join(f"{t}: {lat.names[v]}"
-                                 for t, v in zip(e1.thresholds, e1.values)), file=out)
-    print("second: " + "; ".join(f"{t}: {lat.names[v]}"
-                                 for t, v in zip(e2.thresholds, e2.values)), file=out)
+    names = info.obj.lattice.names
+    for label, e in zip(("first: ", "second:"), fam.decompose(info.obj)):
+        print(f"{label} " + "; ".join(f"{t}: {names[v]}" for t, v in e.jumps()), file=out)
     return 0
 
 

@@ -74,12 +74,6 @@ class BlockInfo:
         opens or a field's members."""
         return self.obj if self.kind == "lattice" else self.obj.lattice()
 
-    def __eq__(self, other):
-        if not isinstance(other, BlockInfo):
-            return NotImplemented
-        return (self.kind == other.kind and self.name == other.name
-                and self.host == other.host and self.obj == other.obj)
-
 
 @dataclass
 class InstanceFile:
@@ -93,11 +87,6 @@ class InstanceFile:
             if b.name == name:
                 return b
         return None
-
-    def __eq__(self, other):
-        if not isinstance(other, InstanceFile):
-            return NotImplemented
-        return self.blocks == other.blocks
 
 
 @dataclass
@@ -203,7 +192,6 @@ class _Scanner:
 class _RawBlock:
     kind: str
     name: str
-    link: str | None      # the keyword "on"/"in"
     host: str | None      # host name, when the link argument is a name
     host_set: list | None  # point labels, when the link argument is a set
     clauses: list         # (text, absolute index)
@@ -227,15 +215,9 @@ def _split_top(text: str, sep: str):
     return parts
 
 
-def _scan(text: str):
-    sc = _Scanner(text)
+def _scan(sc: _Scanner, diag):
+    """Split the text into raw blocks; malformed headers go to ``diag``."""
     blocks = []
-    diags = []
-
-    def diag(code, msg, at, suggestion=None):
-        line, col = sc.linecol(at)
-        diags.append(Diagnostic("error", line, col, code, msg, suggestion))
-
     while not sc.at_end():
         kind, at = sc.token()
         if kind not in KINDS:
@@ -278,8 +260,8 @@ def _scan(text: str):
             diag("malformed-header", f"unterminated {kind} block", at)
             continue
         clauses = [(t, raw_at + off) for t, off in _split_top(raw, ";") if t.strip()]
-        blocks.append(_RawBlock(kind, name, link, host, host_set, clauses, at))
-    return blocks, diags
+        blocks.append(_RawBlock(kind, name, host, host_set, clauses, at))
+    return blocks
 
 
 # --- construction --------------------------------------------------------------
@@ -318,6 +300,11 @@ def _parse_setlit(text: str):
     return [t.strip() for t, _ in _split_top(inner, ",") if t.strip()]
 
 
+class _Rejected(Exception):
+    """Raised by ``_Builder.reject``: ``parse`` skips the block, whose
+    diagnostics are already recorded."""
+
+
 class _Builder:
     def __init__(self, scanner_text: str):
         self.sc = _Scanner(scanner_text)
@@ -328,20 +315,39 @@ class _Builder:
         line, col = self.sc.linecol(at)
         self.diags.append(Diagnostic("error", line, col, code, msg, suggestion))
 
+    def reject(self, code, msg, at):
+        """Record a diagnostic and abandon the block being built."""
+        self.diag(code, msg, at)
+        raise _Rejected
+
+    def construct(self, rb: _RawBlock, code, make, error=InputError):
+        """``make()``, with an ``error`` it raises reported as ``code``."""
+        try:
+            return make()
+        except error as e:
+            self.reject(code, str(e), rb.at)
+
     def set_list(self, payload: str, at: int):
-        """The set literals of a comma-separated clause payload, or None
-        (with a diagnostic) when a part is not a set literal."""
+        """The set literals of a comma-separated clause payload."""
         sets = []
         for part, off in _split_top(payload, ","):
             if not part.strip():
                 continue
             lit = _parse_setlit(part)
             if lit is None:
-                self.diag("malformed-clause", f"expected a set literal, got {part.strip()!r}",
-                          at + off)
-                return None
+                self.reject("malformed-clause",
+                            f"expected a set literal, got {part.strip()!r}", at + off)
             sets.append(lit)
         return sets
+
+    def set_clause(self, rb: _RawBlock, allowed, missing):
+        """The key and set literals of the one clause of a block whose clause
+        keys are ``allowed``; ``missing`` is reported unless there is exactly one."""
+        cm = self.clause_map(rb, allowed)
+        if len(cm) != 1:
+            self.reject("malformed-clause", missing, rb.at)
+        (key, clause), = cm.items()
+        return key, self.set_list(*clause)
 
     def clause_map(self, rb: _RawBlock, allowed):
         out = {}
@@ -366,104 +372,85 @@ class _Builder:
                 ok = False
                 continue
             out[key] = (payload, at + payload_at)
-        return out if ok else None
+        if not ok:
+            raise _Rejected
+        return out
+
+    def entries(self, rb: _RawBlock, form: str):
+        """Yield each clause split at its colon as (key, key_at, payload,
+        payload_at); a clause without exactly one colon is rejected as not
+        of the ``form``."""
+        for text, at in rb.clauses:
+            parts = _split_top(text, ":")
+            if len(parts) != 2:
+                self.reject("malformed-clause", f"expected '{form}'", at)
+            (key, key_at), (payload, payload_at) = parts
+            yield key, at + key_at, payload, at + payload_at
+
+    def rational(self, text: str, at: int, shown=None):
+        """The exact value of a rational token; ``shown`` names it in the
+        diagnostic instead of the token."""
+        value = parse_rational(text)
+        if value is None:
+            self.reject("malformed-rational",
+                        f"malformed rational {shown or repr(text.strip())}", at)
+        return value
 
     def resolve(self, rb: _RawBlock, kinds):
         info = self.by_name.get(rb.host)
         if info is None or info.kind not in kinds:
-            self.diag("dangling-reference",
-                      f"{rb.kind} {rb.name!r} refers to unknown {' or '.join(kinds)} {rb.host!r}",
-                      rb.at)
-            return None
+            self.reject("dangling-reference",
+                        f"{rb.kind} {rb.name!r} refers to unknown {' or '.join(kinds)} {rb.host!r}",
+                        rb.at)
         return info
+
+    def points(self, rb: _RawBlock):
+        """The point labels of an 'on {points}' header."""
+        if rb.host_set is None:
+            self.reject("malformed-header",
+                        f"{rb.kind} blocks need 'on {{points}}' before the body", rb.at)
+        return rb.host_set
 
     # -- per-kind builders
 
     def build_lattice(self, rb: _RawBlock):
         cm = self.clause_map(rb, ("elements", "order", "ortho"))
-        if cm is None:
-            return None
         if "elements" not in cm:
-            self.diag("malformed-clause", "lattice block needs an 'elements' clause", rb.at)
-            return None
-        payload, at = cm["elements"]
+            self.reject("malformed-clause", "lattice block needs an 'elements' clause", rb.at)
+        payload, _ = cm["elements"]
         names = [t.strip() for t, _ in _split_top(payload, ",") if t.strip()]
-        order = []
-        if "order" in cm:
-            payload, at = cm["order"]
-            for part, off in _split_top(payload, ","):
-                part_s = part.strip()
-                if not part_s:
-                    continue
-                halves = part_s.split("<")
-                if len(halves) != 2 or "->" in part_s:
-                    self.diag("malformed-clause",
-                              f"expected 'a < b' in order clause, got {part_s!r}", at + off)
-                    return None
-                order.append((halves[0].strip(), halves[1].strip()))
-        ortho = None
-        if "ortho" in cm:
-            payload, at = cm["ortho"]
-            ortho = {}
-            for part, off in _split_top(payload, ","):
-                part_s = part.strip()
-                if not part_s:
-                    continue
-                halves = part_s.split("<->")
-                if len(halves) != 2:
-                    self.diag("malformed-clause",
-                              f"expected 'a <-> b' in ortho clause, got {part_s!r}", at + off)
-                    return None
-                ortho[halves[0].strip()] = halves[1].strip()
-        try:
-            return Lattice(names, order, ortho=ortho)
-        except InputError as e:
-            self.diag("bad-lattice", str(e), rb.at)
-            return None
+        order = self.pairs(cm, "order", "<")
+        ortho = dict(self.pairs(cm, "ortho", "<->")) if "ortho" in cm else None
+        return self.construct(rb, "bad-lattice", lambda: Lattice(names, order, ortho=ortho))
+
+    def pairs(self, cm, key: str, sep: str):
+        """The 'a SEP b' pairs of a lattice clause, none when it is absent."""
+        out = []
+        payload, at = cm.get(key, ("", 0))
+        for part, off in _split_top(payload, ","):
+            part = part.strip()
+            if not part:
+                continue
+            halves = part.split(sep)
+            if len(halves) != 2 or sep == "<" and "->" in part:
+                self.reject("malformed-clause",
+                            f"expected 'a {sep} b' in {key} clause, got {part!r}", at + off)
+            out.append((halves[0].strip(), halves[1].strip()))
+        return out
 
     def build_topology(self, rb: _RawBlock):
-        if rb.host_set is None:
-            self.diag("malformed-header",
-                      "topology blocks need 'on {points}' before the body", rb.at)
-            return None
-        cm = self.clause_map(rb, ("opens", "generators"))
-        if cm is None:
-            return None
-        if ("opens" in cm) == ("generators" in cm):
-            self.diag("malformed-clause",
-                      "topology block needs exactly one of 'opens' or 'generators'",
-                      rb.at)
-            return None
-        key = "opens" if "opens" in cm else "generators"
-        sets = self.set_list(*cm[key])
-        if sets is None:
-            return None
-        try:
-            if key == "generators":
-                return TopSpace.generated(rb.host_set, sets)
-            return TopSpace.from_sets(rb.host_set, sets)
-        except InputError as e:
-            self.diag("bad-topology", str(e), rb.at)
-            return None
+        points = self.points(rb)
+        key, sets = self.set_clause(
+            rb, ("opens", "generators"),
+            "topology block needs exactly one of 'opens' or 'generators'")
+        make = TopSpace.generated if key == "generators" else TopSpace.from_sets
+        return self.construct(rb, "bad-topology", lambda: make(points, sets))
 
     def build_field(self, rb: _RawBlock):
-        if rb.host_set is None:
-            self.diag("malformed-header",
-                      "field blocks need 'on {points}' before the body", rb.at)
-            return None
-        cm = self.clause_map(rb, ("atoms",))
-        if cm is None or "atoms" not in cm:
-            if cm is not None:
-                self.diag("malformed-clause", "field block needs an 'atoms' clause", rb.at)
-            return None
-        blocks = self.set_list(*cm["atoms"])
-        if blocks is None:
-            return None
-        try:
-            return FieldOfSets.from_partition(rb.host_set, blocks)
-        except InputError as e:
-            self.diag("bad-field", str(e), rb.at)
-            return None
+        points = self.points(rb)
+        _, blocks = self.set_clause(rb, ("atoms",), "field block needs an 'atoms' clause")
+        return self.construct(rb, "bad-field",
+                              lambda: FieldOfSets.from_partition(points, blocks))
 
     def _resolve_value(self, info: BlockInfo, token_text: str, at):
         lat = info.lattice()
@@ -471,150 +458,84 @@ class _Builder:
         if info.kind == "lattice":
             if token_text in lat.index:
                 return lat.index[token_text]
-            self.diag("unknown-element", f"unknown element {token_text!r}", at)
-            return None
+            self.reject("unknown-element", f"unknown element {token_text!r}", at)
         lit = _parse_setlit(token_text)
         if lit is None:
-            self.diag("malformed-clause",
-                      f"values over a {info.kind} are set literals, got {token_text!r}", at)
-            return None
+            self.reject("malformed-clause",
+                        f"values over a {info.kind} are set literals, got {token_text!r}", at)
         try:
             return lat.set_ids[info.obj.mask_of(lit)]
         except (InputError, KeyError):
-            self.diag("unknown-element",
-                      f"{token_text!r} is not a member of {info.name!r}", at)
-            return None
+            self.reject("unknown-element",
+                        f"{token_text!r} is not a member of {info.name!r}", at)
 
     def build_family(self, rb: _RawBlock):
         info = self.resolve(rb, ("lattice", "field", "topology"))
-        if info is None:
-            return None
         jumps = []
         last_t = None
-        for text, at in rb.clauses:
-            parts = _split_top(text, ":")
-            if len(parts) != 2:
-                self.diag("malformed-clause", "expected 'threshold: value'", at)
-                return None
-            (t_text, t_at), (v_text, v_at) = parts
-            _, t_pos = _strip_at((t_text, at + t_at))
-            t = parse_rational(t_text)
-            if t is None:
-                self.diag("malformed-rational", f"malformed rational {t_text.strip()!r}",
-                          t_pos)
-                return None
+        for t_text, t_at, v_text, v_at in self.entries(rb, "threshold: value"):
+            _, t_pos = _strip_at((t_text, t_at))
+            t = self.rational(t_text, t_pos)
             if last_t is not None and t <= last_t:
-                self.diag("non-monotone-family",
-                          f"non-increasing thresholds: {t} after {last_t}", t_pos)
-                return None
+                self.reject("non-monotone-family",
+                            f"non-increasing thresholds: {t} after {last_t}", t_pos)
             last_t = t
-            v = self._resolve_value(info, v_text, at + v_at)
-            if v is None:
-                return None
-            jumps.append((t, v))
-        try:
-            return SpectralFamily(info.lattice(), jumps)
-        except InvalidFamilyError as e:
-            self.diag("invalid-family", str(e), rb.at)
-            return None
+            jumps.append((t, self._resolve_value(info, v_text, v_at)))
+        return self.construct(rb, "invalid-family",
+                              lambda: SpectralFamily(info.lattice(), jumps), InvalidFamilyError)
 
     def build_family2(self, rb: _RawBlock):
         info = self.resolve(rb, ("lattice", "field", "topology"))
-        if info is None:
-            return None
         entries = {}
-        for text, at in rb.clauses:
-            parts = _split_top(text, ":")
-            if len(parts) != 2:
-                self.diag("malformed-clause", "expected 'x,y: value'", at)
-                return None
-            (key, key_at), (v_text, v_at) = parts
+        for key, key_at, v_text, v_at in self.entries(rb, "x,y: value"):
             key_parts = _split_top(key, ",")
             if len(key_parts) != 2:
-                self.diag("malformed-clause", "grid keys are pairs 'x,y'", at + key_at)
-                return None
-            x = parse_rational(key_parts[0][0])
-            y = parse_rational(key_parts[1][0])
-            if x is None or y is None:
-                self.diag("malformed-rational", f"malformed rational in {key.strip()!r}",
-                          at + key_at)
-                return None
-            v = self._resolve_value(info, v_text, at + v_at)
-            if v is None:
-                return None
-            entries[(x, y)] = v
+                self.reject("malformed-clause", "grid keys are pairs 'x,y'", key_at)
+            x, y = (self.rational(k, key_at, f"in {key.strip()!r}") for k, _ in key_parts)
+            entries[(x, y)] = self._resolve_value(info, v_text, v_at)
         xs = sorted({x for x, _ in entries})
         ys = sorted({y for _, y in entries})
         missing = [(x, y) for x in xs for y in ys if (x, y) not in entries]
         if missing:
-            self.diag("malformed-clause",
-                      f"grid is not complete; missing entry at {missing[0]}", rb.at)
-            return None
+            self.reject("malformed-clause",
+                        f"grid is not complete; missing entry at {missing[0]}", rb.at)
         matrix = [[entries[(x, y)] for y in ys] for x in xs]
-        try:
-            return ComplexSpectralFamily(info.lattice(), xs, ys, matrix)
-        except InvalidFamilyError as e:
-            self.diag("invalid-family", str(e), rb.at)
-            return None
+        return self.construct(rb, "invalid-family",
+                              lambda: ComplexSpectralFamily(info.lattice(), xs, ys, matrix),
+                              InvalidFamilyError)
 
     def build_function(self, rb: _RawBlock):
         info = self.resolve(rb, ("field", "topology"))
-        if info is None:
-            return None
-        ground = info.obj.ground if info.kind == "field" else info.obj.points
+        ground = _labels(info)
         values = {}
-        for text, at in rb.clauses:
-            parts = _split_top(text, ":")
-            if len(parts) != 2:
-                self.diag("malformed-clause", "expected 'point: value'", at)
-                return None
-            (p_text, p_at), (v_text, v_at) = parts
+        for p_text, p_at, v_text, v_at in self.entries(rb, "point: value"):
             p = p_text.strip()
             if p not in ground:
-                self.diag("unknown-element", f"unknown point {p!r}", at + p_at)
-                return None
-            v = parse_rational(v_text)
-            if v is None:
-                self.diag("malformed-rational", f"malformed rational {v_text.strip()!r}",
-                          at + v_at)
-                return None
-            values[p] = v
+                self.reject("unknown-element", f"unknown point {p!r}", p_at)
+            values[p] = self.rational(v_text, v_at)
         missing = [p for p in ground if p not in values]
         if missing:
-            self.diag("malformed-clause", f"missing value for point {missing[0]!r}", rb.at)
-            return None
-        try:
-            if info.kind == "field":
-                return MeasurableFunction(info.obj, values)
-            return PointFunction(info.obj, tuple(values[p] for p in ground))
-        except InputError as e:
-            self.diag("bad-function", str(e), rb.at)
-            return None
+            self.reject("malformed-clause", f"missing value for point {missing[0]!r}", rb.at)
+        make = MeasurableFunction if info.kind == "field" else PointFunction
+        return self.construct(rb, "bad-function",
+                              lambda: make(info.obj, tuple(values[p] for p in ground)))
 
     def build_ideal(self, rb: _RawBlock):
         info = self.resolve(rb, ("field",))
-        if info is None:
-            return None
-        cm = self.clause_map(rb, ("generators",))
-        if cm is None or "generators" not in cm:
-            if cm is not None:
-                self.diag("malformed-clause", "ideal block needs a 'generators' clause", rb.at)
-            return None
-        sets = self.set_list(*cm["generators"])
-        if sets is None:
-            return None
-        try:
-            return SetIdeal.from_generators(info.obj, sets)
-        except InputError as e:
-            self.diag("bad-ideal", str(e), rb.at)
-            return None
+        _, sets = self.set_clause(rb, ("generators",), "ideal block needs a 'generators' clause")
+        return self.construct(rb, "bad-ideal",
+                              lambda: SetIdeal.from_generators(info.obj, sets))
+
+
+def _labels(info: BlockInfo) -> tuple:
+    """The point labels of a field or topology block."""
+    return info.obj.ground if info.kind == "field" else info.obj.points
 
 
 def parse(text: str) -> ParseResult:
     """Parse an instance file; returns either a resolved file or diagnostics."""
-    raw_blocks, diags = _scan(text)
     builder = _Builder(text)
-    builder.diags.extend(diags)
+    raw_blocks = _scan(builder.sc, builder.diag)
     host_kinds = ("lattice", "topology", "field")
     build_order = ([i for i, rb in enumerate(raw_blocks) if rb.kind in host_kinds]
                    + [i for i, rb in enumerate(raw_blocks) if rb.kind not in host_kinds])
@@ -625,8 +546,9 @@ def parse(text: str) -> ParseResult:
             builder.diag("duplicate-name",
                          f"block name {rb.name!r} is already in use", rb.at)
             continue
-        obj = getattr(builder, f"build_{rb.kind}")(rb)
-        if obj is None:
+        try:
+            obj = getattr(builder, f"build_{rb.kind}")(rb)
+        except _Rejected:
             continue
         info = BlockInfo(rb.kind, rb.name, rb.host, obj)
         builder.by_name[rb.name] = info
@@ -651,80 +573,57 @@ def _covers(lat: Lattice):
 
 
 def emit_text(file: InstanceFile) -> str:
-    """Canonical text form; parse(emit_text(parse(x))) is a fixpoint."""
-    chunks = []
-    for b in file.blocks:
-        chunks.append(_emit_block(b, file))
-    return "\n".join(chunks)
+    """Canonical text form, rendered from each block's JSON form;
+    parse(emit_text(parse(x))) is a fixpoint."""
+    return "\n".join(_text_block(_json_block(b, file)) for b in file.blocks)
 
 
-def _emit_block(b: BlockInfo, file: InstanceFile) -> str:
-    if b.kind == "lattice":
-        lat = b.obj
-        lines = [f"lattice {b.name} {{"]
-        lines.append("  elements: " + ", ".join(lat.names) + " ;")
-        covers = _covers(lat)
-        if covers:
-            lines.append("  order: " + ", ".join(
-                f"{lat.names[a]} < {lat.names[x]}" for a, x in covers) + " ;")
-        if lat.ortho is not None:
-            pairs = [(a, o) for a, o in enumerate(lat.ortho) if a <= o]
-            lines.append("  ortho: " + ", ".join(
-                f"{lat.names[a]} <-> {lat.names[o]}" for a, o in pairs) + " ;")
-        lines.append("}")
-        return "\n".join(lines)
-    if b.kind == "topology":
-        t = b.obj
-        pts = ", ".join(str(p) for p in t.points)
-        opens = ", ".join(t.set_name(m) for m in sorted(t.opens))
-        return (f"topology {b.name} on {{{pts}}} {{\n  opens: {opens} ;\n}}")
-    if b.kind == "field":
-        f = b.obj
-        pts = ", ".join(str(p) for p in f.ground)
-        atoms = ", ".join(f.set_name(a) for a in f.atoms)
-        return f"field {b.name} on {{{pts}}} {{\n  atoms: {atoms} ;\n}}"
-    host_info = file.find(b.host) if b.host else None
-    if b.kind == "family":
-        fam = b.obj
-        entries = []
-        for t, v in zip(fam.thresholds, fam.values):
-            entries.append(f"  {t}: {_value_text(host_info, fam.lattice, v)} ;")
-        return f"family {b.name} in {b.host} {{\n" + "\n".join(entries) + "\n}"
-    if b.kind == "family2":
-        fam = b.obj
-        entries = []
-        for i, x in enumerate(fam.xs):
-            for j, y in enumerate(fam.ys):
-                entries.append(
-                    f"  {x},{y}: {_value_text(host_info, fam.lattice, fam.matrix[i][j])} ;")
-        return f"family2 {b.name} in {b.host} {{\n" + "\n".join(entries) + "\n}"
-    if b.kind == "function":
-        entries = [f"  {p}: {v} ;" for p, v in _point_items(b.obj)]
-        return f"function {b.name} on {b.host} {{\n" + "\n".join(entries) + "\n}"
-    if b.kind == "ideal":
-        ideal = b.obj
-        return (f"ideal {b.name} in {b.host} {{\n"
-                f"  generators: {ideal.field.set_name(ideal.mask)} ;\n}}")
-    raise InputError(f"cannot emit block kind {b.kind!r}")
-
-
-def _point_items(fn) -> zip:
-    """(point, value) pairs of a measurable function or a point function."""
-    points = fn.field.ground if isinstance(fn, MeasurableFunction) else fn.space.points
-    return zip(points, fn.values)
+def _text_block(d: dict) -> str:
+    """One block of the text form, from its JSON form."""
+    kind = d["kind"]
+    if kind == "lattice":
+        head = f"lattice {d['name']}"
+        clauses = [("elements", ", ".join(d["elements"]))]
+        if d["order"]:
+            clauses.append(("order", ", ".join(f"{a} < {b}" for a, b in d["order"])))
+        if d["ortho"] is not None:
+            clauses.append(("ortho", ", ".join(f"{a} <-> {b}" for a, b in d["ortho"])))
+    elif kind in ("topology", "field"):
+        head = f"{kind} {d['name']} on {{{', '.join(d['points'])}}}"
+        key = "opens" if kind == "topology" else "atoms"
+        clauses = [(key, ", ".join(d[key]))]
+    else:
+        link = "on" if kind == "function" else "in"
+        head = f"{kind} {d['name']} {link} {d[link]}"
+        if kind == "family":
+            clauses = d["jumps"]
+        elif kind == "family2":
+            clauses = [(f"{x},{y}", v) for x, row in zip(d["grid_x"], d["matrix"])
+                       for y, v in zip(d["grid_y"], row)]
+        elif kind == "function":
+            clauses = d["values"].items()
+        else:
+            clauses = [("generators", ", ".join(d["generators"]))]
+    return "\n".join([head + " {"] + [f"  {k}: {v} ;" for k, v in clauses] + ["}"])
 
 
 def _value_text(host_info: BlockInfo | None, lat: Lattice, v: int) -> str:
     if host_info is not None and host_info.kind in ("field", "topology"):
-        mask = lat.payload[v]
-        obj = host_info.obj
-        labels = obj.ground if host_info.kind == "field" else obj.points
-        return "{" + ",".join(str(labels[i]) for i in bits(mask)) + "}"
+        return host_info.obj.set_name(lat.payload[v])
     return lat.names[v]
 
 
 def emit_json(b: BlockInfo, file: InstanceFile) -> dict:
     """A JSON-ready dict for one block; rationals appear as exact strings."""
+    d = _json_block(b, file)
+    if b.kind == "lattice":
+        d["bottom"], d["top"] = b.obj.names[b.obj.bottom], b.obj.names[b.obj.top]
+    return d
+
+
+def _json_block(b: BlockInfo, file: InstanceFile) -> dict:
+    """:func:`emit_json` without a lattice's bottom and top, which the text
+    form leaves out and an unvalidated lattice may lack."""
     if b.kind == "lattice":
         lat = b.obj
         return {
@@ -733,7 +632,6 @@ def emit_json(b: BlockInfo, file: InstanceFile) -> dict:
             "order": [[lat.names[a], lat.names[x]] for a, x in _covers(lat)],
             "ortho": None if lat.ortho is None else
                      [[lat.names[a], lat.names[o]] for a, o in enumerate(lat.ortho) if a <= o],
-            "bottom": lat.names[lat.bottom], "top": lat.names[lat.top],
         }
     if b.kind == "topology":
         t = b.obj
@@ -760,7 +658,7 @@ def emit_json(b: BlockInfo, file: InstanceFile) -> dict:
                            for row in fam.matrix]}
     if b.kind == "function":
         return {"kind": "function", "name": b.name, "on": b.host,
-                "values": {str(p): str(v) for p, v in _point_items(b.obj)}}
+                "values": {str(p): str(v) for p, v in zip(_labels(host_info), b.obj.values)}}
     if b.kind == "ideal":
         ideal = b.obj
         return {"kind": "ideal", "name": b.name, "in": b.host,

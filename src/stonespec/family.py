@@ -251,16 +251,24 @@ def observable_function(family: SpectralFamily, space: StoneSpace = None) -> Obs
 
 
 def _require_boolean(lattice: Lattice) -> None:
-    if lattice.ortho is None:
+    """Reject a lattice that is not a Boolean algebra under its ortho map: a
+    distributive lattice whose ortho map complements every element."""
+    reason = getattr(lattice, "_not_boolean", None)
+    if reason is None:
+        o = lattice.ortho
+        if o is None:
+            reason = "no ortho present"
+        elif not lattice.is_distributive()[0]:
+            reason = "not distributive"
+        else:
+            meet, join = lattice._tables()
+            complemented = all(meet[a][o[a]] == lattice.bottom and join[a][o[a]] == lattice.top
+                               for a in range(lattice.n))
+            reason = "" if complemented else "the ortho map does not complement"
+        lattice._not_boolean = reason
+    if reason:
         raise UnsupportedStructureError(
-            "the inverse transform needs a finite Boolean algebra (no ortho present)")
-    cached = getattr(lattice, "_is_boolean", None)
-    if cached is None:
-        cached = lattice.is_distributive()[0]
-        lattice._is_boolean = cached
-    if not cached:
-        raise UnsupportedStructureError(
-            "the inverse transform needs a finite Boolean algebra (not distributive)")
+            f"the inverse transform needs a finite Boolean algebra ({reason})")
 
 
 def from_observable_function(g: ObservableFunction, lattice: Lattice = None) -> SpectralFamily:
@@ -499,17 +507,24 @@ def riemann_stieltjes(family: SpectralFamily, grid, space: StoneSpace = None) ->
     """
     if space is None:
         space = stone_space(family.lattice)
+    return ObservableFunction(space, _step_sum(family, grid, space.base, space.n_points))
+
+
+def _step_sum(family: SpectralFamily, grid, masks, n: int) -> list:
+    """The step sum of a family along an exact, strictly increasing grid that
+    covers its thresholds, on n points: each point's least grid tag whose
+    value contains it, where ``masks[e]`` is the points element e contains.
+    """
     grid = [_as_fraction(t) for t in grid]
     if any(not a < b for a, b in zip(grid, grid[1:])):
         raise InputError("grid must be strictly increasing")
     lo, hi = family.bounds()
     if not grid or grid[0] > lo or grid[-1] < hi:
         raise InputError("grid does not cover the family's support")
-    values, missed = first_hits(grid, [space.base[family.eval(t)] for t in grid],
-                                space.n_points)
+    values, missed = first_hits(grid, [masks[family.eval(t)] for t in grid], n)
     if missed:
         raise InputError("grid does not cover the family's support")
-    return ObservableFunction(space, values)
+    return values
 
 
 # --- exhaustive generation ----------------------------------------------------

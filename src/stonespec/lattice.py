@@ -1,7 +1,7 @@
 """Finite bounded lattices with optional orthocomplement.
 
 Element ids are dense integers backed by a name table, and every element set
-is a bitmask, so lattices are capped at a configurable size (64 by default).
+is a bitmask, so lattices are capped at ``MAX_ELEMENTS`` (64) elements.
 Meet and join are resolved through tables computed once per lattice; all
 values are immutable after construction.
 """
@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, NoOrthocomplementError
 
-DEFAULT_MAX_ELEMENTS = 64
+MAX_ELEMENTS = 64
 
 _ATOM_LETTERS = "xyzwvu"
 _PAIR_LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -77,9 +77,8 @@ class Lattice:
     """
 
     def __init__(self, names: Sequence[str], order: Iterable[tuple], *,
-                 ortho=None, flags: Iterable[str] = (), payload=None,
-                 max_elements: int = DEFAULT_MAX_ELEMENTS):
-        self._set_names(names, max_elements)
+                 ortho=None, flags: Iterable[str] = (), payload=None):
+        self._set_names(names)
         n = self.n
         up = [1 << i for i in range(n)]
         for a, b in order:
@@ -119,7 +118,7 @@ class Lattice:
         if len(ids) != len(masks):
             raise InputError("duplicate sets")
         lat = cls.__new__(cls)
-        lat._set_names(names, DEFAULT_MAX_ELEMENTS)
+        lat._set_names(names)
         up = []
         for a in masks:
             u = 0
@@ -135,12 +134,12 @@ class Lattice:
         lat.set_ids = ids
         return lat
 
-    def _set_names(self, names, max_elements):
+    def _set_names(self, names):
         names = tuple(names)
         if not names:
             raise InputError("a lattice needs at least one element")
-        if len(names) > max_elements:
-            raise InputError(f"{len(names)} elements exceed the cap of {max_elements}")
+        if len(names) > MAX_ELEMENTS:
+            raise InputError(f"{len(names)} elements exceed the cap of {MAX_ELEMENTS}")
         if len(set(names)) != len(names):
             raise InputError("duplicate element names")
         self.names = names
@@ -194,9 +193,6 @@ class Lattice:
         if not 0 <= i < self.n:
             raise InputError(f"element id {i} out of range")
         return i
-
-    def name(self, i: int) -> str:
-        return self.names[i]
 
     def __eq__(self, other):
         if self is other:
@@ -258,20 +254,17 @@ class Lattice:
         """Greatest lower bound of a set of elements; meet of nothing is top."""
         if self.top is None:
             raise InputError("lattice has no top")
-        meet, _ = self._tables()
-        acc = self.top
-        for e in elements:
-            acc = meet[acc][self.eid(e)]
-        return acc
+        return self._fold(self._tables()[0], self.top, elements)
 
     def join(self, elements: Iterable) -> int:
         """Least upper bound of a set of elements; join of nothing is bottom."""
         if self.bottom is None:
             raise InputError("lattice has no bottom")
-        _, join = self._tables()
-        acc = self.bottom
+        return self._fold(self._tables()[1], self.bottom, elements)
+
+    def _fold(self, table, acc: int, elements) -> int:
         for e in elements:
-            acc = join[acc][self.eid(e)]
+            acc = table[acc][self.eid(e)]
         return acc
 
     def ortho_of(self, a) -> int:

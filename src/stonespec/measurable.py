@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import InputError
-from .family import (ObservableFunction, SpectralFamily, first_hits, level_sets,
-                     observable_function, point_values)
+from .family import (ObservableFunction, SpectralFamily, _step_sum, first_hits,
+                     level_sets, observable_function, point_values)
 from .lattice import Lattice, bits, label_masks
 from .stone import StoneSpace, stone_space
 
@@ -43,10 +43,6 @@ class FieldOfSets:
             raise InputError("fields capped at 6 atoms (64-element lattice cap)")
         self.atoms = tuple(atoms)
         self._lattice = None
-        self._point_atom = {}
-        for i, a in enumerate(self.atoms):
-            for p in bits(a):
-                self._point_atom[p] = i
 
     @classmethod
     def from_partition(cls, ground, blocks) -> "FieldOfSets":
@@ -106,9 +102,6 @@ class FieldOfSets:
                     return False
                 covered |= a
         return covered == mask
-
-    def atom_of(self, point_index: int) -> int:
-        return self.atoms[self._point_atom[point_index]]
 
     def lattice(self) -> Lattice:
         """The member sets as a Boolean lattice, complement as ortho."""
@@ -221,6 +214,17 @@ def function_of(field: FieldOfSets, family: SpectralFamily) -> MeasurableFunctio
     return MeasurableFunction(field, values)
 
 
+def atom_grid_values(field: FieldOfSets, grid):
+    """Yield the point values of every function that is constant on the
+    field's atoms with values from ``grid``, in product order over the atoms."""
+    for assignment in product(grid, repeat=len(field.atoms)):
+        values = [None] * len(field.ground)
+        for a, v in zip(field.atoms, assignment):
+            for p in bits(a):
+                values[p] = v
+        yield values
+
+
 def bijection_report(field: FieldOfSets, grid):
     """Round-trip both transforms over every function and family on a grid.
 
@@ -232,12 +236,7 @@ def bijection_report(field: FieldOfSets, grid):
     grid = sorted(Fraction(g) for g in set(grid))
     failures = []
     cases = 0
-    k = len(field.atoms)
-    for assignment in product(grid, repeat=k):
-        values = [None] * len(field.ground)
-        for a, v in zip(field.atoms, assignment):
-            for p in bits(a):
-                values[p] = v
+    for values in atom_grid_values(field, grid):
         phi = MeasurableFunction(field, values)
         cases += 1
         if function_of(field, spectral_family_of(phi)) != phi:
@@ -409,14 +408,4 @@ def riemann_stieltjes_on_points(field: FieldOfSets, family: SpectralFamily,
     lat = field.lattice()
     if family.lattice is not lat and family.lattice != lat:
         raise InputError("family does not live in this field's lattice")
-    grid = [Fraction(t) for t in grid]
-    if any(not a < b for a, b in zip(grid, grid[1:])):
-        raise InputError("grid must be strictly increasing")
-    lo, hi = family.bounds()
-    if not grid or grid[0] > lo or grid[-1] < hi:
-        raise InputError("grid does not cover the family's support")
-    values, missed = first_hits(grid, [lat.payload[family.eval(t)] for t in grid],
-                                len(field.ground))
-    if missed:
-        raise InputError("grid does not cover the family's support")
-    return MeasurableFunction(field, values)
+    return MeasurableFunction(field, _step_sum(family, grid, lat.payload, len(field.ground)))

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 from .errors import InputError
 from .lattice import Lattice, bits
 
+# element count above which a scan over all 2^n element families is refused
+SCAN_CAP = 20
+
 
 @dataclass(frozen=True)
 class DualIdeal:
@@ -26,9 +29,6 @@ class DualIdeal:
 
     def __contains__(self, e) -> bool:
         return bool(self.members >> self.lattice.eid(e) & 1)
-
-    def element_ids(self) -> tuple:
-        return tuple(bits(self.members))
 
     def element_names(self) -> tuple:
         return tuple(self.lattice.names[i] for i in bits(self.members))
@@ -55,7 +55,31 @@ def principal_dual_ideal(lattice: Lattice, a) -> DualIdeal:
     return DualIdeal(lattice, lattice.up[ia])
 
 
-class StoneSpace:
+class FiniteSpace:
+    """Interior and closure in a finite space, from a basis of its open sets.
+
+    A subclass sets ``_basis`` (the basic open bitmasks), ``_full`` (the mask
+    of every point) and ``_interior`` (an empty memo dict).
+    """
+
+    def interior(self, x: int) -> int:
+        """Largest open subset: the union of basic open sets inside x."""
+        try:
+            return self._interior[x]
+        except KeyError:
+            acc = 0
+            for b in self._basis:
+                if b & ~x == 0:
+                    acc |= b
+            self._interior[x] = acc
+            return acc
+
+    def closure(self, x: int) -> int:
+        """Smallest closed superset (complement of the interior of the complement)."""
+        return self._full ^ self.interior(self._full ^ x)
+
+
+class StoneSpace(FiniteSpace):
     """All quasipoints of a lattice plus the basic open sets Q_a.
 
     ``atoms[k]`` is the atom generating the k-th quasipoint and ``points[k]``
@@ -73,8 +97,8 @@ class StoneSpace:
         for k, members in enumerate(self.points):
             for a in bits(members):
                 base[a] |= 1 << k
-        self.base = tuple(base)
-        self.all_points = (1 << len(self.points)) - 1
+        self.base = self._basis = tuple(base)
+        self.all_points = self._full = (1 << len(self.points)) - 1
         self._interior = {}
         self._opens = None
 
@@ -90,24 +114,8 @@ class StoneSpace:
         """The basic open set of quasipoints containing element a."""
         return self.base[self.lattice.eid(a)]
 
-    def interior(self, x: int) -> int:
-        """Largest open subset: the union of basic sets inside x."""
-        try:
-            return self._interior[x]
-        except KeyError:
-            acc = 0
-            for b in self.base:
-                if b & ~x == 0:
-                    acc |= b
-            self._interior[x] = acc
-            return acc
-
     def is_open(self, x: int) -> bool:
         return self.interior(x) == x
-
-    def closure(self, x: int) -> int:
-        """Smallest closed superset (complement of the interior of the complement)."""
-        return self.all_points ^ self.interior(self.all_points ^ x)
 
     def opens(self) -> frozenset:
         """Every open set of the spectrum: all unions of basic sets."""
@@ -158,16 +166,16 @@ def dual_ideal_intersection_law(lattice: Lattice, a) -> bool:
     return hit and acc == lattice.up[ia]
 
 
-def is_completely_distributive(lattice: Lattice, *, limit: int = 20):
+def is_completely_distributive(lattice: Lattice):
     """Test closure(union of Q_a over a family) == Q_(join of family) for every family.
 
-    Exhaustive over all element subsets, so capped at ``limit`` elements.
+    Exhaustive over all element subsets, so capped at ``SCAN_CAP`` elements.
     Returns (bool, witness) where the witness is the first failing family as a
     tuple of element names.
     """
     n = lattice.n
-    if n > limit:
-        raise InputError(f"complete-distributivity scan capped at {limit} elements")
+    if n > SCAN_CAP:
+        raise InputError(f"complete-distributivity scan capped at {SCAN_CAP} elements")
     space = stone_space(lattice)
     _, join = lattice._tables()
     base = space.base

@@ -16,10 +16,10 @@ from .family import (ComplexObservableFunction, ObservableFunction,
                      SpectralFamily, first_hits, level_sets, observable_function,
                      point_values)
 from .lattice import Lattice, bits, label_masks
-from .stone import StoneSpace, stone_space
+from .stone import SCAN_CAP, FiniteSpace, StoneSpace, stone_space
 
 
-class TopSpace:
+class TopSpace(FiniteSpace):
     """A finite topology, opens stored as point bitmasks."""
 
     def __init__(self, points, opens):
@@ -28,7 +28,7 @@ class TopSpace:
             raise InputError("duplicate point labels")
         if not self.points:
             raise InputError("a space needs at least one point")
-        self.full = (1 << len(self.points)) - 1
+        self.full = self._full = (1 << len(self.points)) - 1
         opens = frozenset(int(o) for o in opens)
         if any(o < 0 or o > self.full for o in opens):
             raise InputError("open set outside the point set")
@@ -44,7 +44,7 @@ class TopSpace:
                     raise InputError(
                         f"not closed under intersection: {self.set_name(a)}, {self.set_name(b)}")
         self.opens = opens
-        self._open_list = seq
+        self._basis = seq
         # minimal open neighbourhood U_x: the intersection of the opens around x
         nbhd = [self.full] * len(self.points)
         for o in seq:
@@ -92,20 +92,6 @@ class TopSpace:
         """Computed Hausdorff flag: a finite space is Hausdorff iff discrete."""
         return len(self.opens) == self.full + 1
 
-    def interior(self, x: int) -> int:
-        try:
-            return self._interior[x]
-        except KeyError:
-            acc = 0
-            for o in self._open_list:
-                if o & ~x == 0:
-                    acc |= o
-            self._interior[x] = acc
-            return acc
-
-    def closure(self, x: int) -> int:
-        return self.full ^ self.interior(self.full ^ x)
-
     def pseudocomplement(self, u: int) -> int:
         """The complement of the closure; the ortho map of the regular opens."""
         return self.full ^ self.closure(u)
@@ -114,12 +100,12 @@ class TopSpace:
         return u in self.opens and self.interior(self.closure(u)) == u
 
     def regular_opens(self) -> tuple:
-        return tuple(o for o in self._open_list if self.interior(self.closure(o)) == o)
+        return tuple(o for o in self._basis if self.interior(self.closure(o)) == o)
 
     def lattice(self) -> Lattice:
         """The open sets ordered by inclusion (no orthocomplement)."""
         if self._lattice is None:
-            masks = self._open_list
+            masks = self._basis
             self._lattice = Lattice.from_sets(masks, map(self.set_name, masks))
         return self._lattice
 
@@ -340,12 +326,12 @@ def r_function(space: TopSpace, g: ObservableFunction) -> dict:
     return out
 
 
-def completely_increasing_check(lat: Lattice, r: dict, *, limit: int = 20):
+def completely_increasing_check(lat: Lattice, r: dict):
     """r(join of a family) == max over the family, for every nonempty family
-    of nonzero elements; returns (bool, witness)."""
+    of nonzero elements, capped at ``SCAN_CAP`` of them; returns (bool, witness)."""
     nz = [e for e in range(lat.n) if e != lat.bottom]
-    if len(nz) > limit:
-        raise InputError(f"completely-increasing scan capped at {limit} elements")
+    if len(nz) > SCAN_CAP:
+        raise InputError(f"completely-increasing scan capped at {SCAN_CAP} elements")
     _, join = lat._tables()
     total = 1 << len(nz)
     join_of = [lat.bottom] * total

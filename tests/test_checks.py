@@ -1,9 +1,13 @@
-"""The suite result record: lazily rendered failure messages."""
+"""The suite result record: lazily rendered failure messages; the witness
+search inside the correspondence sweep."""
 
 from fractions import Fraction
 
+import pytest
+
 from stonespec import SpectralFamily, boolean_lattice
-from stonespec.checks import SuiteResult
+from stonespec import topology as top
+from stonespec.checks import SuiteResult, _grid3_functions, suite_correspondence
 
 
 class Unprintable:
@@ -34,3 +38,27 @@ class TestCheck:
         assert res.failures[1] == "t: (Fraction(0, 1), Fraction(1, 2)) failed to induce a family"
         assert res.cases == 3
         assert res.lines()[-1] == "[render] 3 failures / 3 cases"
+
+
+def oracle_regular_not_strongly_regular(n_max):
+    """The first regular family that is not strongly regular, in sweep order,
+    found by a second pass over the sweep's spaces and grid functions."""
+    for n in range(1, n_max + 1):
+        grid_fns = _grid3_functions(n)
+        for t in top.all_topologies(n):
+            for ranks, values in grid_fns:
+                e = top._level_family(t, ranks, values)
+                if top.classify_family(t, e) == "regular":
+                    return t, e
+    return None
+
+
+@pytest.mark.parametrize("max_size", [2, 3])
+def test_sweep_reports_the_first_witness(max_size):
+    found = oracle_regular_not_strongly_regular(max_size)
+    notes = suite_correspondence(max_size).notes
+    if found is None:
+        assert notes == ["regular-but-not-strongly-regular family: no witness at scale"]
+    else:
+        t, e = found
+        assert notes == [f"regular-but-not-strongly-regular witness on {t!r}: {e!r}"]

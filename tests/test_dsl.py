@@ -139,6 +139,14 @@ class TestDiagnostics:
     def test_unterminated_block(self):
         first_diag("lattice L { elements: a ", "malformed-header")
 
+    def test_order_and_ortho_pairs_name_their_form(self):
+        d = first_diag("lattice L { elements: 0, 1 ; order: 0 <-> 1 ; }", "malformed-clause")
+        assert str(d) == "1:36: error: expected 'a < b' in order clause, got '0 <-> 1' " \
+                         "[malformed-clause]"
+        d = first_diag("lattice L { elements: 0, 1 ; order: 0 < 1 ; ortho: 0 < 1 ; }")
+        assert str(d) == "1:51: error: expected 'a <-> b' in ortho clause, got '0 < 1' " \
+                         "[malformed-clause]"
+
     def test_never_both_file_and_diagnostics(self):
         result = dsl.parse(MO2_TEXT + "family E in MO2 { 0: zz ; }")
         assert result.file is None and result.diagnostics

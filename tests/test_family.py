@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stonespec import (ComplexSpectralFamily, InputError, InvalidFamilyError,
-                       ObservableFunction, SpectralFamily,
+                       Lattice, ObservableFunction, SpectralFamily,
                        UnsupportedStructureError, boolean_lattice,
                        chain_lattice, decompose, enumerate_families,
                        from_observable_function, mo_lattice,
@@ -235,6 +235,13 @@ class TestInverseTransform:
         g2 = observable_function(SpectralFamily(c3, [(0, "1")]))
         with pytest.raises(UnsupportedStructureError):
             from_observable_function(g2)
+
+    def test_ortho_that_does_not_complement_rejected(self):
+        # distributive with an ortho map, but m <-> m is not a complement
+        c3 = Lattice(["0", "m", "1"], [("0", "m"), ("m", "1")], ortho={"0": "1", "m": "m"})
+        g = observable_function(SpectralFamily(c3, [(0, "1")]))
+        with pytest.raises(UnsupportedStructureError):
+            from_observable_function(g)
 
 
 class TestTransferredAlgebra:

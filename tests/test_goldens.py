@@ -2,8 +2,10 @@
 
 Each fixture ``fixtures/<name>.lat`` has a golden file
 ``tests/goldens/<name>.txt`` that records, for every call, the arguments,
-the exit code, stdout and stderr, byte for byte.  After an intended output
-change, regenerate the files and review the diff:
+the exit code, stdout and stderr, byte for byte, and a golden file
+``tests/goldens/<name>.emit.txt`` that holds ``dsl.emit_text`` of the parsed
+fixture, byte for byte.  After an intended output change, regenerate the
+files and review the diff:
 
     PYTHONPATH=src python tests/test_goldens.py
 """
@@ -63,8 +65,14 @@ def render(name):
     return "".join(chunks)
 
 
-def golden_path(name):
-    return os.path.join(GOLDENS, name[:-len(".lat")] + ".txt")
+def golden_path(name, suffix=".txt"):
+    return os.path.join(GOLDENS, name[:-len(".lat")] + suffix)
+
+
+def render_text(name):
+    """The canonical text form of one fixture."""
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as handle:
+        return dsl.emit_text(dsl.parse(handle.read()).file)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -74,9 +82,17 @@ def test_cli_output_matches_golden(name):
     assert render(name) == want
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_emit_text_matches_golden(name):
+    with open(golden_path(name, ".emit.txt"), encoding="utf-8") as handle:
+        want = handle.read()
+    assert render_text(name) == want
+
+
 def test_every_fixture_has_a_golden():
     assert sorted(os.listdir(GOLDENS)) == sorted(
-        name[:-len(".lat")] + ".txt" for name in FIXTURE_NAMES)
+        name[:-len(".lat")] + suffix
+        for name in FIXTURE_NAMES for suffix in (".txt", ".emit.txt"))
 
 
 def test_every_subcommand_is_covered():
@@ -92,3 +108,5 @@ if __name__ == "__main__":
     for fixture_name in FIXTURE_NAMES:
         with open(golden_path(fixture_name), "w", encoding="utf-8") as handle:
             handle.write(render(fixture_name))
+        with open(golden_path(fixture_name, ".emit.txt"), "w", encoding="utf-8") as handle:
+            handle.write(render_text(fixture_name))

@@ -13,7 +13,7 @@ import pytest
 from stonespec import (FieldOfSets, InputError, MeasurableFunction, SetIdeal,
                        all_fields, bijection_report, function_of,
                        gamma_transform, ideals_of, lift_spectral_family,
-                       observable_function, quotient,
+                       observable_function, quotient, riemann_stieltjes,
                        riemann_stieltjes_on_points, spectral_family_of,
                        SpectralFamily, enumerate_families)
 from stonespec.lattice import bits
@@ -339,3 +339,13 @@ class TestPointIntegration:
         grid = [Fraction(k, 4) for k in range(0, 10)]
         s = riemann_stieltjes_on_points(f, e, grid)
         assert max(abs(a - b) for a, b in zip(s.values, phi.values)) <= eps
+
+    def test_float_grid_rejected_by_both_step_sums(self):
+        f = pot("1", "2", "3")
+        e = spectral_family_of(MeasurableFunction(f, {"1": 0, "2": HALF, "3": 1}))
+        grid = [0.0, 0.5, 1.0]
+        with pytest.raises(InputError) as on_points:
+            riemann_stieltjes_on_points(f, e, grid)
+        with pytest.raises(InputError) as on_quasipoints:
+            riemann_stieltjes(e, grid, f.stone())
+        assert str(on_points.value) == str(on_quasipoints.value)
