@@ -467,10 +467,8 @@ def suite_point_iso(max_size: int = 4, seed: int = 0) -> SuiteResult:
             target_count += 1
         res.notes.append(f"discrete({n}): {target_count} exhaustive surjectivity targets")
         for _ in range(25):
-            re1 = [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(n)]
-            im1 = [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(n)]
-            re2 = [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(n)]
-            im2 = [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(n)]
+            re1, im1, re2, im2 = ([Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+                                   for _ in range(n)] for _ in range(4))
             g1 = top.f_star(t, re1, im1)
             g2 = top.f_star(t, re2, im2)
             for k in range(n):

@@ -1,9 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success / all checks pass, 1 check-suite failure (the
-counterexample is printed), 2 input error (bad file, unknown object, bad
-arguments).  All output ordering is canonical; ``--seed`` is echoed so runs
-are reproducible.
+counterexample is printed), 2 input error (bad file, unknown object, invalid
+lattice, bad arguments).  All output ordering is canonical; ``--seed`` is
+echoed so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -35,17 +35,24 @@ def _load(path: str) -> dsl.InstanceFile:
     return result.file
 
 
-def _find(file: dsl.InstanceFile, name: str, kinds) -> dsl.BlockInfo:
+def _resolve(file: dsl.InstanceFile, name: str, kinds) -> dsl.BlockInfo:
+    """The object called ``name``, of one of ``kinds``.  A lattice block, or
+    a family over one, is validated first: subcommands assume a lattice."""
     info = file.find(name)
     if info is None:
         raise InputError(f"no object named {name!r} in the file")
     if info.kind not in kinds:
         raise InputError(f"{name!r} is a {info.kind}, expected {' or '.join(kinds)}")
+    host = file.find(info.host) if info.kind in ("family", "family2") else info
+    if host.kind == "lattice":
+        report = host.obj.validate()
+        if not report.ok:
+            raise InputError(f"lattice {host.name!r} is invalid "
+                             f"({', '.join(sorted(report.codes()))}); see 'stonespec validate'")
     return info
 
 
-def cmd_validate(args, out) -> int:
-    file = _load(args.file)
+def cmd_validate(args, file, out) -> int:
     if not file.blocks:
         raise InputError(f"{args.file}: nothing to validate (empty instance file)")
     bad = 0
@@ -64,9 +71,7 @@ def cmd_validate(args, out) -> int:
     return 1 if bad else 0
 
 
-def cmd_quasipoints(args, out) -> int:
-    file = _load(args.file)
-    info = _find(file, args.object, ("lattice", "field", "topology"))
+def cmd_quasipoints(args, file, out, info) -> int:
     lat = info.lattice()
     space = stone_space(lat)
     names = [space.point_name(k) for k in range(space.n_points)]
@@ -85,9 +90,7 @@ def cmd_quasipoints(args, out) -> int:
     return 0
 
 
-def cmd_observable(args, out) -> int:
-    file = _load(args.file)
-    info = _find(file, args.family, ("family", "family2"))
+def cmd_observable(args, file, out, info) -> int:
     # one row per quasipoint: its value, or its real part and imaginary part
     if info.kind == "family":
         g = fam.observable_function(info.obj)
@@ -105,26 +108,19 @@ def cmd_observable(args, out) -> int:
     return 0
 
 
-def cmd_spectrum(args, out) -> int:
-    file = _load(args.file)
-    info = _find(file, args.family, ("family",))
+def cmd_spectrum(args, file, out, info) -> int:
     print(str(fam.spectrum_of(info.obj)), file=out)
     return 0
 
 
-def cmd_decompose(args, out) -> int:
-    file = _load(args.file)
-    info = _find(file, args.family, ("family2",))
+def cmd_decompose(args, file, out, info) -> int:
     names = info.obj.lattice.names
     for label, e in zip(("first: ", "second:"), fam.decompose(info.obj)):
         print(f"{label} " + "; ".join(f"{t}: {names[v]}" for t, v in e.jumps()), file=out)
     return 0
 
 
-def cmd_quotient(args, out) -> int:
-    file = _load(args.file)
-    f_info = _find(file, args.field, ("field",))
-    i_info = _find(file, args.ideal, ("ideal",))
+def cmd_quotient(args, file, out, f_info, i_info) -> int:
     q = mea.quotient(f_info.obj, i_info.obj)
     print("classes: " + ", ".join(
         q.reduced.set_name(m) for m in q.reduced.members()), file=out)
@@ -135,11 +131,7 @@ def cmd_quotient(args, out) -> int:
     return 0
 
 
-def cmd_lift(args, out) -> int:
-    file = _load(args.file)
-    f_info = _find(file, args.field, ("field",))
-    i_info = _find(file, args.ideal, ("ideal",))
-    fm_info = _find(file, args.family, ("family",))
+def cmd_lift(args, file, out, f_info, i_info, fm_info) -> int:
     field = f_info.obj
     q = mea.quotient(field, i_info.obj)
     lat = field.lattice()
@@ -155,9 +147,7 @@ def cmd_lift(args, out) -> int:
     return 0
 
 
-def cmd_integrate(args, out) -> int:
-    file = _load(args.file)
-    info = _find(file, args.family, ("family",))
+def cmd_integrate(args, file, out, info) -> int:
     e = info.obj
     eps = dsl.parse_rational(args.eps)
     if eps is None:
@@ -179,7 +169,7 @@ def cmd_integrate(args, out) -> int:
     return 0
 
 
-def cmd_check(args, out) -> int:
+def cmd_check(args, file, out) -> int:
     print(f"seed: {args.seed}", file=out)
     print(f"max-size: {args.max_size}", file=out)
     names = sorted(checks.SUITES) if args.suite == "all" else [args.suite]
@@ -195,9 +185,7 @@ def cmd_check(args, out) -> int:
     return 1 if total_fail else 0
 
 
-def cmd_emit(args, out) -> int:
-    file = _load(args.file)
-    info = _find(file, args.object, dsl.KINDS)
+def cmd_emit(args, file, out, info) -> int:
     if args.format == "json":
         print(json.dumps(dsl.emit_json(info, file), sort_keys=True, indent=2),
               file=out)
@@ -217,70 +205,54 @@ def _positive_int(text: str) -> int:
     return n
 
 
+_JSON = ("--json", {"action": "store_true"})
+
+# Each subcommand once: name, help, handler and its arguments in order.  An
+# argument is a plain positional, an option with its argparse keywords, or an
+# object positional with the block kinds it accepts; ``main`` loads the file
+# and resolves the objects, and passes them to the handler in this order.
+COMMANDS = (
+    ("validate", "parse a file and validate every block", cmd_validate, ["file"]),
+    ("quasipoints", "table of the Stone spectrum of an object", cmd_quasipoints,
+     ["file", ("object", ("lattice", "field", "topology")), _JSON]),
+    ("observable", "f_E table of a family", cmd_observable,
+     ["file", ("family", ("family", "family2")), _JSON]),
+    ("spectrum", "spectrum and resolvent of a family", cmd_spectrum,
+     ["file", ("family", ("family",))]),
+    ("decompose", "split a two-parameter family", cmd_decompose,
+     ["file", ("family", ("family2",))]),
+    ("quotient", "quotient a field by an ideal", cmd_quotient,
+     ["file", ("field", ("field",)), ("ideal", ("ideal",))]),
+    ("lift", "lift a family through a quotient", cmd_lift,
+     ["file", ("field", ("field",)), ("ideal", ("ideal",)), ("family", ("family",))]),
+    ("integrate", "step-sum integration along an eps grid", cmd_integrate,
+     ["file", ("family", ("family",)), ("--eps", {"required": True})]),
+    ("check", "run a theorem-check suite (or 'all')", cmd_check,
+     ["suite", ("--max-size", {"type": _positive_int, "default": 4, "dest": "max_size"}),
+      ("--seed", {"type": int, "default": 0})]),
+    ("emit", "emit an object as JSON or DOT", cmd_emit,
+     [("format", {"choices": ("json", "dot")}), "file", ("object", dsl.KINDS)]),
+)
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="stonespec",
         description="Stone spectra, spectral families and observable functions "
                     "for finite lattices.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("validate", help="parse a file and validate every block")
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_validate)
-
-    sp = sub.add_parser("quasipoints", help="table of the Stone spectrum of an object")
-    sp.add_argument("file")
-    sp.add_argument("object")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_quasipoints)
-
-    sp = sub.add_parser("observable", help="f_E table of a family")
-    sp.add_argument("file")
-    sp.add_argument("family")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_observable)
-
-    sp = sub.add_parser("spectrum", help="spectrum and resolvent of a family")
-    sp.add_argument("file")
-    sp.add_argument("family")
-    sp.set_defaults(func=cmd_spectrum)
-
-    sp = sub.add_parser("decompose", help="split a two-parameter family")
-    sp.add_argument("file")
-    sp.add_argument("family")
-    sp.set_defaults(func=cmd_decompose)
-
-    sp = sub.add_parser("quotient", help="quotient a field by an ideal")
-    sp.add_argument("file")
-    sp.add_argument("field")
-    sp.add_argument("ideal")
-    sp.set_defaults(func=cmd_quotient)
-
-    sp = sub.add_parser("lift", help="lift a family through a quotient")
-    sp.add_argument("file")
-    sp.add_argument("field")
-    sp.add_argument("ideal")
-    sp.add_argument("family")
-    sp.set_defaults(func=cmd_lift)
-
-    sp = sub.add_parser("integrate", help="step-sum integration along an eps grid")
-    sp.add_argument("file")
-    sp.add_argument("family")
-    sp.add_argument("--eps", required=True)
-    sp.set_defaults(func=cmd_integrate)
-
-    sp = sub.add_parser("check", help="run a theorem-check suite (or 'all')")
-    sp.add_argument("suite")
-    sp.add_argument("--max-size", type=_positive_int, default=4, dest="max_size")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_check)
-
-    sp = sub.add_parser("emit", help="emit an object as JSON or DOT")
-    sp.add_argument("format", choices=("json", "dot"))
-    sp.add_argument("file")
-    sp.add_argument("object")
-    sp.set_defaults(func=cmd_emit)
-
+    for name, help_text, handler, arguments in COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        objects = []
+        for a in arguments:
+            if isinstance(a, str):
+                sp.add_argument(a)
+            elif isinstance(a[1], dict):
+                sp.add_argument(a[0], **a[1])
+            else:
+                sp.add_argument(a[0])
+                objects.append(a)
+        sp.set_defaults(func=handler, objects=objects)
     return p
 
 
@@ -294,7 +266,9 @@ def main(argv=None, out=None, err=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.func(args, out)
+        file = _load(args.file) if "file" in args else None
+        infos = [_resolve(file, getattr(args, name), kinds) for name, kinds in args.objects]
+        return args.func(args, file, out, *infos)
     except (InputError, InvalidFamilyError, UnsupportedStructureError) as e:
         print(f"error: {e}", file=err)
         return 2

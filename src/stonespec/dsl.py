@@ -500,9 +500,10 @@ class _Builder:
             self.reject("malformed-clause",
                         f"grid is not complete; missing entry at {missing[0]}", rb.at)
         matrix = [[entries[(x, y)] for y in ys] for x in xs]
+        # the meet law reads the host's meet table, which a non-lattice lacks
         return self.construct(rb, "invalid-family",
                               lambda: ComplexSpectralFamily(info.lattice(), xs, ys, matrix),
-                              InvalidFamilyError)
+                              (InvalidFamilyError, InputError))
 
     def build_function(self, rb: _RawBlock):
         info = self.resolve(rb, ("field", "topology"))

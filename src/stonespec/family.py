@@ -41,10 +41,14 @@ def point_values(labels, values) -> tuple:
     return values
 
 
+@dataclass(init=False, repr=False)
 class SpectralFamily:
     """A bounded monotone step map from the rationals into a lattice."""
 
     __slots__ = ("lattice", "thresholds", "values")
+    thresholds: tuple
+    values: tuple
+    lattice: Lattice
 
     def __init__(self, lattice: Lattice, jumps):
         n = lattice.n
@@ -86,14 +90,6 @@ class SpectralFamily:
 
     def bounds(self):
         return self.thresholds[0], self.thresholds[-1]
-
-    def __eq__(self, other):
-        if not isinstance(other, SpectralFamily):
-            return NotImplemented
-        return (self.thresholds == other.thresholds and self.values == other.values
-                and (self.lattice is other.lattice or self.lattice == other.lattice))
-
-    __hash__ = None
 
     def __repr__(self):
         parts = ", ".join(f"{t}: {self.lattice.names[v]}"
@@ -155,22 +151,18 @@ class ObservableFunction:
             f"{self.space.point_name(k)}: {v}" for k, v in enumerate(self.values)) + ")"
 
 
+@dataclass(init=False, repr=False)
 class ComplexObservableFunction:
     """A pair of observable functions read as real and imaginary parts."""
 
     __slots__ = ("re", "im")
+    re: ObservableFunction
+    im: ObservableFunction
 
     def __init__(self, re: ObservableFunction, im: ObservableFunction):
         re._same_space(im)
         self.re = re
         self.im = im
-
-    def __eq__(self, other):
-        if not isinstance(other, ComplexObservableFunction):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    __hash__ = None
 
     def __add__(self, other):
         return ComplexObservableFunction(self.re + other.re, self.im + other.im)
@@ -376,6 +368,7 @@ def spectrum_of(family: SpectralFamily) -> SpectrumDecomposition:
 # --- two-parameter (complex) families ----------------------------------------
 
 
+@dataclass(init=False, repr=False)
 class ComplexSpectralFamily:
     """A bounded step map on a rational grid, monotone with the strong meet law.
 
@@ -386,6 +379,10 @@ class ComplexSpectralFamily:
     """
 
     __slots__ = ("lattice", "xs", "ys", "matrix")
+    xs: tuple
+    ys: tuple
+    matrix: tuple
+    lattice: Lattice
 
     def __init__(self, lattice: Lattice, xs, ys, matrix):
         xs = tuple(_as_fraction(x) for x in xs)
@@ -408,21 +405,8 @@ class ComplexSpectralFamily:
         if matrix[-1][-1] != lattice.top:
             raise InvalidFamilyError("family is not bounded above (corner must be top)")
 
-        bottom = lattice.bottom
-        rows = list(range(len(xs)))
-        while len(rows) > 1 and all(matrix[rows[0]][j] == bottom for j in range(len(ys))):
-            rows.pop(0)
-        keep_r = [rows[0]]
-        for i in rows[1:]:
-            if matrix[i] != matrix[keep_r[-1]]:
-                keep_r.append(i)
-        cols = list(range(len(ys)))
-        while len(cols) > 1 and all(matrix[i][cols[0]] == bottom for i in keep_r):
-            cols.pop(0)
-        keep_c = [cols[0]]
-        for j in cols[1:]:
-            if any(matrix[i][j] != matrix[i][keep_c[-1]] for i in keep_r):
-                keep_c.append(j)
+        keep_r = _kept_lines(matrix, lattice.bottom)
+        keep_c = _kept_lines(list(zip(*(matrix[i] for i in keep_r))), lattice.bottom)
 
         self.lattice = lattice
         self.xs = tuple(xs[i] for i in keep_r)
@@ -436,17 +420,22 @@ class ComplexSpectralFamily:
             return self.lattice.bottom
         return self.matrix[i][j]
 
-    def __eq__(self, other):
-        if not isinstance(other, ComplexSpectralFamily):
-            return NotImplemented
-        return (self.xs == other.xs and self.ys == other.ys
-                and self.matrix == other.matrix
-                and (self.lattice is other.lattice or self.lattice == other.lattice))
-
-    __hash__ = None
-
     def __repr__(self):
         return f"ComplexSpectralFamily(xs={self.xs}, ys={self.ys})"
+
+
+def _kept_lines(lines, bottom) -> list:
+    """Indices of the grid lines a canonical family keeps: leading all-bottom
+    lines go (but never the last line), and so does each line equal to the
+    kept line before it."""
+    start = 0
+    while start < len(lines) - 1 and all(v == bottom for v in lines[start]):
+        start += 1
+    keep = [start]
+    for i in range(start + 1, len(lines)):
+        if lines[i] != lines[keep[-1]]:
+            keep.append(i)
+    return keep
 
 
 def product_family(e1: SpectralFamily, e2: SpectralFamily) -> ComplexSpectralFamily:

@@ -9,6 +9,7 @@ by its union of surviving atoms).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -19,8 +20,12 @@ from .lattice import Lattice, bits, label_masks
 from .stone import StoneSpace, stone_space
 
 
+@dataclass(init=False, repr=False)
 class FieldOfSets:
     """A finite algebra of subsets of a finite ground set."""
+
+    ground: tuple
+    atoms: tuple
 
     def __init__(self, ground, atoms):
         self.ground = tuple(ground)
@@ -121,13 +126,6 @@ class FieldOfSets:
         except KeyError:
             raise InputError(f"{self.set_name(mask)} is not in the field") from None
 
-    def __eq__(self, other):
-        if not isinstance(other, FieldOfSets):
-            return NotImplemented
-        return self.ground == other.ground and self.atoms == other.atoms
-
-    __hash__ = None
-
     def __repr__(self):
         return f"FieldOfSets({len(self.ground)} points, {len(self.atoms)} atoms)"
 
@@ -151,10 +149,13 @@ def all_fields(ground) -> list:
     return out
 
 
+@dataclass(init=False, repr=False)
 class MeasurableFunction:
     """A rational point function constant on every atom of its field."""
 
     __slots__ = ("field", "values")
+    field: FieldOfSets
+    values: tuple
 
     def __init__(self, field: FieldOfSets, values):
         values = point_values(field.ground, values)
@@ -177,13 +178,6 @@ class MeasurableFunction:
             if v <= t:
                 m |= 1 << i
         return m
-
-    def __eq__(self, other):
-        if not isinstance(other, MeasurableFunction):
-            return NotImplemented
-        return self.field == other.field and self.values == other.values
-
-    __hash__ = None
 
     def __repr__(self):
         pairs = ", ".join(f"{p}: {v}" for p, v in zip(self.field.ground, self.values))
@@ -248,11 +242,14 @@ def bijection_report(field: FieldOfSets, grid):
     return cases, failures
 
 
+@dataclass(init=False, repr=False)
 class SetIdeal:
     """A downward closed, union closed subfamily of a field (never the whole
     ground set); principal over its union at finite scale."""
 
     __slots__ = ("field", "mask")
+    field: FieldOfSets
+    mask: int
 
     def __init__(self, field: FieldOfSets, mask: int):
         if not field.contains(mask):
@@ -282,13 +279,6 @@ class SetIdeal:
         """The dual filter: members whose complement lies in the ideal."""
         c = self.field.full ^ self.mask
         return tuple(m for m in self.field.members() if c & ~m == 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, SetIdeal):
-            return NotImplemented
-        return self.field == other.field and self.mask == other.mask
-
-    __hash__ = None
 
     def __repr__(self):
         return f"SetIdeal({self.field.set_name(self.mask)})"

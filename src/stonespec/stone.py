@@ -55,6 +55,14 @@ def principal_dual_ideal(lattice: Lattice, a) -> DualIdeal:
     return DualIdeal(lattice, lattice.up[ia])
 
 
+def unions(masks) -> frozenset:
+    """Every union of some of the masks, the empty union 0 included."""
+    acc = {0}
+    for m in masks:
+        acc |= {o | m for o in acc}
+    return frozenset(acc)
+
+
 class FiniteSpace:
     """Interior and closure in a finite space, from a basis of its open sets.
 
@@ -120,16 +128,7 @@ class StoneSpace(FiniteSpace):
     def opens(self) -> frozenset:
         """Every open set of the spectrum: all unions of basic sets."""
         if self._opens is None:
-            acc = {0}
-            frontier = [0]
-            while frontier:
-                x = frontier.pop()
-                for b in self.base:
-                    y = x | b
-                    if y not in acc:
-                        acc.add(y)
-                        frontier.append(y)
-            self._opens = frozenset(acc)
+            self._opens = unions(self.base)
         return self._opens
 
 

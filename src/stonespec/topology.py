@@ -16,11 +16,26 @@ from .family import (ComplexObservableFunction, ObservableFunction,
                      SpectralFamily, first_hits, level_sets, observable_function,
                      point_values)
 from .lattice import Lattice, bits, label_masks
-from .stone import SCAN_CAP, FiniteSpace, StoneSpace, stone_space
+from .stone import SCAN_CAP, FiniteSpace, StoneSpace, stone_space, unions
 
 
+def _min_nbhds(masks, n: int) -> list:
+    """For each of n points, the intersection of the masks that contain it
+    (all n points if none does): its minimal open neighbourhood U_x when the
+    masks are the opens of a topology, or generate one."""
+    nbhd = [(1 << n) - 1] * n
+    for m in masks:
+        for i in bits(m):
+            nbhd[i] &= m
+    return nbhd
+
+
+@dataclass(init=False, repr=False)
 class TopSpace(FiniteSpace):
     """A finite topology, opens stored as point bitmasks."""
+
+    points: tuple
+    opens: frozenset
 
     def __init__(self, points, opens):
         self.points = tuple(points)
@@ -45,12 +60,7 @@ class TopSpace(FiniteSpace):
                         f"not closed under intersection: {self.set_name(a)}, {self.set_name(b)}")
         self.opens = opens
         self._basis = seq
-        # minimal open neighbourhood U_x: the intersection of the opens around x
-        nbhd = [self.full] * len(self.points)
-        for o in seq:
-            for i in bits(o):
-                nbhd[i] &= o
-        self._nbhd = tuple(nbhd)
+        self._nbhd = tuple(_min_nbhds(seq, len(self.points)))
         self._interior = {}
         self._lattice = None
         self._r_lattice = None
@@ -67,19 +77,11 @@ class TopSpace(FiniteSpace):
 
     @classmethod
     def generated(cls, points, sets) -> "TopSpace":
-        """Close a generating family under union and intersection."""
+        """The least topology containing the sets: each point's minimal open
+        neighbourhood is the intersection of the sets around it, and the opens
+        are the unions of those neighbourhoods."""
         points = tuple(points)
-        fam = {0, (1 << len(points)) - 1, *label_masks(points, sets)}
-        changed = True
-        while changed:
-            changed = False
-            for a in list(fam):
-                for b in list(fam):
-                    for c in (a | b, a & b):
-                        if c not in fam:
-                            fam.add(c)
-                            changed = True
-        return cls(points, fam)
+        return cls(points, unions(_min_nbhds(label_masks(points, sets), len(points))))
 
     def mask_of(self, labels) -> int:
         return label_masks(self.points, [labels])[0]
@@ -116,13 +118,6 @@ class TopSpace(FiniteSpace):
             self._r_lattice = Lattice.from_sets(
                 masks, map(self.set_name, masks), self.pseudocomplement)
         return self._r_lattice
-
-    def __eq__(self, other):
-        if not isinstance(other, TopSpace):
-            return NotImplemented
-        return self.points == other.points and self.opens == other.opens
-
-    __hash__ = None
 
     def __repr__(self):
         return f"TopSpace({len(self.points)} points, {len(self.opens)} opens)"
@@ -399,10 +394,7 @@ def all_topologies(n: int) -> tuple:
 
     def extend(i: int) -> None:
         if i == n:
-            opens = [0]
-            for u in nbhd:
-                opens += [o | u for o in opens]
-            families.append(frozenset(opens))
+            families.append(unions(nbhd))
             return
         for u in range(1 << n):
             if u >> i & 1 and all(

@@ -1,13 +1,22 @@
 """Exit-code contract and output shapes of the command line interface."""
 
 import io
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
-from stonespec import dsl, observable_function, riemann_stieltjes
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stonespec import (Lattice, boolean_lattice, chain_lattice, dsl, mo_lattice,
+                       observable_function, riemann_stieltjes)
 from stonespec.cli import main
+from stonespec.lattice import bits
+from test_stone import oracle_quasipoints
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -202,9 +211,10 @@ class TestInputRobustness:
         done = subprocess.run([sys.executable, "-m", "stonespec", "quasipoints",
                                str(path), "L"], capture_output=True, text=True,
                               timeout=30, env=env)
-        assert done.returncode == 0
-        assert done.stdout.splitlines()[:2] == ["0 quasipoints", "base sets:"]
-        assert "  Q_a: -" in done.stdout
+        # the order is rejected before any quasipoint is looked for
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "antisymmetry" in done.stderr
 
     def test_integrate_on_a_one_element_lattice(self, tmp_path):
         path = tmp_path / "one.lat"
@@ -236,3 +246,71 @@ class TestInputRobustness:
         code, out, err = run("observable", str(path), "E")
         assert code == 2 and out == ""
         assert "malformed-rational" in err and "Traceback" not in err
+
+    # a cyclic order (not antisymmetric) and an antichain (no bottom, no top)
+    CYCLE = "lattice L { elements: 0, a, b, 1 ; order: 0 < a, a < b, b < a, b < 1 ; }\n"
+    ANTICHAIN = "lattice L { elements: a, b ; }\n"
+
+    @pytest.mark.parametrize("text, argv, code", [
+        (ANTICHAIN, ["emit", "json", "FILE", "L"], "bounds"),
+        (ANTICHAIN, ["emit", "dot", "FILE", "L"], "bounds"),
+        (ANTICHAIN, ["quasipoints", "FILE", "L", "--json"], "bounds"),
+        (CYCLE, ["emit", "json", "FILE", "L"], "antisymmetry"),
+        (CYCLE + "family E in L { 0: a ; 1: 1 ; }\n", ["observable", "FILE", "E"],
+         "antisymmetry"),
+        (CYCLE + "family E in L { 0: 1 ; }\n", ["emit", "json", "FILE", "E"], "antisymmetry"),
+    ], ids=["emit-json", "emit-dot", "quasipoints", "emit-json-cycle", "observable",
+            "emit-family"])
+    def test_invalid_lattice_host_rejected(self, tmp_path, text, argv, code):
+        path = tmp_path / "bad.lat"
+        path.write_text(text)
+        got, out, err = run(*(str(path) if a == "FILE" else a for a in argv))
+        assert (got, out) == (2, "")
+        assert err.count("\n") == 1 and code in err
+
+    def test_validate_still_reports_an_invalid_lattice(self, tmp_path):
+        path = tmp_path / "bad.lat"
+        path.write_text(self.CYCLE)
+        code, out, _ = run("validate", str(path))
+        assert code == 1 and out.startswith("lattice L: INVALID\n  antisymmetry:")
+
+
+N5 = Lattice(["0", "a", "c", "b", "1"],
+             [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")])
+SMALL_LATTICES = ([boolean_lattice(n) for n in (1, 2, 3)] + [chain_lattice(n) for n in (1, 2, 4)]
+                  + [mo_lattice(n) for n in (1, 2)] + [N5])
+
+
+@st.composite
+def broken_orders(draw):
+    """The element names and order pairs of a small lattice, with some of its
+    strict pairs dropped and some random pairs added."""
+    lat = draw(st.sampled_from(SMALL_LATTICES))
+    names = lat.names
+    pairs = [(names[a], names[b]) for a in range(lat.n) for b in bits(lat.up[a]) if a != b]
+    dropped = draw(st.sets(st.integers(0, max(len(pairs) - 1, 0)), max_size=2))
+    pairs = [p for i, p in enumerate(pairs) if i not in dropped]
+    element = st.sampled_from(names)
+    return names, pairs + draw(st.lists(st.tuples(element, element), max_size=2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(broken_orders())
+def test_quasipoints_on_broken_orders(order):
+    names, pairs = order
+    text = f"lattice L {{ elements: {', '.join(names)} ;"
+    if pairs:
+        text += " order: " + ", ".join(f"{a} < {b}" for a, b in pairs) + " ;"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "l.lat")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text + " }\n")
+        code, out, err = run("quasipoints", path, "L", "--json")
+    lat = Lattice(names, pairs)
+    if lat.validate().ok:
+        assert code == 0
+        want = sorted([names[i] for i in bits(m)] for m in oracle_quasipoints(lat))
+        assert sorted(json.loads(out)["points"].values()) == want
+    else:
+        assert (code, out) == (2, "")
+        assert "is invalid" in err

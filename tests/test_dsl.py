@@ -147,6 +147,15 @@ class TestDiagnostics:
         assert str(d) == "1:51: error: expected 'a <-> b' in ortho clause, got '0 < 1' " \
                          "[malformed-clause]"
 
+    def test_family2_over_a_non_lattice_is_a_diagnostic(self):
+        # a and b have two minimal upper bounds, c and d, so no join; the
+        # meet law of the grid reads the missing meet/join table
+        host = ("lattice P { elements: 0, a, b, c, d, 1 ;"
+                " order: 0 < a, 0 < b, a < c, a < d, b < c, b < d, c < 1, d < 1 ; }\n")
+        d = first_diag(host + "family2 G in P { 0,0: 0 ; 0,1: a ; 1,0: b ; 1,1: 1 ; }",
+                       "invalid-family")
+        assert d.message == "not a lattice: a, b have no least upper bound"
+
     def test_never_both_file_and_diagnostics(self):
         result = dsl.parse(MO2_TEXT + "family E in MO2 { 0: zz ; }")
         assert result.file is None and result.diagnostics
@@ -313,6 +322,21 @@ def instance_files(draw):
     return dsl.InstanceFile(draw(st.permutations(blocks)))
 
 
+@st.composite
+def non_lattice_family2s(draw):
+    """A family2 block with a complete grid over a host whose order is
+    random, so that the host often lacks a meet or a join."""
+    names = ["0", "a", "b", "c", "d", "1"]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                          max_size=8))
+    order = ", ".join(f"{a} < {b}" for a, b in pairs if a != b) or "0 < 1"
+    xs = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+    ys = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+    cells = " ".join(f"{x},{y}: {draw(st.sampled_from(names))} ;" for x in xs for y in ys)
+    return (f"lattice P {{ elements: {', '.join(names)} ; order: {order} ; }}\n"
+            f"family2 G in P {{ {cells} }}\n")
+
+
 class TestTotality:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -321,6 +345,12 @@ class TestTotality:
         result = dsl.parse(text)
         assert (result.file is None) == bool(result.diagnostics)
         assert result.ok == (result.file is not None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(non_lattice_family2s())
+    def test_family2_over_generated_hosts(self, text):
+        result = dsl.parse(text)
+        assert (result.file is None) == bool(result.diagnostics)
 
     @settings(max_examples=150, deadline=None)
     @given(st.text(max_size=60))

@@ -1,0 +1,101 @@
+"""Equality of the value classes, generated from the fields they declare.
+
+Each class compares its declared fields in order, cheap ones first, and
+lattices and fields of sets compare by value: objects built on equal but
+distinct hosts are equal.  None of the classes is hashable.
+"""
+
+import dataclasses
+
+import pytest
+
+from stonespec import (ComplexObservableFunction, ComplexSpectralFamily, FieldOfSets,
+                       Lattice, MeasurableFunction, ObservableFunction, SetIdeal,
+                       SpectralFamily, TopSpace, boolean_lattice, stone_space)
+
+
+def square():
+    """boolean(2) without its ortho map: the same names, another lattice."""
+    return Lattice(["0", "x", "y", "1"], [("0", "x"), ("0", "y"), ("x", "1"), ("y", "1")])
+
+
+def field(blocks=(("p",), ("q", "r"))):
+    return FieldOfSets.from_partition(("p", "q", "r"), blocks)
+
+
+def observable(values):
+    return ObservableFunction(stone_space(boolean_lattice(2)), values)
+
+
+def family(jumps=((0, "x"), (1, "1")), lattice=None):
+    return SpectralFamily(lattice or boolean_lattice(2), jumps)
+
+
+def grid(xs=(0, 1), ys=(0, 2), matrix=(("0", "x"), ("y", "1")), lattice=None):
+    return ComplexSpectralFamily(lattice or boolean_lattice(2), xs, ys, matrix)
+
+
+# class: (its fields in comparison order, a fresh object on fresh hosts,
+# objects that differ from it in exactly one field)
+CASES = {
+    SetIdeal: (("field", "mask"), lambda: SetIdeal(field(), 0b001), [
+        SetIdeal(field(), 0b110),
+        SetIdeal(field((("p",), ("q",), ("r",))), 0b001)]),
+    MeasurableFunction: (("field", "values"), lambda: MeasurableFunction(field(), (1, 2, 2)), [
+        MeasurableFunction(field(), (1, 3, 3)),
+        MeasurableFunction(field((("p",), ("q",), ("r",))), (1, 2, 2))]),
+    FieldOfSets: (("ground", "atoms"), field, [
+        FieldOfSets.from_partition(("p", "q", "s"), [["p"], ["q", "s"]]),
+        field((("p", "q"), ("r",)))]),
+    TopSpace: (("points", "opens"), lambda: TopSpace(("1", "2"), [0, 1, 3]), [
+        TopSpace(("1", "3"), [0, 1, 3]),
+        TopSpace(("1", "2"), [0, 2, 3])]),
+    ComplexObservableFunction: (
+        ("re", "im"), lambda: ComplexObservableFunction(observable((1, 2)), observable((0, 5))), [
+            ComplexObservableFunction(observable((1, 3)), observable((0, 5))),
+            ComplexObservableFunction(observable((1, 2)), observable((0, 4)))]),
+    SpectralFamily: (("thresholds", "values", "lattice"), family, [
+        family(jumps=((0, "x"), (2, "1"))),
+        family(jumps=((0, "y"), (1, "1"))),
+        family(lattice=square())]),
+    ComplexSpectralFamily: (("xs", "ys", "matrix", "lattice"), grid, [
+        grid(xs=(0, 3)),
+        grid(ys=(0, 3)),
+        grid(matrix=(("0", "y"), ("x", "1"))),
+        grid(lattice=square())]),
+}
+CLASSES = list(CASES)
+IDS = [cls.__name__ for cls in CLASSES]
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_fields_in_comparison_order(cls):
+    assert tuple(f.name for f in dataclasses.fields(cls)) == CASES[cls][0]
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_equal_on_equal_but_distinct_hosts(cls):
+    a, b = CASES[cls][1](), CASES[cls][1]()
+    assert a is not b
+    assert a == b and not a != b
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_unequal_when_one_field_differs(cls):
+    fields, make, variants = CASES[cls]
+    a = make()
+    for v in variants:
+        differing = [f for f in fields if getattr(a, f) != getattr(v, f)]
+        assert len(differing) == 1
+        assert a != v and not a == v
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_never_equal_to_another_type(cls):
+    assert (CASES[cls][1]() == object()) is False
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_unhashable(cls):
+    with pytest.raises(TypeError):
+        hash(CASES[cls][1]())

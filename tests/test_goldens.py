@@ -4,14 +4,17 @@ Each fixture ``fixtures/<name>.lat`` has a golden file
 ``tests/goldens/<name>.txt`` that records, for every call, the arguments,
 the exit code, stdout and stderr, byte for byte, and a golden file
 ``tests/goldens/<name>.emit.txt`` that holds ``dsl.emit_text`` of the parsed
-fixture, byte for byte.  After an intended output change, regenerate the
-files and review the diff:
+fixture, byte for byte.  ``tests/goldens/help.txt`` records, the same way,
+``--help`` of the program and of every subcommand and three usage errors,
+at a fixed width of 80 columns.  After an intended output change,
+regenerate the files and review the diff:
 
     PYTHONPATH=src python tests/test_goldens.py
 """
 
 import io
 import os
+from unittest import mock
 
 import pytest
 
@@ -23,6 +26,10 @@ FIXTURES = os.path.join(HERE, "..", "fixtures")
 GOLDENS = os.path.join(HERE, "goldens")
 EPS = ("1", "1/3", "1/4", "3/10")
 FIXTURE_NAMES = sorted(name for name in os.listdir(FIXTURES) if name.endswith(".lat"))
+SUBCOMMANDS = ("validate", "quasipoints", "observable", "spectrum", "decompose",
+               "quotient", "lift", "integrate", "check", "emit")
+HELP_CALLS = ([["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
+              + [["quasipoints", "chain3.lat"], [], ["emit", "xml", "chain3.lat", "L"]])
 
 
 def calls(path):
@@ -51,18 +58,28 @@ def calls(path):
     return out
 
 
+def transcript(argv, shown):
+    """One call shown as ``shown``: its exit code, stdout and any stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    code = main(argv, out=out, err=err)
+    chunk = f"$ stonespec {shown}\n[exit {code}]\n{out.getvalue()}"
+    if err.getvalue():
+        chunk += f"[stderr]\n{err.getvalue()}"
+    return chunk
+
+
 def render(name):
     """The golden text of one fixture: each call and what it printed."""
     path = os.path.join(FIXTURES, name)
-    chunks = []
-    for argv in calls(path):
-        out, err = io.StringIO(), io.StringIO()
-        code = main(argv, out=out, err=err)
-        shown = " ".join(name if a == path else a for a in argv)
-        chunks.append(f"$ stonespec {shown}\n[exit {code}]\n{out.getvalue()}")
-        if err.getvalue():
-            chunks.append(f"[stderr]\n{err.getvalue()}")
-    return "".join(chunks)
+    return "".join(transcript(argv, " ".join(name if a == path else a for a in argv))
+                   for argv in calls(path))
+
+
+def render_help():
+    """The golden text of the help and usage-error calls; argparse wraps
+    its help at the terminal width, which is pinned to 80 columns."""
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        return "".join(transcript(argv, " ".join(argv)) for argv in HELP_CALLS)
 
 
 def golden_path(name, suffix=".txt"):
@@ -89,10 +106,16 @@ def test_emit_text_matches_golden(name):
     assert render_text(name) == want
 
 
+def test_help_matches_golden():
+    with open(os.path.join(GOLDENS, "help.txt"), encoding="utf-8") as handle:
+        want = handle.read()
+    assert render_help() == want
+
+
 def test_every_fixture_has_a_golden():
     assert sorted(os.listdir(GOLDENS)) == sorted(
-        name[:-len(".lat")] + suffix
-        for name in FIXTURE_NAMES for suffix in (".txt", ".emit.txt"))
+        ["help.txt"] + [name[:-len(".lat")] + suffix
+                        for name in FIXTURE_NAMES for suffix in (".txt", ".emit.txt")])
 
 
 def test_every_subcommand_is_covered():
@@ -110,3 +133,5 @@ if __name__ == "__main__":
             handle.write(render(fixture_name))
         with open(golden_path(fixture_name, ".emit.txt"), "w", encoding="utf-8") as handle:
             handle.write(render_text(fixture_name))
+    with open(os.path.join(GOLDENS, "help.txt"), "w", encoding="utf-8") as handle:
+        handle.write(render_help())

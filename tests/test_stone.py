@@ -11,7 +11,7 @@ from stonespec import (InputError, boolean_lattice, chain_lattice,
                        is_completely_distributive, mo_lattice,
                        principal_dual_ideal, stone_space)
 from stonespec.lattice import Lattice, bits
-from stonespec.stone import is_dual_ideal
+from stonespec.stone import is_dual_ideal, unions
 
 
 def oracle_dual_ideals(lat):
@@ -33,6 +33,21 @@ def oracle_quasipoints(lat):
     return sorted((m for m in ideals
                    if not any(other != m and other & m == m for other in ideals)),
                   key=lambda m: tuple(bits(m)))
+
+
+def oracle_opens(space):
+    """Every union of basic sets, by a search from the empty set that adds
+    one basic set at a time."""
+    acc = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for b in space.base:
+            y = x | b
+            if y not in acc:
+                acc.add(y)
+                frontier.append(y)
+    return frozenset(acc)
 
 
 class TestPrincipal:
@@ -174,6 +189,17 @@ class TestTopology:
                     acc |= space.q(a)
                 unions.add(acc)
             assert space.opens() == frozenset(unions)
+
+    @pytest.mark.parametrize("lat", [boolean_lattice(n) for n in range(1, 6)]
+                             + [mo_lattice(n) for n in (1, 2, 3)]
+                             + [chain_lattice(n) for n in range(2, 6)])
+    def test_unions_match_the_bfs(self, lat):
+        space = enumerate_quasipoints(lat)
+        assert unions(space.base) == space.opens() == oracle_opens(space)
+
+    def test_unions_include_the_empty_union(self):
+        assert unions([]) == frozenset({0})
+        assert unions([0b01, 0b10, 0b01]) == frozenset({0, 0b01, 0b10, 0b11})
 
     def test_closure(self):
         space = stone_space(boolean_lattice(3))

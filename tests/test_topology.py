@@ -77,24 +77,32 @@ def oracle_spectral_family(space, values):
     return SpectralFamily(lat, [(t, lat.payload.index(e)) for t, e in jumps])
 
 
+def oracle_close(fam):
+    """Close a family of masks under union and intersection, to a fixpoint."""
+    fam = set(fam)
+    changed = True
+    while changed:
+        changed = False
+        pairs = list(fam)
+        for a in pairs:
+            for b in pairs:
+                for c in (a | b, a & b):
+                    if c not in fam:
+                        fam.add(c)
+                        changed = True
+    return frozenset(fam)
+
+
+def oracle_generated(points, masks):
+    """The topology generated by the masks, as the closure of the masks, the
+    empty set and the whole space."""
+    return TopSpace(points, oracle_close({0, (1 << len(points)) - 1, *masks}))
+
+
 def oracle_all_topologies(n):
     """Every topology on n points by closing single-set extensions, starting
     from the indiscrete topology; sorted as ``all_topologies`` sorts."""
     full = (1 << n) - 1
-
-    def close(fam):
-        fam = set(fam)
-        changed = True
-        while changed:
-            changed = False
-            pairs = list(fam)
-            for a in pairs:
-                for b in pairs:
-                    for c in (a | b, a & b):
-                        if c not in fam:
-                            fam.add(c)
-                            changed = True
-        return frozenset(fam)
 
     start = frozenset({0, full})
     seen = {start}
@@ -103,7 +111,7 @@ def oracle_all_topologies(n):
         fam = frontier.pop()
         for m in range(1, full):
             if m not in fam:
-                bigger = close(fam | {m})
+                bigger = oracle_close(fam | {m})
                 if bigger not in seen:
                     seen.add(bigger)
                     frontier.append(bigger)
@@ -447,6 +455,41 @@ class TestIncreasingCalculus:
                 g = ObservableFunction(st, values)
                 member = cpt_membership(p, ObservableFunction(p.stone, values))
                 assert star_condition_check(d, g)[0] == member
+
+
+def labelled(points, masks):
+    return [[points[i] for i in bits(m)] for m in masks]
+
+
+class TestGenerated:
+    """``TopSpace.generated`` from minimal neighbourhoods against the fixpoint."""
+
+    def test_every_topology_generates_itself(self):
+        for n in (1, 2, 3, 4):
+            for t in all_topologies(n):
+                got = TopSpace.generated(t.points, labelled(t.points, t.opens))
+                assert got == oracle_generated(t.points, t.opens) == t
+
+    def test_every_family_of_at_most_two_sets(self):
+        for n in (1, 2, 3):
+            points = tuple(str(i) for i in range(n))
+            for k in (0, 1, 2):
+                for masks in combinations(range(1 << n), k):
+                    got = TopSpace.generated(points, labelled(points, masks))
+                    assert got == oracle_generated(points, masks)
+
+    def test_seeded_random_families(self):
+        rng = random.Random(0)
+        for _ in range(2000):
+            n = rng.randint(1, 6)
+            points = tuple(str(i) for i in range(n))
+            masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 4))]
+            got = TopSpace.generated(points, labelled(points, masks))
+            assert got == oracle_generated(points, masks)
+
+    def test_unknown_label_rejected(self):
+        with pytest.raises(InputError):
+            TopSpace.generated(("1", "2"), [["3"]])
 
 
 class TestAllTopologies:
