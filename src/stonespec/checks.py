@@ -228,24 +228,26 @@ def suite_spectral_theorem(max_size: int = 6, seed: int = 0) -> SuiteResult:
 
 
 def suite_correspondence(max_size: int = 4, seed: int = 0) -> SuiteResult:
-    """Sweep every topology on up to four labeled points and every grid
+    """Sweep every topology on up to five labeled points and every grid
     function: continuity matches strong regularity in both directions, with
     the domain/regularity side conditions."""
     res = SuiteResult("continuous-correspondence")
-    n_max = _clamp(max_size, 4)
-    counts = {1: 1, 2: 4, 3: 29, 4: 355}
+    n_max = _clamp(max_size, 5)
+    counts = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
     found = None  # the first regular family that is not strongly regular
     for n in range(1, n_max + 1):
         spaces = top.all_topologies(n)
         res.check(len(spaces) == counts[n],
                   "{} topologies enumerated on {} points, wanted {}",
                   len(spaces), n, counts[n])
-        grid_fns = _grid3_functions(n)
+        # the level sets depend on the rank vector alone, not on the topology
+        grid_fns = [(ranks, values, fam.level_sets(ranks))
+                    for ranks, values in _grid3_functions(n)]
         for t in spaces:
             lat = t.lattice()
-            for ranks, values in grid_fns:
+            for ranks, values, levels in grid_fns:
                 cont = top._constant_on_nbhds(t, ranks)
-                e = top._level_family(t, ranks, values)
+                e = top._family_of_levels(t, levels, values)
                 if found is None and top.classify_family(t, e) == "regular":
                     found = t, e
                 res.check(_domain(lat, e) == t.full,

@@ -13,6 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import InputError, InvalidFamilyError, UnsupportedStructureError
 from .lattice import Lattice, bits
@@ -23,7 +24,7 @@ def _as_fraction(x) -> Fraction:
     if type(x) is Fraction:
         return x  # immutable, so safe to share
     if isinstance(x, float):
-        raise InputError(f"thresholds must be exact rationals, got float {x!r}")
+        raise InputError(f"exact rationals required, got float {x!r}")
     return Fraction(x)
 
 
@@ -35,7 +36,7 @@ def point_values(labels, values) -> tuple:
         except KeyError as e:
             raise InputError(f"no value for point {e.args[0]!r}") from None
     # Fractions are immutable, so exact inputs are shared rather than rebuilt
-    values = tuple([v if type(v) is Fraction else Fraction(v) for v in values])
+    values = tuple([v if type(v) is Fraction else _as_fraction(v) for v in values])
     if len(values) != len(labels):
         raise InputError("one value per point required")
     return values
@@ -67,10 +68,24 @@ class SpectralFamily:
             if not up[v1] >> v2 & 1:
                 raise InvalidFamilyError(
                     f"values not monotone: {lattice.names[v1]} then {lattice.names[v2]}")
-        top, bottom = lattice.top, lattice.bottom
-        if vs[-1] != top:
+        if vs[-1] != lattice.top:
             raise InvalidFamilyError("family is not bounded above (last value must be top)")
-        # canonical form: drop bottom jumps (unless top is bottom) and repeats
+        self._set_canonical(lattice, ts, vs)
+
+    @classmethod
+    def _canonical(cls, lattice: Lattice, thresholds, values) -> "SpectralFamily":
+        """The family with these jumps, trusted: for callers whose construction
+        already guarantees exact strictly increasing thresholds, monotone
+        value ids and a last value equal to the top.  Only the canonical form
+        is applied; ``__init__`` is the checking path."""
+        self = cls.__new__(cls)
+        self._set_canonical(lattice, thresholds, values)
+        return self
+
+    def _set_canonical(self, lattice: Lattice, ts, vs) -> None:
+        """Store the canonical form: drop bottom jumps (unless top is bottom)
+        and repeats."""
+        top, bottom = lattice.top, lattice.bottom
         thresholds, values = [], []
         for t, v in zip(ts, vs):
             if (v != bottom or top == bottom) and (not values or values[-1] != v):
@@ -103,7 +118,7 @@ class ObservableFunction:
     __slots__ = ("space", "values")
 
     def __init__(self, space: StoneSpace, values):
-        values = tuple([v if type(v) is Fraction else Fraction(v) for v in values])
+        values = tuple([v if type(v) is Fraction else _as_fraction(v) for v in values])
         if len(values) != space.n_points:
             raise InputError("one value per quasipoint required")
         self.space = space
@@ -137,7 +152,7 @@ class ObservableFunction:
         return ObservableFunction(self.space, [a * b for a, b in zip(self.values, other.values)])
 
     def scale(self, alpha) -> "ObservableFunction":
-        alpha = Fraction(alpha)
+        alpha = _as_fraction(alpha)
         return ObservableFunction(self.space, [alpha * v for v in self.values])
 
     def sup_norm(self) -> Fraction:
@@ -212,8 +227,13 @@ def level_sets(keys) -> list:
     point with that key and ``mask`` the points whose key is at most it.
 
     One sort and one pass; ties are grouped, so a level set is reported only
-    once it is complete.
+    once it is complete.  Keys that are all ``Fraction`` are sorted as the
+    integers they become over their common denominator: the same order and
+    ties, with integer comparisons instead of ``Fraction.__lt__``.
     """
+    if keys and all(type(k) is Fraction for k in keys):
+        d = lcm(*[k.denominator for k in keys])
+        keys = [k.numerator * (d // k.denominator) for k in keys]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     out = []
     mask = 0
@@ -526,7 +546,10 @@ def enumerate_families(lattice: Lattice, grid) -> list:
     avoiding the bottom; each chain of length k is combined with every
     k-subset of the grid.  Deterministic order.
     """
+    if lattice.bottom is None or lattice.top is None:
+        raise InputError("families need a lattice with a bottom and a top")
     grid = sorted(_as_fraction(t) for t in set(grid))
+    down = lattice.down
     chains = [[lattice.top]]
     frontier = [[lattice.top]]
     while frontier:
@@ -534,14 +557,13 @@ def enumerate_families(lattice: Lattice, grid) -> list:
         if len(chain) == len(grid):
             continue
         head = chain[0]
-        for e in range(lattice.n):
-            if e != lattice.bottom and e != head and lattice.le(e, head):
-                longer = [e] + chain
-                chains.append(longer)
-                frontier.append(longer)
+        for e in bits(down[head] & ~(1 << head | 1 << lattice.bottom)):
+            longer = [e] + chain
+            chains.append(longer)
+            frontier.append(longer)
     chains.sort(key=lambda c: (len(c), c))
-    out = []
-    for chain in chains:
-        for ts in combinations(grid, len(chain)):
-            out.append(SpectralFamily(lattice, list(zip(ts, chain))))
-    return out
+    # sorted distinct thresholds with strictly increasing chains ending at
+    # the top: canonical by construction
+    canonical = SpectralFamily._canonical
+    return [canonical(lattice, ts, chain)
+            for chain in chains for ts in combinations(grid, len(chain))]

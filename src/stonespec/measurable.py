@@ -14,8 +14,8 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import InputError
-from .family import (ObservableFunction, SpectralFamily, _step_sum, first_hits,
-                     level_sets, observable_function, point_values)
+from .family import (ObservableFunction, SpectralFamily, _as_fraction, _step_sum,
+                     first_hits, level_sets, observable_function, point_values)
 from .lattice import Lattice, bits, label_masks
 from .stone import StoneSpace, stone_space
 
@@ -172,7 +172,7 @@ class MeasurableFunction:
 
     def level_mask(self, t) -> int:
         """The member set of points with value <= t."""
-        t = Fraction(t)
+        t = _as_fraction(t)
         m = 0
         for i, v in enumerate(self.values):
             if v <= t:
@@ -191,8 +191,10 @@ def spectral_family_of(phi: MeasurableFunction) -> SpectralFamily:
     """Level sets of phi as a family in the field's lattice: E at t is
     the preimage of (-inf, t]."""
     lat = phi.field.lattice()
-    jumps = [(phi.values[i], lat.set_ids[mask]) for i, mask in level_sets(phi.values)]
-    return SpectralFamily(lat, jumps)
+    levels = level_sets(phi.values)
+    # sorted distinct values, growing level sets ending at the ground set
+    return SpectralFamily._canonical(lat, [phi.values[i] for i, _ in levels],
+                                     [lat.set_ids[mask] for _, mask in levels])
 
 
 def function_of(field: FieldOfSets, family: SpectralFamily) -> MeasurableFunction:
@@ -227,7 +229,7 @@ def bijection_report(field: FieldOfSets, grid):
     """
     from .family import enumerate_families
 
-    grid = sorted(Fraction(g) for g in set(grid))
+    grid = sorted(_as_fraction(g) for g in set(grid))
     failures = []
     cases = 0
     for values in atom_grid_values(field, grid):

@@ -151,13 +151,19 @@ def is_continuous(space: TopSpace, values) -> bool:
 def _level_family(space: TopSpace, keys, values) -> SpectralFamily:
     """The step family t -> interior({f <= t}), with points sorted and tied by
     ``keys`` and ``values[i]`` as the thresholds: exact whenever ``keys`` has
-    the order and ties of ``values``, e.g. ranks into an increasing grid.
-    The last level set is the whole space, which is open, so the family is
-    bounded."""
+    the order and ties of ``values``, e.g. ranks into an increasing grid."""
+    return _family_of_levels(space, level_sets(keys), values)
+
+
+def _family_of_levels(space: TopSpace, levels, values) -> SpectralFamily:
+    """``_level_family`` from precomputed ``level_sets(keys)``.  The level
+    sets increase, so their interiors do, and the last is the whole space,
+    which is open: the family is bounded and monotone by construction."""
     lat = space.lattice()
     ids = lat.set_ids
-    return SpectralFamily(lat, [(values[i], ids[space.interior(mask)])
-                                for i, mask in level_sets(keys)])
+    interior = space.interior
+    return SpectralFamily._canonical(lat, [values[i] for i, _ in levels],
+                                     [ids[interior(mask)] for _, mask in levels])
 
 
 def spectral_family_of_continuous(space: TopSpace, values):
@@ -375,7 +381,7 @@ _TOPOLOGY_CACHE = {}
 
 
 def all_topologies(n: int) -> tuple:
-    """Every topology on n labeled points (1, 4, 29, 355 for n = 1..4).
+    """Every topology on n labeled points (1, 4, 29, 355, 6942 for n = 1..5).
 
     A finite topology is fixed by its minimal open neighbourhoods U_x, and
     the vectors (U_1, ..., U_n) that occur are exactly those with x in U_x
@@ -385,8 +391,8 @@ def all_topologies(n: int) -> tuple:
     """
     if n < 1:
         raise InputError("need at least one point")
-    if n > 4:
-        raise InputError("exhaustive topology generation capped at 4 points")
+    if n > 5:
+        raise InputError("exhaustive topology generation capped at 5 points")
     if n in _TOPOLOGY_CACHE:
         return _TOPOLOGY_CACHE[n]
     families = []

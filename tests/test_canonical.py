@@ -1,0 +1,67 @@
+"""The trusted constructor ``SpectralFamily._canonical`` against ``__init__``.
+
+Three functions skip validation because their construction already gives
+strictly increasing thresholds, monotone values and a top last value: the
+level-set families of topologies, ``enumerate_families`` and the level-set
+families of measurable functions.  Here every family they build on the
+check sweeps also goes through the checking constructor, which must accept
+the same jumps and give an equal object.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import stonespec
+from stonespec import (MeasurableFunction, SpectralFamily, all_fields,
+                       enumerate_families, spectral_family_of)
+from stonespec.checks import GRID3, _ground, _injectivity_fixtures, suite_correspondence
+from stonespec.measurable import atom_grid_values
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Route every ``_canonical`` call through ``__init__`` too; returns the
+    list of the families built."""
+    built = []
+    trusted = SpectralFamily._canonical.__func__
+
+    def canonical(cls, lattice, thresholds, values):
+        thresholds, values = list(thresholds), list(values)
+        e = trusted(cls, lattice, thresholds, values)
+        assert e == SpectralFamily(lattice, list(zip(thresholds, values)))
+        built.append(e)
+        return e
+
+    monkeypatch.setattr(SpectralFamily, "_canonical", classmethod(canonical))
+    return built
+
+
+def test_correspondence_sweep_both_directions(checked):
+    res = suite_correspondence(4)
+    assert res.failures == []
+    # 3**n level-set families per topology on n points (1, 4, 29, 355 of
+    # them), then at least one enumerated family per topology
+    level_families = sum(c * 3 ** n for n, c in ((1, 1), (2, 4), (3, 29), (4, 355)))
+    assert len(checked) > level_families + 389
+
+
+@pytest.mark.parametrize("grid", [GRID3, (Fraction(0), Fraction(1), Fraction(2))])
+def test_enumerate_families_on_the_injectivity_fixtures(checked, grid):
+    for _, lat in _injectivity_fixtures(4):
+        got = enumerate_families(lat, grid)
+        assert got == checked[-len(got):]
+    assert checked
+
+
+def test_spectral_family_of_on_the_bijection_fields(checked):
+    count = 0
+    for f in all_fields(_ground(4)):
+        for values in atom_grid_values(f, GRID3):
+            spectral_family_of(MeasurableFunction(f, values))
+            count += 1
+    assert len(checked) == count
+
+
+def test_trusted_constructor_is_not_exported():
+    assert not hasattr(stonespec, "_canonical")

@@ -161,6 +161,33 @@ class TestEval:
             SpectralFamily(b2, [(Fraction(0), "x"), (1.0, "1")])
 
 
+def float_entry_points():
+    """Each public entry point that takes a rational, called with 0.1."""
+    from stonespec import FieldOfSets, MeasurableFunction, bijection_report
+    from stonespec.family import point_values
+
+    b2 = boolean_lattice(2)
+    space = stone_space(b2)
+    e = SpectralFamily(b2, [(0, "x"), (1, "1")])
+    field = FieldOfSets.from_partition(("1", "2"), [["1"], ["2"]])
+    phi = MeasurableFunction(field, [0, 1])
+    return {
+        "point_values": lambda: point_values(("a",), [0.1]),
+        "ObservableFunction": lambda: ObservableFunction(space, [0, 0.1]),
+        "ObservableFunction.scale": lambda: observable_function(e, space).scale(0.1),
+        "family.scale": lambda: fam.scale(0.1, e),
+        "MeasurableFunction": lambda: MeasurableFunction(field, [0, 0.1]),
+        "MeasurableFunction.level_mask": lambda: phi.level_mask(0.1),
+        "bijection_report": lambda: bijection_report(field, [0, 0.1]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(float_entry_points()))
+def test_floats_rejected_at_every_entry_point(name):
+    with pytest.raises(InputError, match="got float 0.1"):
+        float_entry_points()[name]()
+
+
 class TestObservableFunction:
     def test_mo2_example(self):
         mo2 = mo_lattice(2)
@@ -476,3 +503,10 @@ def test_enumerate_families_counts():
     assert len(enumerate_families(boolean_lattice(2), (0, 1))) == 4
     # boolean(4): 3 one-jump + 42 two-jump + 36 three-jump families
     assert len(enumerate_families(boolean_lattice(4), (0, 1, 2))) == 81
+
+
+def test_enumerate_families_needs_a_bottom_and_a_top():
+    # two minimal and two maximal elements: no bottom, no top
+    crown = Lattice(["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+    with pytest.raises(InputError, match="bottom and a top"):
+        enumerate_families(crown, (0, 1))

@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stonespec import (ComplexSpectralFamily, FieldOfSets, MeasurableFunction,
                        ObservableFunction, all_fields, all_topologies,
@@ -138,6 +140,39 @@ class TestKernels:
             got = level_sets(keys)
             assert [mask for _, mask in got] == want
             assert [keys[i] for i, _ in got] == sorted(set(keys))
+
+
+def oracle_level_sets(keys):
+    """``level_sets`` as it was before ``Fraction`` keys were scaled to
+    integers: the keys themselves sorted and compared."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    out = []
+    mask = 0
+    for i, j in zip(order, order[1:] + [None]):
+        mask |= 1 << i
+        if j is None or keys[j] != keys[i]:
+            out.append((i, mask))
+    return out
+
+
+# mixed denominators, negatives and, from the small range, many ties
+fractions = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6, 7, 12)))
+
+
+class TestLevelSetKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(fractions, max_size=9))
+    def test_fraction_keys_scaled_to_integers(self, keys):
+        assert level_sets(keys) == oracle_level_sets(keys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(fractions, st.integers(-3, 3)), max_size=9))
+    def test_mixed_int_and_fraction_keys(self, keys):
+        assert level_sets(keys) == oracle_level_sets(keys)
+
+    def test_reported_point_is_the_last_of_its_ties(self):
+        keys = [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 4), Fraction(-2, 6)]
+        assert level_sets(keys) == [(3, 0b1010), (2, 0b1111)]
 
 
 # --- the five first-hit callers ----------------------------------------------------

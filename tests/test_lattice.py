@@ -4,8 +4,12 @@ Expected values are computed by independent oracles (plain order scans over
 the declared relation) and frozen as literals where small enough.
 """
 
+import os
+import random
+
 import pytest
 
+from stonespec import dsl
 from stonespec import (InputError, Lattice, NoOrthocomplementError,
                        boolean_lattice, build_fixture, chain_lattice,
                        mo_lattice, product_lattice)
@@ -287,3 +291,70 @@ class TestFromSets:
 
     def test_other_lattices_carry_no_set_ids(self):
         assert chain_lattice(3).set_ids is None and mo_lattice(2).set_ids is None
+
+
+def oracle_is_distributive(lat):
+    """The O(n^3) triple scan on its own, the witness being the first
+    failing triple."""
+    meet, join = lat._tables()
+    for a in range(lat.n):
+        for b in range(lat.n):
+            for c in range(lat.n):
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                    return False, (lat.names[a], lat.names[b], lat.names[c])
+    return True, None
+
+
+def fixture_file_lattices():
+    here = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
+    out = []
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".lat"):
+            with open(os.path.join(here, name), encoding="utf-8") as handle:
+                blocks = dsl.parse(handle.read()).file.blocks
+            out += [b.lattice() for b in blocks if b.kind in ("lattice", "field", "topology")]
+    return out
+
+
+def seeded_sublattices(count, seed=0):
+    """Intersection-closed families of subsets holding the empty and the full
+    set: lattices of sets, many of them not distributive."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k = rng.randint(2, 5)
+        masks = {0, (1 << k) - 1} | {rng.randrange(1 << k) for _ in range(rng.randint(0, 8))}
+        grown = True
+        while grown:
+            meets = {a & b for a in masks for b in masks}
+            grown = not meets <= masks
+            masks |= meets
+        masks = sorted(masks)
+        out.append(Lattice.from_sets(masks, map(str, masks)))
+    return out
+
+
+class TestDistributive:
+    def lattices(self):
+        return ([boolean_lattice(n) for n in range(1, 7)]
+                + [mo_lattice(n) for n in range(1, 5)]
+                + [chain_lattice(n) for n in range(1, 8)]
+                + [pentagon(), product_lattice(chain_lattice(3), mo_lattice(2)),
+                   product_lattice(chain_lattice(3), chain_lattice(4))]
+                + fixture_file_lattices() + seeded_sublattices(300))
+
+    def test_join_prime_test_matches_the_triple_scan(self):
+        verdicts = set()
+        for lat in self.lattices():
+            want = oracle_is_distributive(lat)
+            assert lat._join_irreducibles_are_prime(lat._tables()[1]) == want[0]
+            assert lat.is_distributive() == want
+            verdicts.add(want[0])
+        assert verdicts == {True, False}
+
+    def test_an_order_that_is_not_antisymmetric_takes_the_scan(self):
+        # p and q are mutually comparable; the tables still exist
+        bad = Lattice(["b", "p", "q", "t"],
+                      [("b", "p"), ("p", "q"), ("q", "p"), ("p", "t")])
+        assert not bad._join_irreducibles_are_prime(bad._tables()[1])
+        assert bad.is_distributive() == oracle_is_distributive(bad)

@@ -523,6 +523,12 @@ class TestAllTopologies:
         seen = {t.opens for t in tops}
         assert len(seen) == 29
 
+    def test_five_points(self):
+        # OEIS A000798; each space's constructor checks the closure laws
+        spaces = all_topologies(5)
+        assert len(spaces) == 6942
+        assert len({t.opens for t in spaces}) == 6942
+
     def test_size_cap(self):
         with pytest.raises(InputError):
-            all_topologies(5)
+            all_topologies(6)
