@@ -10,7 +10,6 @@ tests both run them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -18,7 +17,7 @@ from . import family as fam
 from . import measurable as mea
 from . import topology as top
 from .errors import InputError
-from .lattice import Lattice, bits, boolean_lattice, chain_lattice, mo_lattice
+from .lattice import Lattice, Record, bits, boolean_lattice, chain_lattice, mo_lattice
 from .stone import (dual_ideal_intersection_law, is_completely_distributive,
                     stone_space)
 
@@ -26,12 +25,11 @@ HALF = Fraction(1, 2)
 GRID3 = (Fraction(0), HALF, Fraction(1))
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(Record):
     name: str
     cases: int = 0
-    failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    failures: list = []
+    notes: list = []
 
     def check(self, ok: bool, message: str, *args):
         """Count a case; only a failing one renders ``message.format(*args)``."""
@@ -545,10 +543,13 @@ SUITES = {
 }
 
 
-def run_suite(name: str, max_size: int = 4, seed: int = 0) -> SuiteResult:
-    try:
-        suite = SUITES[name]
-    except KeyError:
+def suite(name: str):
+    """The suite called ``name``."""
+    if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; choose from "
-                         + ", ".join(sorted(SUITES)) + ", all") from None
-    return suite(max_size=max_size, seed=seed)
+                         + ", ".join(sorted(SUITES)) + ", all")
+    return SUITES[name]
+
+
+def run_suite(name: str, max_size: int = 4, seed: int = 0) -> SuiteResult:
+    return suite(name)(max_size=max_size, seed=seed)

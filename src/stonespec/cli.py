@@ -28,6 +28,8 @@ def _load(path: str) -> dsl.InstanceFile:
             text = handle.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot read {path}: not UTF-8 text ({e.reason})") from None
     result = dsl.parse(text)
     if not result.ok:
         lines = "\n".join(f"{path}:{d}" for d in result.diagnostics)
@@ -170,9 +172,11 @@ def cmd_integrate(args, file, out, info) -> int:
 
 
 def cmd_check(args, file, out) -> int:
+    names = sorted(checks.SUITES) if args.suite == "all" else [args.suite]
+    for name in names:
+        checks.suite(name)  # an unknown name fails before any output
     print(f"seed: {args.seed}", file=out)
     print(f"max-size: {args.max_size}", file=out)
-    names = sorted(checks.SUITES) if args.suite == "all" else [args.suite]
     total_fail = 0
     total_cases = 0
     for name in names:

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InvalidFamilyError
 from .family import ComplexSpectralFamily, SpectralFamily
-from .lattice import Lattice, bits
+from .lattice import Lattice, Record, bits
 from .measurable import FieldOfSets, MeasurableFunction, SetIdeal
 from .topology import TopSpace
 
@@ -34,8 +33,7 @@ KINDS = ("lattice", "topology", "field", "family", "family2", "function", "ideal
 _RESERVED = set("{},;:<#")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record, frozen=True):
     severity: str
     line: int
     column: int
@@ -50,8 +48,7 @@ class Diagnostic:
         return s
 
 
-@dataclass(frozen=True)
-class PointFunction:
+class PointFunction(Record, frozen=True):
     """A rational point function on a topological space (no measurability
     constraint applies there)."""
 
@@ -62,8 +59,7 @@ class PointFunction:
         return self.values[self.space.points.index(point)]
 
 
-@dataclass
-class BlockInfo:
+class BlockInfo(Record):
     kind: str
     name: str
     host: str | None
@@ -75,8 +71,7 @@ class BlockInfo:
         return self.obj if self.kind == "lattice" else self.obj.lattice()
 
 
-@dataclass
-class InstanceFile:
+class InstanceFile(Record):
     blocks: list
 
     def objects(self) -> dict:
@@ -89,8 +84,7 @@ class InstanceFile:
         return None
 
 
-@dataclass
-class ParseResult:
+class ParseResult(Record):
     file: InstanceFile | None
     diagnostics: list
 
@@ -188,8 +182,7 @@ class _Scanner:
             self.i += 1
 
 
-@dataclass
-class _RawBlock:
+class _RawBlock(Record):
     kind: str
     name: str
     host: str | None      # host name, when the link argument is a name

@@ -10,13 +10,12 @@ jumps so equality of families is plain equality of representations.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
 from .errors import InputError, InvalidFamilyError, UnsupportedStructureError
-from .lattice import Lattice, bits
+from .lattice import Lattice, Record, bits
 from .stone import StoneSpace, stone_space
 
 
@@ -42,14 +41,10 @@ def point_values(labels, values) -> tuple:
     return values
 
 
-@dataclass(init=False, repr=False)
 class SpectralFamily:
     """A bounded monotone step map from the rationals into a lattice."""
 
     __slots__ = ("lattice", "thresholds", "values")
-    thresholds: tuple
-    values: tuple
-    lattice: Lattice
 
     def __init__(self, lattice: Lattice, jumps):
         n = lattice.n
@@ -111,6 +106,12 @@ class SpectralFamily:
                           for t, v in zip(self.thresholds, self.values))
         return "SpectralFamily{" + parts + "}"
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.thresholds, self.values, self.lattice)
+                == (other.thresholds, other.values, other.lattice))
+
 
 class ObservableFunction:
     """A total rational-valued map on the quasipoints of a Stone space."""
@@ -166,18 +167,20 @@ class ObservableFunction:
             f"{self.space.point_name(k)}: {v}" for k, v in enumerate(self.values)) + ")"
 
 
-@dataclass(init=False, repr=False)
 class ComplexObservableFunction:
     """A pair of observable functions read as real and imaginary parts."""
 
     __slots__ = ("re", "im")
-    re: ObservableFunction
-    im: ObservableFunction
 
     def __init__(self, re: ObservableFunction, im: ObservableFunction):
         re._same_space(im)
         self.re = re
         self.im = im
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.re, self.im) == (other.re, other.im)
 
     def __add__(self, other):
         return ComplexObservableFunction(self.re + other.re, self.im + other.im)
@@ -361,8 +364,7 @@ def _as_complex_function(e):
 # --- spectrum and resolvent --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectrumDecomposition:
+class SpectrumDecomposition(Record, frozen=True):
     """The jump set of a canonical family and its complementary open intervals."""
 
     spectrum: tuple
@@ -388,7 +390,6 @@ def spectrum_of(family: SpectralFamily) -> SpectrumDecomposition:
 # --- two-parameter (complex) families ----------------------------------------
 
 
-@dataclass(init=False, repr=False)
 class ComplexSpectralFamily:
     """A bounded step map on a rational grid, monotone with the strong meet law.
 
@@ -399,10 +400,6 @@ class ComplexSpectralFamily:
     """
 
     __slots__ = ("lattice", "xs", "ys", "matrix")
-    xs: tuple
-    ys: tuple
-    matrix: tuple
-    lattice: Lattice
 
     def __init__(self, lattice: Lattice, xs, ys, matrix):
         xs = tuple(_as_fraction(x) for x in xs)
@@ -442,6 +439,12 @@ class ComplexSpectralFamily:
 
     def __repr__(self):
         return f"ComplexSpectralFamily(xs={self.xs}, ys={self.ys})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.xs, self.ys, self.matrix, self.lattice)
+                == (other.xs, other.ys, other.matrix, other.lattice))
 
 
 def _kept_lines(lines, bottom) -> list:

@@ -8,7 +8,6 @@ values are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, NoOrthocomplementError
@@ -41,15 +40,52 @@ def label_masks(labels, sets) -> list:
     return masks
 
 
-@dataclass(frozen=True)
-class Violation:
+class Record:
+    """A record declared like a dataclass, without the start-up cost of
+    :mod:`dataclasses`: a subclass's annotated names are its positional fields,
+    a value given to one is its default (a list is copied per record), repr and
+    equality follow the fields, and ``class R(Record, frozen=True)`` records
+    are immutable and hashable."""
+
+    def __init_subclass__(cls, frozen=False):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._frozen
+            cls.__hash__ = lambda self: hash(self._values())
+
+    def __init__(self, *args):
+        fields = self._fields
+        if not len(fields) - len(self._defaults) <= len(args) <= len(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        self.__dict__.update(zip(fields, args))
+        for f in fields[len(args):]:
+            d = self._defaults[f]
+            self.__dict__[f] = d.copy() if type(d) is list else d
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _frozen(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
+class Violation(Record, frozen=True):
     code: str
     message: str
     witness: tuple = ()
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Record):
     entries: list
 
     @property

@@ -9,7 +9,6 @@ by its union of surviving atoms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -20,12 +19,8 @@ from .lattice import Lattice, bits, label_masks
 from .stone import StoneSpace, stone_space
 
 
-@dataclass(init=False, repr=False)
 class FieldOfSets:
     """A finite algebra of subsets of a finite ground set."""
-
-    ground: tuple
-    atoms: tuple
 
     def __init__(self, ground, atoms):
         self.ground = tuple(ground)
@@ -129,6 +124,11 @@ class FieldOfSets:
     def __repr__(self):
         return f"FieldOfSets({len(self.ground)} points, {len(self.atoms)} atoms)"
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ground, self.atoms) == (other.ground, other.atoms)
+
 
 def all_fields(ground) -> list:
     """Every field of sets on the ground set, one per partition."""
@@ -149,13 +149,10 @@ def all_fields(ground) -> list:
     return out
 
 
-@dataclass(init=False, repr=False)
 class MeasurableFunction:
     """A rational point function constant on every atom of its field."""
 
     __slots__ = ("field", "values")
-    field: FieldOfSets
-    values: tuple
 
     def __init__(self, field: FieldOfSets, values):
         values = point_values(field.ground, values)
@@ -182,6 +179,11 @@ class MeasurableFunction:
     def __repr__(self):
         pairs = ", ".join(f"{p}: {v}" for p, v in zip(self.field.ground, self.values))
         return "MeasurableFunction{" + pairs + "}"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.values) == (other.field, other.values)
 
     def sup_norm(self) -> Fraction:
         return max(abs(v) for v in self.values)
@@ -244,14 +246,11 @@ def bijection_report(field: FieldOfSets, grid):
     return cases, failures
 
 
-@dataclass(init=False, repr=False)
 class SetIdeal:
     """A downward closed, union closed subfamily of a field (never the whole
     ground set); principal over its union at finite scale."""
 
     __slots__ = ("field", "mask")
-    field: FieldOfSets
-    mask: int
 
     def __init__(self, field: FieldOfSets, mask: int):
         if not field.contains(mask):
@@ -284,6 +283,11 @@ class SetIdeal:
 
     def __repr__(self):
         return f"SetIdeal({self.field.set_name(self.mask)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.mask) == (other.field, other.mask)
 
 
 def ideals_of(field: FieldOfSets) -> list:

@@ -11,17 +11,14 @@ suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
-from .lattice import Lattice, bits
+from .lattice import Lattice, Record, bits
 
 # element count above which a scan over all 2^n element families is refused
 SCAN_CAP = 20
 
 
-@dataclass(frozen=True)
-class DualIdeal:
+class DualIdeal(Record, frozen=True):
     """A filter, stored as a bitmask of element ids."""
 
     lattice: Lattice

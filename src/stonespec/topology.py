@@ -9,13 +9,11 @@ discrete spaces; everything else works for arbitrary finite topologies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError, UnsupportedStructureError
 from .family import (ComplexObservableFunction, ObservableFunction,
                      SpectralFamily, first_hits, level_sets, observable_function,
                      point_values)
-from .lattice import Lattice, bits, label_masks
+from .lattice import Lattice, Record, bits, label_masks
 from .stone import SCAN_CAP, FiniteSpace, StoneSpace, stone_space, unions
 
 
@@ -30,12 +28,8 @@ def _min_nbhds(masks, n: int) -> list:
     return nbhd
 
 
-@dataclass(init=False, repr=False)
 class TopSpace(FiniteSpace):
     """A finite topology, opens stored as point bitmasks."""
-
-    points: tuple
-    opens: frozenset
 
     def __init__(self, points, opens):
         self.points = tuple(points)
@@ -58,12 +52,22 @@ class TopSpace(FiniteSpace):
                 if a & b not in opens:
                     raise InputError(
                         f"not closed under intersection: {self.set_name(a)}, {self.set_name(b)}")
-        self.opens = opens
-        self._basis = seq
-        self._nbhd = tuple(_min_nbhds(seq, len(self.points)))
+        self._set(self.points, opens, seq, _min_nbhds(seq, len(self.points)))
+
+    @classmethod
+    def _trusted(cls, points: tuple, opens: frozenset, nbhd) -> "TopSpace":
+        """The space, trusted: for callers whose construction guarantees a
+        topology on distinct points with these U_x.  ``__init__`` checks."""
+        self = cls.__new__(cls)
+        self._set(points, opens, sorted(opens), nbhd)
+        return self
+
+    def _set(self, points, opens, basis, nbhd) -> None:
+        self.points = points
+        self.full = self._full = (1 << len(points)) - 1
+        self.opens, self._basis, self._nbhd = opens, basis, tuple(nbhd)
         self._interior = {}
-        self._lattice = None
-        self._r_lattice = None
+        self._lattice = self._r_lattice = None
 
     @classmethod
     def from_sets(cls, points, sets) -> "TopSpace":
@@ -121,6 +125,11 @@ class TopSpace(FiniteSpace):
 
     def __repr__(self):
         return f"TopSpace({len(self.points)} points, {len(self.opens)} opens)"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.points, self.opens) == (other.points, other.opens)
 
 
 # --- continuity and the induced families -------------------------------------
@@ -220,8 +229,7 @@ def induced_function(space: TopSpace, family: SpectralFamily) -> tuple:
 # --- quasipoints over points ---------------------------------------------------
 
 
-@dataclass
-class PtStructure:
+class PtStructure(Record):
     """Quasipoints sorted by the points they sit over.
 
     ``q_x[i]`` is the bitmask (over Stone-space point indices) of quasipoints
@@ -400,7 +408,7 @@ def all_topologies(n: int) -> tuple:
 
     def extend(i: int) -> None:
         if i == n:
-            families.append(unions(nbhd))
+            families.append((unions(nbhd), tuple(nbhd)))
             return
         for u in range(1 << n):
             if u >> i & 1 and all(
@@ -412,7 +420,7 @@ def all_topologies(n: int) -> tuple:
 
     extend(0)
     labels = tuple(str(i + 1) for i in range(n))
-    ordered = sorted(families, key=lambda fam: (len(fam), tuple(sorted(fam))))
-    spaces = tuple(TopSpace(labels, fam) for fam in ordered)
+    families.sort(key=lambda fam: (len(fam[0]), tuple(sorted(fam[0]))))
+    spaces = tuple(TopSpace._trusted(labels, *fam) for fam in families)
     _TOPOLOGY_CACHE[n] = spaces
     return spaces

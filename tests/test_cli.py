@@ -62,8 +62,31 @@ class TestExitCodes:
         assert code == 2 and "dangling-reference" in err
 
     def test_unknown_suite(self):
-        code, _, err = run("check", "bogus-suite")
+        code, out, err = run("check", "bogus-suite")
         assert code == 2 and "unknown suite" in err
+        assert out == ""
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        bad = tmp_path / "bad.lat"
+        bad.write_bytes(b"lattice L { elements: 0, \xff ; }\n")
+        code, out, err = run("validate", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {bad}: not UTF-8 text (invalid start byte)\n"
+
+
+class TestStartup:
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # every CLI call pays for the modules the package imports; these two
+        # bring ast, dis and tokenize with them and cost more start-up time
+        # than the package's own code
+        probe = ("import sys; before = set(sys.modules); import stonespec.cli; "
+                 "print(*sorted(set(sys.modules) - before))")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=30, env=dict(os.environ, PYTHONPATH=src), check=True)
+        loaded = set(done.stdout.split())
+        assert "stonespec.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect"}
 
 
 class TestTables:

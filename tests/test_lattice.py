@@ -13,7 +13,8 @@ from stonespec import dsl
 from stonespec import (InputError, Lattice, NoOrthocomplementError,
                        boolean_lattice, build_fixture, chain_lattice,
                        mo_lattice, product_lattice)
-from stonespec.lattice import bits
+from stonespec.checks import SuiteResult
+from stonespec.lattice import Violation, bits
 
 
 def oracle_meet(lat, ids):
@@ -358,3 +359,34 @@ class TestDistributive:
                       [("b", "p"), ("p", "q"), ("q", "p"), ("p", "t")])
         assert not bad._join_irreducibles_are_prime(bad._tables()[1])
         assert bad.is_distributive() == oracle_is_distributive(bad)
+
+
+class TestRecord:
+    """The plain records behave as the dataclasses they replace did."""
+
+    def test_positional_fields_defaults_and_repr(self):
+        v = Violation("bounds", "no top")
+        assert (v.code, v.message, v.witness) == ("bounds", "no top", ())
+        assert repr(v) == "Violation(code='bounds', message='no top', witness=())"
+        with pytest.raises(TypeError):
+            Violation("bounds")
+        with pytest.raises(TypeError):
+            Violation("bounds", "no top", (), "extra")
+
+    def test_frozen_records_are_immutable_and_hash_their_fields(self):
+        v = Violation("bounds", "no top", (1,))
+        with pytest.raises(AttributeError):
+            v.code = "other"
+        with pytest.raises(AttributeError):
+            del v.code
+        assert v == Violation("bounds", "no top", (1,)) and v != Violation("bounds", "no top")
+        assert hash(v) == hash(("bounds", "no top", (1,)))
+
+    def test_mutable_records_get_their_own_list_defaults(self):
+        a, b = SuiteResult("a"), SuiteResult("a")
+        a.failures.append("x")
+        a.cases += 1
+        assert b.failures == [] and b.notes == [] and b.cases == 0
+        assert a != b and (a.failures, a.cases) == (["x"], 1)
+        with pytest.raises(TypeError):
+            hash(b)

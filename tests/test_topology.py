@@ -524,10 +524,21 @@ class TestAllTopologies:
         assert len(seen) == 29
 
     def test_five_points(self):
-        # OEIS A000798; each space's constructor checks the closure laws
+        # OEIS A000798
         spaces = all_topologies(5)
         assert len(spaces) == 6942
         assert len({t.opens for t in spaces}) == 6942
+
+    def test_generated_spaces_equal_checked_construction(self):
+        # the generated spaces skip the checks of TopSpace(points, opens);
+        # rebuilt through it, each must come out the same, down to the basis
+        # order (which fixes lattice ids) and the minimal neighbourhoods
+        attrs = ("points", "full", "_full", "opens", "_basis", "_nbhd")
+        for n in range(1, 6):
+            for t in all_topologies(n):
+                checked = TopSpace(t.points, t.opens)
+                for attr in attrs:
+                    assert getattr(t, attr) == getattr(checked, attr), (t.opens, attr)
 
     def test_size_cap(self):
         with pytest.raises(InputError):
