@@ -238,35 +238,36 @@ def suite_correspondence(max_size: int = 4, seed: int = 0) -> SuiteResult:
         res.check(len(spaces) == counts[n],
                   "{} topologies enumerated on {} points, wanted {}",
                   len(spaces), n, counts[n])
-        # the level sets depend on the rank vector alone, not on the topology
-        grid_fns = [(ranks, values, fam.level_sets(ranks))
-                    for ranks, values in _grid3_functions(n)]
+        grid_fns = _grid3_functions(n)
         for t in spaces:
             lat = t.lattice()
-            for ranks, values, levels in grid_fns:
-                cont = top._constant_on_nbhds(t, ranks)
-                e = top._family_of_levels(t, levels, values)
-                if found is None and top.classify_family(t, e) == "regular":
-                    found = t, e
-                res.check(_domain(lat, e) == t.full,
+            ids = top._interior_ids(t)
+            for values, ts, masks, fibres in grid_fns:
+                # the family's last value, if any, is the union of its values
+                dom = lat.payload[ids[masks[-1]]]
+                res.check(dom == t.full,
                           "{!r}: the family of {} does not cover the space", t, values)
+                cont = t.opens.issuperset(fibres)  # see top.is_continuous
+                if found is None or cont:
+                    e = fam.SpectralFamily._canonical(lat, ts, [ids[m] for m in masks])
+                    if found is None and top.classify_family(t, e) == "regular":
+                        found = t, e
                 if cont:
                     sr, witness = top.is_strongly_regular(t, e)
                     res.check(sr, "{!r}: continuous {} gave a family "
                                   "that is not strongly regular at {}", t, values, witness)
-                    res.check(_domain(lat, e) == t.full,
+                    res.check(dom == t.full,
                               "{!r}: admissible domain not the whole space", t)
                     res.check(top.induced_function(t, e) == values,
                               "{!r}: induced function differs from {}", t, values)
             # the family-side direction quantifies over all bounded families
             for e in fam.enumerate_families(lat, GRID3):
-                sr, _ = top.is_strongly_regular(t, e)
-                dom = _domain(lat, e)
                 masks = [lat.payload[v] for v in e.values]
+                dom = masks[-1]  # a monotone chain's union is its last member
                 res.check(dom == t.full, "{!r}: bounded family with partial domain", t)
-                res.check(all(o & dom for o in t.opens if o),
+                res.check(t.closure(dom) == t.full,
                           "{!r}: domain of {!r} is not dense", t, e)
-                if sr:
+                if top._first_unclosed(t, masks) < 0:
                     res.check(dom in t.opens,
                               "{!r}: domain of strongly regular {!r} is not open", t, e)
                     induced = top.induced_function(t, e)
@@ -299,18 +300,18 @@ def suite_correspondence(max_size: int = 4, seed: int = 0) -> SuiteResult:
 
 
 def _grid3_functions(n: int) -> list:
-    """Every GRID3-valued function on n points as (ranks, values); GRID3 is
-    strictly increasing, so ranks are exact order keys for the values."""
-    return [(ranks, tuple([GRID3[k] for k in ranks]))
-            for ranks in product(range(len(GRID3)), repeat=n)]
-
-
-def _domain(lat: Lattice, e: fam.SpectralFamily) -> int:
-    """The points some value of the family contains: its admissible domain."""
-    dom = 0
-    for v in e.values:
-        dom |= lat.payload[v]
-    return dom
+    """Every GRID3-valued function on n points as (values, thresholds, level
+    masks, fibres), none of which depends on a topology.  The level sets are
+    sorted by ranks into GRID3, exact order keys because GRID3 is strictly
+    increasing; the fibres are the differences of consecutive level masks."""
+    out = []
+    for ranks in product(range(len(GRID3)), repeat=n):
+        values = tuple([GRID3[k] for k in ranks])
+        levels = fam.level_sets(ranks)
+        masks = [m for _, m in levels]
+        out.append((values, [values[i] for i, _ in levels], masks,
+                    [m ^ p for m, p in zip(masks, [0] + masks)]))
+    return out
 
 
 # --- quotient algebras and the induced transform --------------------------------

@@ -22,14 +22,19 @@ from .lattice import bits
 from .stone import stone_space
 
 
+MAX_INPUT = 4 << 20  # characters read from a file at most, far above any real one
+
+
 def _load(path: str) -> dsl.InstanceFile:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            text = handle.read(MAX_INPUT + 1)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
         raise InputError(f"cannot read {path}: not UTF-8 text ({e.reason})") from None
+    if len(text) > MAX_INPUT:
+        raise InputError(f"cannot read {path}: longer than {MAX_INPUT} characters")
     result = dsl.parse(text)
     if not result.ok:
         lines = "\n".join(f"{path}:{d}" for d in result.diagnostics)

@@ -79,13 +79,14 @@ class SpectralFamily:
 
     def _set_canonical(self, lattice: Lattice, ts, vs) -> None:
         """Store the canonical form: drop bottom jumps (unless top is bottom)
-        and repeats."""
-        top, bottom = lattice.top, lattice.bottom
+        and repeats, i.e. keep each (monotone) value unlike the last one kept."""
+        last = None if lattice.top == lattice.bottom else lattice.bottom
         thresholds, values = [], []
         for t, v in zip(ts, vs):
-            if (v != bottom or top == bottom) and (not values or values[-1] != v):
+            if v != last:
                 thresholds.append(t)
                 values.append(v)
+                last = v
         self.lattice = lattice
         self.thresholds = tuple(thresholds)
         self.values = tuple(values)

@@ -157,8 +157,9 @@ class MeasurableFunction:
     def __init__(self, field: FieldOfSets, values):
         values = point_values(field.ground, values)
         for a in field.atoms:
-            ps = list(bits(a))
-            if any(values[p] != values[ps[0]] for p in ps):
+            low = a & -a
+            first = values[low.bit_length() - 1]
+            if any(values[p] != first for p in bits(a ^ low)):
                 raise InputError(
                     f"function is not measurable: not constant on atom {field.set_name(a)}")
         self.field = field

@@ -13,7 +13,7 @@ from .errors import InputError, UnsupportedStructureError
 from .family import (ComplexObservableFunction, ObservableFunction,
                      SpectralFamily, first_hits, level_sets, observable_function,
                      point_values)
-from .lattice import Lattice, Record, bits, label_masks
+from .lattice import MAX_ELEMENTS, Lattice, Record, bits, label_masks
 from .stone import SCAN_CAP, FiniteSpace, StoneSpace, stone_space, unions
 
 
@@ -43,6 +43,8 @@ class TopSpace(FiniteSpace):
             raise InputError("open set outside the point set")
         if 0 not in opens or self.full not in opens:
             raise InputError("a topology must contain the empty set and the whole space")
+        if len(opens) > MAX_ELEMENTS:
+            raise InputError(f"{len(opens)} open sets exceed the cap of {MAX_ELEMENTS}")
         seq = sorted(opens)
         for a in seq:
             for b in seq:
@@ -83,9 +85,10 @@ class TopSpace(FiniteSpace):
     def generated(cls, points, sets) -> "TopSpace":
         """The least topology containing the sets: each point's minimal open
         neighbourhood is the intersection of the sets around it, and the opens
-        are the unions of those neighbourhoods."""
+        are the unions of those neighbourhoods, built only up to the cap."""
         points = tuple(points)
-        return cls(points, unions(_min_nbhds(label_masks(points, sets), len(points))))
+        nbhd = _min_nbhds(label_masks(points, sets), len(points))
+        return cls(points, unions(nbhd, MAX_ELEMENTS))
 
     def mask_of(self, labels) -> int:
         return label_masks(self.points, [labels])[0]
@@ -153,19 +156,16 @@ def is_continuous(space: TopSpace, values) -> bool:
     closure of {f(y)}, which is {f(y)} because the reals are T1.  Conversely,
     if f is constant on each U_x, the preimage of any set is the union of the
     U_x over its points, hence open (Alexandroff 1937; Stong 1966).
+    Equivalently, every fibre is open: a fibre is the preimage of an open
+    interval that isolates its value, and every preimage is a union of fibres.
     """
     return _constant_on_nbhds(space, point_values(space.points, values))
 
 
-def _level_family(space: TopSpace, keys, values) -> SpectralFamily:
-    """The step family t -> interior({f <= t}), with points sorted and tied by
-    ``keys`` and ``values[i]`` as the thresholds: exact whenever ``keys`` has
-    the order and ties of ``values``, e.g. ranks into an increasing grid."""
-    return _family_of_levels(space, level_sets(keys), values)
-
-
 def _family_of_levels(space: TopSpace, levels, values) -> SpectralFamily:
-    """``_level_family`` from precomputed ``level_sets(keys)``.  The level
+    """The step family t -> interior({f <= t}) from ``levels = level_sets(keys)``
+    with ``values[i]`` as the thresholds: exact whenever ``keys`` has the order
+    and ties of ``values``, e.g. ranks into an increasing grid.  The level
     sets increase, so their interiors do, and the last is the whole space,
     which is open: the family is bounded and monotone by construction."""
     lat = space.lattice()
@@ -175,6 +175,12 @@ def _family_of_levels(space: TopSpace, levels, values) -> SpectralFamily:
                                      [ids[interior(mask)] for _, mask in levels])
 
 
+def _interior_ids(space: TopSpace) -> list:
+    """The lattice id of interior(m) for each of the 2^n point sets m."""
+    ids = space.lattice().set_ids
+    return [ids[space.interior(m)] for m in range(space.full + 1)]
+
+
 def spectral_family_of_continuous(space: TopSpace, values):
     """The step family t -> interior(preimage of (-inf, t]).
 
@@ -182,7 +188,7 @@ def spectral_family_of_continuous(space: TopSpace, values):
     back; for arbitrary inputs it is still a bounded family at finite scale.
     """
     values = point_values(space.points, values)
-    return _level_family(space, values, values)
+    return _family_of_levels(space, level_sets(values), values)
 
 
 def _family_payloads(space: TopSpace, family: SpectralFamily) -> list:
@@ -200,13 +206,17 @@ def is_strongly_regular(space: TopSpace, family: SpectralFamily):
     consecutive-step pairs follow by monotonicity).  The witness is a real
     pair (threshold, point inside the same step).
     """
-    masks = _family_payloads(space, family)
+    i = _first_unclosed(space, _family_payloads(space, family))
+    if i < 0:
+        return True, None
     ts = family.thresholds
-    for i, m in enumerate(masks):
-        if space.closure(m) & ~m:
-            mu = (ts[i] + ts[i + 1]) / 2 if i + 1 < len(ts) else ts[i] + 1
-            return False, (ts[i], mu)
-    return True, None
+    return False, (ts[i], (ts[i] + ts[i + 1]) / 2 if i + 1 < len(ts) else ts[i] + 1)
+
+
+def _first_unclosed(space: TopSpace, masks) -> int:
+    """The index of the first mask that is not closed, or -1."""
+    closure = space.closure
+    return next((i for i, m in enumerate(masks) if closure(m) != m), -1)
 
 
 def classify_family(space: TopSpace, family: SpectralFamily) -> str:

@@ -9,14 +9,17 @@ the same jumps and give an equal object.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import stonespec
-from stonespec import (MeasurableFunction, SpectralFamily, all_fields,
+from stonespec import (MeasurableFunction, SpectralFamily, all_fields, all_topologies,
                        enumerate_families, spectral_family_of)
 from stonespec.checks import GRID3, _ground, _injectivity_fixtures, suite_correspondence
+from stonespec.family import level_sets
 from stonespec.measurable import atom_grid_values
+from stonespec.topology import _family_of_levels
 
 
 @pytest.fixture
@@ -38,11 +41,18 @@ def checked(monkeypatch):
 
 
 def test_correspondence_sweep_both_directions(checked):
+    # every level-set family of a GRID3 function, 3**n per topology on n
+    # points (1, 4, 29, 355 of them); the sweep builds only those it reads
+    level_families = 0
+    for n in (1, 2, 3, 4):
+        for t in all_topologies(n):
+            for ranks in product(range(len(GRID3)), repeat=n):
+                _family_of_levels(t, level_sets(ranks), [GRID3[k] for k in ranks])
+                level_families += 1
+    assert len(checked) == level_families == 29577
+    # the suite's own families, at least one enumerated family per topology
     res = suite_correspondence(4)
     assert res.failures == []
-    # 3**n level-set families per topology on n points (1, 4, 29, 355 of
-    # them), then at least one enumerated family per topology
-    level_families = sum(c * 3 ** n for n, c in ((1, 1), (2, 4), (3, 29), (4, 355)))
     assert len(checked) > level_families + 389
 
 

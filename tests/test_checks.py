@@ -2,12 +2,14 @@
 search inside the correspondence sweep."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from stonespec import SpectralFamily, boolean_lattice
 from stonespec import topology as top
-from stonespec.checks import SuiteResult, _grid3_functions, suite_correspondence
+from stonespec.checks import GRID3, SuiteResult, suite_correspondence
+from stonespec.family import level_sets
 
 
 class Unprintable:
@@ -44,10 +46,11 @@ def oracle_regular_not_strongly_regular(n_max):
     """The first regular family that is not strongly regular, in sweep order,
     found by a second pass over the sweep's spaces and grid functions."""
     for n in range(1, n_max + 1):
-        grid_fns = _grid3_functions(n)
+        grid_fns = [(ranks, tuple(GRID3[k] for k in ranks))
+                    for ranks in product(range(len(GRID3)), repeat=n)]
         for t in top.all_topologies(n):
             for ranks, values in grid_fns:
-                e = top._level_family(t, ranks, values)
+                e = top._family_of_levels(t, level_sets(ranks), values)
                 if top.classify_family(t, e) == "regular":
                     return t, e
     return None

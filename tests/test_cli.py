@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from stonespec import (Lattice, boolean_lattice, chain_lattice, dsl, mo_lattice,
                        observable_function, riemann_stieltjes)
+from stonespec import cli
 from stonespec.cli import main
 from stonespec.lattice import bits
 from test_stone import oracle_quasipoints
@@ -29,6 +31,21 @@ def run(*argv):
 
 def fixture(name):
     return os.path.join(FIXTURES, name)
+
+
+def run_bounded(*argv, cpu_s=1, memory=600 << 20, wall_s=20):
+    """The CLI in a child process with its CPU time and address space capped
+    by ``setrlimit``, and a wall-time budget: a call that needs more is
+    killed (a signal, or a ``MemoryError`` traceback) instead of waited for."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_CPU, (cpu_s, cpu_s))
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "stonespec", *argv], capture_output=True,
+                          text=True, timeout=wall_s, env=env, preexec_fn=limit)
 
 
 class TestExitCodes:
@@ -224,16 +241,11 @@ class TestCheckCommand:
 class TestInputRobustness:
     def test_quasipoints_of_a_cyclic_order_terminates(self, tmp_path):
         # a < b < a is not antisymmetric; a greedy descent towards an atom
-        # would cycle between a and b, so run it with a timeout
+        # would cycle between a and b, so run it with bounded time
         path = tmp_path / "cycle.lat"
         path.write_text("lattice L { elements: 0, a, b, 1 ;"
                         " order: 0 < a, a < b, b < a, b < 1 ; }\n")
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run([sys.executable, "-m", "stonespec", "quasipoints",
-                               str(path), "L"], capture_output=True, text=True,
-                              timeout=30, env=env)
+        done = run_bounded("quasipoints", str(path), "L")
         # the order is rejected before any quasipoint is looked for
         assert done.returncode == 2
         assert done.stdout == ""
@@ -290,6 +302,39 @@ class TestInputRobustness:
         got, out, err = run(*(str(path) if a == "FILE" else a for a in argv))
         assert (got, out) == (2, "")
         assert err.count("\n") == 1 and code in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_file_is_read_up_to_the_cap(self):
+        done = run_bounded("validate", "/dev/zero")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (f"error: cannot read /dev/zero: longer than "
+                               f"{cli.MAX_INPUT} characters\n")
+
+    def test_input_cap_boundary(self, tmp_path, monkeypatch):
+        text = "lattice B { elements: 0, 1 ; order: 0 < 1 ; }\n"
+        path = tmp_path / "b.lat"
+        path.write_text(text)
+        monkeypatch.setattr(cli, "MAX_INPUT", len(text))
+        assert run("validate", str(path)) == (0, "lattice B: ok\n", "")
+        monkeypatch.setattr(cli, "MAX_INPUT", len(text) - 1)
+        assert run("validate", str(path)) == (
+            2, "", f"error: cannot read {path}: longer than {len(text) - 1} characters\n")
+
+    @pytest.mark.parametrize("n, clause", [
+        (12, "generators"), (16, "generators"), (40, "generators"), (12, "opens")])
+    def test_topology_over_the_cap_stops_early(self, tmp_path, n, clause):
+        # generators {1}, ..., {n} make the discrete space, 2^n opens; the
+        # explicit list spells all 2^n of them
+        masks = [1 << i for i in range(n)] if clause == "generators" else range(1 << n)
+        sets = ", ".join("{" + ",".join(str(i + 1) for i in bits(m)) + "}" for m in masks)
+        points = ",".join(str(i + 1) for i in range(n))
+        path = tmp_path / f"{clause}{n}.lat"
+        path.write_text(f"topology T on {{{points}}} {{\n  {clause}: {sets} ;\n}}\n")
+        count = "more than 64" if clause == "generators" else str(1 << n)
+        done = run_bounded("validate", str(path))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (f"error: parse failed:\n{path}:1:1: error: {count} open sets "
+                               "exceed the cap of 64 [bad-topology]\n")
 
     def test_validate_still_reports_an_invalid_lattice(self, tmp_path):
         path = tmp_path / "bad.lat"

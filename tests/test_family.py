@@ -18,6 +18,7 @@ from stonespec import (ComplexSpectralFamily, InputError, InvalidFamilyError,
                        product_family, riemann_stieltjes,
                        spectrum_of, stone_space)
 from stonespec import family as fam
+from stonespec.lattice import bits
 
 HALF = Fraction(1, 2)
 
@@ -104,6 +105,38 @@ class TestConstructorAgainstOracle:
                 outcomes.add(want[0] if isinstance(want[0], type) else "ok")
         assert outcomes == {"ok", InputError, InvalidFamilyError, ValueError,
                             ZeroDivisionError, TypeError}
+
+
+def oracle_canonical(lattice, thresholds, values):
+    """The canonical form as a filter: drop bottom jumps (unless top is
+    bottom) and values equal to the last one kept."""
+    top, bottom = lattice.top, lattice.bottom
+    ts, vs = [], []
+    for t, v in zip(thresholds, values):
+        if (v != bottom or top == bottom) and (not vs or vs[-1] != v):
+            ts.append(t)
+            vs.append(v)
+    return tuple(ts), tuple(vs)
+
+
+def test_canonical_form_matches_the_filter():
+    rng = random.Random(0)
+    kept = set()
+    for lat in (chain_lattice(1), chain_lattice(2), chain_lattice(4),
+                boolean_lattice(2), boolean_lattice(3), mo_lattice(2)):
+        for _ in range(400):
+            # a monotone walk with repeats, from any element, of any length
+            values = []
+            v = rng.randrange(lat.n)
+            for _ in range(rng.randrange(7)):
+                values.append(v)
+                v = rng.choice(list(bits(lat.up[v])))
+            thresholds = [Fraction(k, 2) for k in range(len(values))]
+            e = SpectralFamily._canonical(lat, thresholds, values)
+            want = oracle_canonical(lat, thresholds, values)
+            assert (e.thresholds, e.values) == want
+            kept.add(len(want[1]) - len(values))
+    assert len(kept) > 3
 
 
 class TestEval:

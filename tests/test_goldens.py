@@ -6,7 +6,9 @@ the exit code, stdout and stderr, byte for byte, and a golden file
 ``tests/goldens/<name>.emit.txt`` that holds ``dsl.emit_text`` of the parsed
 fixture, byte for byte.  ``tests/goldens/help.txt`` records, the same way,
 ``--help`` of the program and of every subcommand and three usage errors,
-at a fixed width of 80 columns.  After an intended output change,
+at a fixed width of 80 columns, and ``tests/goldens/check_all_n<N>_seed<S>.txt``
+records ``check all --max-size N --seed S`` for N = 1..4 and S = 0, 1: every
+suite's notes, failures and case counts.  After an intended output change,
 regenerate the files and review the diff:
 
     PYTHONPATH=src python tests/test_goldens.py
@@ -30,6 +32,9 @@ SUBCOMMANDS = ("validate", "quasipoints", "observable", "spectrum", "decompose",
                "quotient", "lift", "integrate", "check", "emit")
 HELP_CALLS = ([["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
               + [["quasipoints", "chain3.lat"], [], ["emit", "xml", "chain3.lat", "L"]])
+CHECK_ALL = {f"check_all_n{n}_seed{seed}.txt": ["check", "all", "--max-size", str(n),
+                                                "--seed", str(seed)]
+             for seed in (0, 1) for n in (1, 2, 3, 4)}
 
 
 def calls(path):
@@ -82,6 +87,12 @@ def render_help():
         return "".join(transcript(argv, " ".join(argv)) for argv in HELP_CALLS)
 
 
+def render_check_all(name):
+    """The golden text of one ``check all`` call."""
+    argv = CHECK_ALL[name]
+    return transcript(argv, " ".join(argv))
+
+
 def golden_path(name, suffix=".txt"):
     return os.path.join(GOLDENS, name[:-len(".lat")] + suffix)
 
@@ -112,10 +123,18 @@ def test_help_matches_golden():
     assert render_help() == want
 
 
+@pytest.mark.parametrize("name", sorted(CHECK_ALL))
+def test_check_all_matches_golden(name):
+    with open(os.path.join(GOLDENS, name), encoding="utf-8") as handle:
+        want = handle.read()
+    assert render_check_all(name) == want
+
+
 def test_every_fixture_has_a_golden():
     assert sorted(os.listdir(GOLDENS)) == sorted(
-        ["help.txt"] + [name[:-len(".lat")] + suffix
-                        for name in FIXTURE_NAMES for suffix in (".txt", ".emit.txt")])
+        ["help.txt"] + list(CHECK_ALL)
+        + [name[:-len(".lat")] + suffix
+           for name in FIXTURE_NAMES for suffix in (".txt", ".emit.txt")])
 
 
 def test_every_subcommand_is_covered():
@@ -135,3 +154,6 @@ if __name__ == "__main__":
             handle.write(render_text(fixture_name))
     with open(os.path.join(GOLDENS, "help.txt"), "w", encoding="utf-8") as handle:
         handle.write(render_help())
+    for check_name in CHECK_ALL:
+        with open(os.path.join(GOLDENS, check_name), "w", encoding="utf-8") as handle:
+            handle.write(render_check_all(check_name))

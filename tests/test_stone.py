@@ -6,7 +6,7 @@ independently of the library's closed form (the up-sets of the atoms).
 
 import pytest
 
-from stonespec import (InputError, boolean_lattice, chain_lattice,
+from stonespec import (InputError, all_topologies, boolean_lattice, chain_lattice,
                        dual_ideal_intersection_law, enumerate_quasipoints,
                        is_completely_distributive, mo_lattice,
                        principal_dual_ideal, stone_space)
@@ -221,7 +221,40 @@ class TestTopology:
                 assert space.closure(x) == smallest
 
 
+def oracle_is_completely_distributive(lattice):
+    """closure(union of Q_a over S) == Q_(join of S) for every nonempty
+    element family S, scanned in subset order, each subset built from the
+    one without its lowest element; returns (bool, the first failing
+    family's element names)."""
+    space = stone_space(lattice)
+    total = 1 << lattice.n
+    join_of, union_of = [lattice.bottom] * total, [0] * total
+    for s in range(1, total):
+        low = s & -s
+        e = low.bit_length() - 1
+        join_of[s] = lattice.join2(join_of[s ^ low], e)
+        union_of[s] = union_of[s ^ low] | space.base[e]
+        if space.closure(union_of[s]) != space.base[join_of[s]]:
+            return False, tuple(lattice.names[i] for i in bits(s))
+    return True, None
+
+
 class TestCompleteDistributivity:
+    def test_pair_test_matches_the_subset_scan(self):
+        lattices = []
+        for n in (1, 2, 3, 4):
+            for t in all_topologies(n):
+                lattices += [t.r_lattice(), t.lattice()]
+        lattices += [boolean_lattice(n) for n in (1, 2, 3, 4)]
+        lattices += [mo_lattice(k) for k in (1, 2, 3)]
+        lattices += [chain_lattice(m) for m in range(1, 8)]
+        verdicts = {True: 0, False: 0}
+        for lat in lattices:
+            got = is_completely_distributive(lat)
+            assert got == oracle_is_completely_distributive(lat)
+            verdicts[got[0]] += 1
+        assert verdicts[True] and verdicts[False], verdicts
+
     def test_boolean3_true(self):
         assert is_completely_distributive(boolean_lattice(3)) == (True, None)
 

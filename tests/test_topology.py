@@ -17,9 +17,11 @@ from stonespec import (InputError, ObservableFunction, SpectralFamily,
                        spectral_family_of_continuous, star_condition_check,
                        stone_space)
 from stonespec.lattice import bits
-from stonespec.checks import GRID3, _domain
-from stonespec.family import point_values
-from stonespec.topology import _constant_on_nbhds, _level_family, covers_spectrum
+from stonespec.checks import GRID3, _grid3_functions
+from stonespec.family import enumerate_families, level_sets, point_values
+from stonespec.lattice import MAX_ELEMENTS
+from stonespec.topology import (_constant_on_nbhds, _family_of_levels, _first_unclosed,
+                                _interior_ids, covers_spectrum)
 
 HALF = Fraction(1, 2)
 
@@ -75,6 +77,32 @@ def oracle_spectral_family(space, values):
     assert union == space.full, "level-set interiors do not exhaust the space"
     lat = space.lattice()
     return SpectralFamily(lat, [(t, lat.payload.index(e)) for t, e in jumps])
+
+
+def oracle_domain(lat, e):
+    """The points some value of the family contains: the union of its values."""
+    dom = 0
+    for v in e.values:
+        dom |= lat.payload[v]
+    return dom
+
+
+def oracle_is_strongly_regular(space, family):
+    """Every step value closed, scanned value by value; returns (bool,
+    witness, index of the first value that is not closed or -1)."""
+    lat = space.lattice()
+    ts = family.thresholds
+    for i, v in enumerate(family.values):
+        m = lat.payload[v]
+        if space.closure(m) & ~m:
+            mu = (ts[i] + ts[i + 1]) / 2 if i + 1 < len(ts) else ts[i] + 1
+            return False, (ts[i], mu), i
+    return True, None, -1
+
+
+def small_spaces():
+    for n in (1, 2, 3, 4):
+        yield from all_topologies(n)
 
 
 def oracle_close(fam):
@@ -246,7 +274,7 @@ class TestClosedFormsAgainstOracles:
                 for ranks in product(range(len(GRID3)), repeat=n):
                     values = tuple(GRID3[k] for k in ranks)
                     assert _constant_on_nbhds(t, ranks) == is_continuous(t, values)
-                    got = _level_family(t, ranks, values)
+                    got = _family_of_levels(t, level_sets(ranks), values)
                     want = spectral_family_of_continuous(t, values)
                     assert type(got) is type(want)
                     assert got.thresholds == want.thresholds
@@ -254,6 +282,67 @@ class TestClosedFormsAgainstOracles:
                     assert all(type(x) is Fraction for x in got.thresholds)
                     cases += 1
         assert cases == 29577
+
+    def test_open_fibres_iff_constant_on_nbhds(self):
+        # the sweep's continuity test: every fibre of the function is open
+        verdicts = {True: 0, False: 0}
+        for n in (1, 2, 3, 4):
+            grid_fns = _grid3_functions(n)
+            for t in all_topologies(n):
+                for values, _, _, fibres in grid_fns:
+                    ranks = [GRID3.index(v) for v in values]
+                    got = t.opens.issuperset(fibres)
+                    assert got == _constant_on_nbhds(t, ranks)
+                    verdicts[got] += 1
+        assert sum(verdicts.values()) == 29577 and verdicts[True] == 2379
+
+    def test_interior_table_builds_the_level_family(self):
+        for n in (1, 2, 3, 4):
+            grid_fns = _grid3_functions(n)
+            for t in all_topologies(n):
+                lat = t.lattice()
+                ids = _interior_ids(t)
+                assert [lat.payload[i] for i in ids] == [
+                    oracle_interior(t, m) for m in range(t.full + 1)]
+                for values, ts, masks, _ in grid_fns:
+                    ranks = [GRID3.index(v) for v in values]
+                    want = _family_of_levels(t, level_sets(ranks), values)
+                    got = SpectralFamily._canonical(lat, ts, [ids[m] for m in masks])
+                    assert (got.thresholds, got.values) == (want.thresholds, want.values)
+                    # the sweep's covering check reads the chain's last id
+                    assert lat.payload[ids[masks[-1]]] == oracle_domain(lat, want)
+
+    def test_last_id_of_an_all_bottom_chain_covers_nothing(self):
+        for t in all_topologies(2):
+            lat = t.lattice()
+            e = SpectralFamily._canonical(lat, [Fraction(0), Fraction(1)],
+                                          [lat.bottom, lat.bottom])
+            assert e.values == ()
+            assert oracle_domain(lat, e) == lat.payload[lat.bottom] == 0 != t.full
+
+    def test_last_value_is_the_domain_of_every_enumerated_family(self):
+        for t in small_spaces():
+            lat = t.lattice()
+            for e in enumerate_families(lat, GRID3):
+                assert lat.payload[e.values[-1]] == oracle_domain(lat, e)
+
+    def test_closure_density_matches_the_open_scan(self):
+        for t in small_spaces():
+            for m in range(t.full + 1):
+                dense = all(o & m for o in t.opens if o)
+                assert (t.closure(m) == t.full) == dense
+
+    def test_unclosed_kernel_matches_the_value_scan(self):
+        verdicts = {True: 0, False: 0}
+        for t in small_spaces():
+            lat = t.lattice()
+            for e in enumerate_families(lat, GRID3):
+                ok, witness, first = oracle_is_strongly_regular(t, e)
+                masks = [lat.payload[v] for v in e.values]
+                assert _first_unclosed(t, masks) == first
+                assert is_strongly_regular(t, e) == (ok, witness)
+                verdicts[ok] += 1
+        assert verdicts[True] and verdicts[False]
 
     def test_point_values_normalised_to_fraction(self):
         class Sub(Fraction):
@@ -292,10 +381,9 @@ class TestInducedFamilies:
         assert not is_continuous(s, induced_function(s, e))
 
     def test_domain_is_union_of_values(self):
-        from stonespec import enumerate_families
         s = sierpinski()
         e = spectral_family_of_continuous(s, (0, 1))
-        assert _domain(s.lattice(), e) == s.full
+        assert oracle_domain(s.lattice(), e) == s.full
         for t in all_topologies(3):
             lat = t.lattice()
             for e in enumerate_families(lat, (0, 1)):
@@ -303,7 +391,7 @@ class TestInducedFamilies:
                 for p in range(len(t.points)):
                     if any(lat.payload[v] >> p & 1 for v in e.values):
                         reached |= 1 << p
-                assert _domain(lat, e) == reached == t.full
+                assert oracle_domain(lat, e) == reached == t.full
 
     def test_classification(self):
         s = sierpinski()
@@ -322,20 +410,18 @@ class TestInducedFamilies:
     def test_strong_regularity_equals_all_values_closed(self):
         for t in all_topologies(3):
             lat = t.lattice()
-            from stonespec import enumerate_families
             for e in enumerate_families(lat, (0, 1)):
                 masks = [lat.payload[v] for v in e.values]
                 want = all(t.closure(m) == m for m in masks)
                 assert is_strongly_regular(t, e)[0] == want
 
     def test_correspondence_both_ways_small(self):
-        from stonespec import enumerate_families
         for t in all_topologies(3):
             lat = t.lattice()
             for values in product((0, HALF, 1), repeat=3):
                 e = spectral_family_of_continuous(t, values)
                 assert isinstance(e, SpectralFamily)
-                assert _domain(lat, e) == t.full
+                assert oracle_domain(lat, e) == t.full
                 if is_continuous(t, values):
                     assert is_strongly_regular(t, e)[0]
                     assert induced_function(t, e) == tuple(Fraction(v) for v in values)
@@ -490,6 +576,22 @@ class TestGenerated:
     def test_unknown_label_rejected(self):
         with pytest.raises(InputError):
             TopSpace.generated(("1", "2"), [["3"]])
+
+    def test_opens_over_the_cap_rejected_before_they_are_built(self):
+        # the discrete space on 6 points has exactly 64 opens, on 40 points 2^40
+        six = tuple(str(i) for i in range(6))
+        assert len(TopSpace.generated(six, [[p] for p in six]).opens) == MAX_ELEMENTS
+        for n in (7, 40):
+            points = tuple(str(i) for i in range(n))
+            with pytest.raises(InputError, match=f"more than {MAX_ELEMENTS} open sets"):
+                TopSpace.generated(points, [[p] for p in points])
+        # an explicit list is counted before the closure test: the chain
+        # topology on 64 points is closed, but has 65 opens
+        chain = [(1 << k) - 1 for k in range(65)]
+        points = tuple(str(i) for i in range(64))
+        with pytest.raises(InputError, match=f"65 open sets exceed the cap of {MAX_ELEMENTS}"):
+            TopSpace(points, chain)
+        assert len(TopSpace(points[:63], chain[:64]).opens) == MAX_ELEMENTS
 
 
 class TestAllTopologies:
