@@ -241,15 +241,14 @@ def suite_correspondence(max_size: int = 4, seed: int = 0) -> SuiteResult:
         grid_fns = _grid3_functions(n)
         for t in spaces:
             lat = t.lattice()
-            ids = top._interior_ids(t)
-            for values, ts, masks, fibres in grid_fns:
+            for values, levels, fibres in grid_fns:
                 # the family's last value, if any, is the union of its values
-                dom = lat.payload[ids[masks[-1]]]
+                dom = t.interior(levels[-1][1])
                 res.check(dom == t.full,
                           "{!r}: the family of {} does not cover the space", t, values)
                 cont = t.opens.issuperset(fibres)  # see top.is_continuous
                 if found is None or cont:
-                    e = fam.SpectralFamily._canonical(lat, ts, [ids[m] for m in masks])
+                    e = top._family_of_levels(t, levels, values)
                     if found is None and top.classify_family(t, e) == "regular":
                         found = t, e
                 if cont:
@@ -300,17 +299,16 @@ def suite_correspondence(max_size: int = 4, seed: int = 0) -> SuiteResult:
 
 
 def _grid3_functions(n: int) -> list:
-    """Every GRID3-valued function on n points as (values, thresholds, level
-    masks, fibres), none of which depends on a topology.  The level sets are
-    sorted by ranks into GRID3, exact order keys because GRID3 is strictly
+    """Every GRID3-valued function on n points as (values, level sets,
+    fibres), none of which depends on a topology.  The level sets are sorted
+    by ranks into GRID3, exact order keys because GRID3 is strictly
     increasing; the fibres are the differences of consecutive level masks."""
     out = []
     for ranks in product(range(len(GRID3)), repeat=n):
         values = tuple([GRID3[k] for k in ranks])
         levels = fam.level_sets(ranks)
         masks = [m for _, m in levels]
-        out.append((values, [values[i] for i, _ in levels], masks,
-                    [m ^ p for m, p in zip(masks, [0] + masks)]))
+        out.append((values, levels, [m ^ p for m, p in zip(masks, [0] + masks)]))
     return out
 
 

@@ -12,7 +12,7 @@ suite.
 from __future__ import annotations
 
 from .errors import InputError
-from .lattice import Lattice, Record, bits
+from .lattice import MAX_ELEMENTS, Lattice, Record, bits
 
 # element count above which a scan over all 2^n element families is refused
 SCAN_CAP = 20
@@ -52,13 +52,14 @@ def principal_dual_ideal(lattice: Lattice, a) -> DualIdeal:
     return DualIdeal(lattice, lattice.up[ia])
 
 
-def unions(masks, cap=None) -> frozenset:
-    """Every union of some of the masks, 0 included; more than ``cap`` is an error."""
+def unions(masks) -> frozenset:
+    """Every union of some of the masks, 0 included; stops with an error as
+    soon as there are more than ``MAX_ELEMENTS`` of them."""
     acc = {0}
     for m in masks:
         acc |= {o | m for o in acc}
-        if cap is not None and len(acc) > cap:
-            raise InputError(f"more than {cap} open sets exceed the cap of {cap}")
+        if len(acc) > MAX_ELEMENTS:
+            raise InputError(f"more than {MAX_ELEMENTS} open sets (the cap)")
     return frozenset(acc)
 
 
@@ -125,7 +126,8 @@ class StoneSpace(FiniteSpace):
         return self.interior(x) == x
 
     def opens(self) -> frozenset:
-        """Every open set of the spectrum: all unions of basic sets."""
+        """Every open set of the spectrum: all unions of basic sets, at most
+        ``MAX_ELEMENTS`` of them."""
         if self._opens is None:
             self._opens = unions(self.base)
         return self._opens

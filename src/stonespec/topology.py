@@ -88,7 +88,7 @@ class TopSpace(FiniteSpace):
         are the unions of those neighbourhoods, built only up to the cap."""
         points = tuple(points)
         nbhd = _min_nbhds(label_masks(points, sets), len(points))
-        return cls(points, unions(nbhd, MAX_ELEMENTS))
+        return cls(points, unions(nbhd))
 
     def mask_of(self, labels) -> int:
         return label_masks(self.points, [labels])[0]
@@ -173,12 +173,6 @@ def _family_of_levels(space: TopSpace, levels, values) -> SpectralFamily:
     interior = space.interior
     return SpectralFamily._canonical(lat, [values[i] for i, _ in levels],
                                      [ids[interior(mask)] for _, mask in levels])
-
-
-def _interior_ids(space: TopSpace) -> list:
-    """The lattice id of interior(m) for each of the 2^n point sets m."""
-    ids = space.lattice().set_ids
-    return [ids[space.interior(m)] for m in range(space.full + 1)]
 
 
 def spectral_family_of_continuous(space: TopSpace, values):

@@ -330,11 +330,12 @@ class TestInputRobustness:
         points = ",".join(str(i + 1) for i in range(n))
         path = tmp_path / f"{clause}{n}.lat"
         path.write_text(f"topology T on {{{points}}} {{\n  {clause}: {sets} ;\n}}\n")
-        count = "more than 64" if clause == "generators" else str(1 << n)
+        why = ("more than 64 open sets (the cap)" if clause == "generators"
+               else f"{1 << n} open sets exceed the cap of 64")
         done = run_bounded("validate", str(path))
         assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == (f"error: parse failed:\n{path}:1:1: error: {count} open sets "
-                               "exceed the cap of 64 [bad-topology]\n")
+        assert done.stderr == (f"error: parse failed:\n{path}:1:1: error: {why} "
+                               "[bad-topology]\n")
 
     def test_validate_still_reports_an_invalid_lattice(self, tmp_path):
         path = tmp_path / "bad.lat"

@@ -201,6 +201,16 @@ class TestTopology:
         assert unions([]) == frozenset({0})
         assert unions([0b01, 0b10, 0b01]) == frozenset({0, 0b01, 0b10, 0b11})
 
+    def test_unions_stop_past_the_cap(self):
+        # six singletons give exactly 64 unions; seven would give 128
+        assert len(unions([1 << i for i in range(6)])) == 64
+        with pytest.raises(InputError, match=r"^more than 64 open sets \(the cap\)$"):
+            unions([1 << i for i in range(7)])
+        # MO(4) has eight atoms with singleton basic sets: 2^8 opens
+        assert len(stone_space(mo_lattice(3)).opens()) == 64
+        with pytest.raises(InputError, match="more than 64 open sets"):
+            stone_space(mo_lattice(4)).opens()
+
     def test_closure(self):
         space = stone_space(boolean_lattice(3))
         assert space.closure(space.all_points) == space.all_points
