@@ -325,6 +325,12 @@ def suite_quotient(max_size: int = 4, seed: int = 0) -> SuiteResult:
     lat = f.lattice()
     ideals = mea.ideals_of(f)
     res.notes.append(f"{len(ideals)} ideals of the power set on {n} points")
+    # each grid function and its transform on the whole spectrum: no ideal changes them
+    functions = []
+    for values in mea.atom_grid_values(f, GRID3):
+        phi = mea.MeasurableFunction(f, values)
+        full = fam.observable_function(mea.spectral_family_of(phi), space)
+        functions.append((values, [v + 1 for v in values], phi, full))
     for ideal in ideals:
         q = mea.quotient(f, ideal)
         perp = set(ideal.perp_members())
@@ -351,16 +357,15 @@ def suite_quotient(max_size: int = 4, seed: int = 0) -> SuiteResult:
                 res.check(in_original == in_quotient,
                           "ideal {!r}: membership mismatch for {}", ideal, f.set_name(m))
         # kernel law and representative independence over the value grid
-        for values in mea.atom_grid_values(f, GRID3):
-            phi = mea.MeasurableFunction(f, values)
-            g = mea.gamma_transform(phi, q)
+        for values, bumped, phi, full in functions:
+            g = mea._restrict(full, q)
             vanishes = all(v == 0 for v in g.values)
             outside = all(values[p] == 0 for p in bits(q.survivors))
             res.check(vanishes == outside,
                       "ideal {!r}: kernel law fails for {!r}", ideal, phi)
             psi_values = list(values)
             for p in bits(ideal.mask):
-                psi_values[p] = values[p] + 1  # change only inside the ideal
+                psi_values[p] = bumped[p]  # change only inside the ideal
             if ideal.mask:
                 psi = mea.MeasurableFunction(f, psi_values)
                 res.check(mea.gamma_transform(psi, q) == g,
@@ -450,18 +455,23 @@ def suite_point_iso(max_size: int = 4, seed: int = 0) -> SuiteResult:
         qp_over = {x: k for k, x in p.pt.items()}
 
         small = (Fraction(0), Fraction(1))
+        # a complex target is a pair of real ones, each with its fibre test and
+        # f_star of its only candidate source, the point function on the fibres
+        real = {}
+        for vec in product(small, repeat=n):
+            g = fam.ObservableFunction(st, vec)
+            real[vec] = (g, top.cpt_membership(p, g),
+                         top.f_star(t, [vec[qp_over[x]] for x in range(n)]))
         target_count = 0
         for re_im in product(product(small, repeat=2), repeat=n):
             re = [v[0] for v in re_im]
             im = [v[1] for v in re_im]
-            g = fam.ComplexObservableFunction(
-                fam.ObservableFunction(st, re), fam.ObservableFunction(st, im))
-            # the only candidate source: the point function read off the fibres
-            phi_re = [g.re.values[qp_over[x]] for x in range(n)]
-            phi_im = [g.im.values[qp_over[x]] for x in range(n)]
-            back = top.f_star(t, phi_re, phi_im)
-            res.check(back == g, "discrete({}): transform misses the target {}+i{}", n, re, im)
-            res.check(top.cpt_membership(p, g.re) and top.cpt_membership(p, g.im),
+            g_re, const_re, back_re = real[tuple(re)]
+            g_im, const_im, back_im = real[tuple(im)]
+            res.check(fam.ComplexObservableFunction(back_re, back_im)
+                      == fam.ComplexObservableFunction(g_re, g_im),
+                      "discrete({}): transform misses the target {}+i{}", n, re, im)
+            res.check(const_re and const_im,
                       "discrete({}): target not fibre-constant", n)
             target_count += 1
         res.notes.append(f"discrete({n}): {target_count} exhaustive surjectivity targets")

@@ -9,7 +9,7 @@ jumps so equality of families is plain equality of representations.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -527,6 +527,8 @@ def _step_sum(family: SpectralFamily, grid, masks, n: int) -> list:
     """The step sum of a family along an exact, strictly increasing grid that
     covers its thresholds, on n points: each point's least grid tag whose
     value contains it, where ``masks[e]`` is the points element e contains.
+    The values grow, so that is the least grid point at or above the
+    threshold that first reaches the point.
     """
     grid = [_as_fraction(t) for t in grid]
     if any(not a < b for a, b in zip(grid, grid[1:])):
@@ -534,10 +536,10 @@ def _step_sum(family: SpectralFamily, grid, masks, n: int) -> list:
     lo, hi = family.bounds()
     if not grid or grid[0] > lo or grid[-1] < hi:
         raise InputError("grid does not cover the family's support")
-    values, missed = first_hits(grid, [masks[family.eval(t)] for t in grid], n)
+    hits, missed = first_hits(family.thresholds, [masks[v] for v in family.values], n)
     if missed:
         raise InputError("grid does not cover the family's support")
-    return values
+    return [grid[bisect_left(grid, t)] for t in hits]
 
 
 # --- exhaustive generation ----------------------------------------------------

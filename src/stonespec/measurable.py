@@ -29,6 +29,10 @@ class FieldOfSets:
         if not self.ground:
             raise InputError("ground set must be nonempty")
         self.full = (1 << len(self.ground)) - 1
+        atoms = list(atoms)
+        for a in atoms:
+            if type(a) is not int:
+                raise InputError(f"atom {a!r} is not an int bitmask")
         atoms = sorted(atoms, key=lambda m: m & -m)
         union = 0
         for a in atoms:
@@ -374,9 +378,13 @@ def gamma_transform(phi: MeasurableFunction, q) -> ObservableFunction:
         q = QuotientAlgebra(phi.field, q)
     if q.field != phi.field:
         raise InputError("quotient belongs to a different field")
-    full = observable_function(spectral_family_of(phi), phi.field.stone())
-    picked = [full.values[k] for k in q.embedded_point_indices()]
-    return ObservableFunction(q.stone(), picked)
+    return _restrict(observable_function(spectral_family_of(phi), phi.field.stone()), q)
+
+
+def _restrict(full: ObservableFunction, q: QuotientAlgebra) -> ObservableFunction:
+    """A transform on the field's whole spectrum, read on the quasipoints
+    over the quotient."""
+    return ObservableFunction(q.stone(), [full.values[k] for k in q.embedded_point_indices()])
 
 
 def lift_spectral_family(q: QuotientAlgebra, family: SpectralFamily) -> MeasurableFunction:

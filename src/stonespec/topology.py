@@ -38,7 +38,11 @@ class TopSpace(FiniteSpace):
         if not self.points:
             raise InputError("a space needs at least one point")
         self.full = self._full = (1 << len(self.points)) - 1
-        opens = frozenset(int(o) for o in opens)
+        opens = tuple(opens)
+        for o in opens:
+            if type(o) is not int:
+                raise InputError(f"open set {o!r} is not an int bitmask")
+        opens = frozenset(opens)
         if any(o < 0 or o > self.full for o in opens):
             raise InputError("open set outside the point set")
         if 0 not in opens or self.full not in opens:

@@ -18,6 +18,7 @@ from stonespec import (Lattice, boolean_lattice, chain_lattice, dsl, mo_lattice,
 from stonespec import cli
 from stonespec.cli import main
 from stonespec.lattice import bits
+from test_dsl import instance_files
 from test_stone import oracle_quasipoints
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -383,3 +384,54 @@ def test_quasipoints_on_broken_orders(order):
     else:
         assert (code, out) == (2, "")
         assert "is invalid" in err
+
+
+@st.composite
+def bounded_work_cases(draw):
+    """A generated instance file and one call of every file subcommand on it.
+
+    The file holds one block of every kind (``test_dsl.instance_files``) and
+    a topology ``TG`` from a ``generators:`` clause over up to 64 points:
+    nested generators stay within the cap of 64 opens, random ones often pass
+    it, and then the whole file is a parse failure."""
+    def pick(*options):
+        return draw(st.sampled_from(options))
+
+    n = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        gens = [(1 << k) - 1 for k in sorted(draw(st.sets(st.integers(1, n), max_size=6)))]
+    else:
+        gens = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    sets = ", ".join("{" + ",".join(str(i + 1) for i in bits(m)) + "}" for m in gens)
+    points = ",".join(str(i + 1) for i in range(n))
+    text = (dsl.emit_text(draw(instance_files()))
+            + f"topology TG on {{{points}}} {{ generators: {sets} ; }}\n")
+    calls = [
+        ["validate", "FILE"],
+        ["quasipoints", "FILE", pick("L", "T", "F", "TG")] + pick([], ["--json"]),
+        ["observable", "FILE", pick("E", "G", "ET", "EF")] + pick([], ["--json"]),
+        ["spectrum", "FILE", pick("E", "ET", "EF")],
+        ["decompose", "FILE", "G"],
+        ["quotient", "FILE", "F", "I"],
+        ["lift", "FILE", "F", "I", "EF"],
+        ["integrate", "FILE", pick("E", "ET", "EF"), "--eps", pick("1", "1/3", "1/100")],
+        ["emit", pick("json", "dot"), "FILE",
+         pick("L", "T", "F", "E", "G", "ET", "EF", "f", "phi", "I", "TG")],
+    ]
+    return text, calls
+
+
+@settings(max_examples=4, deadline=None)
+@given(bounded_work_cases())
+def test_every_file_subcommand_does_bounded_work(case):
+    # each call runs in a child process under run_bounded's CPU and memory
+    # limits; a call that needs more is killed and fails the exit-code test
+    text, calls = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.lat")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        for argv in calls:
+            done = run_bounded(*[path if a == "FILE" else a for a in argv])
+            assert done.returncode in (0, 1, 2), (argv, done.returncode, done.stderr)
+            assert "Traceback" not in done.stderr, (argv, done.stderr)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from stonespec import (ComplexSpectralFamily, FieldOfSets, MeasurableFunction,
                        ObservableFunction, all_fields, all_topologies,
-                       boolean_lattice, checks, enumerate_families,
+                       boolean_lattice, chain_lattice, checks, enumerate_families,
                        from_observable_function, function_of, induced_function,
                        mo_lattice, observable_function,
                        observable_function_complex, product_family,
@@ -214,17 +214,22 @@ class TestFirstHitCallers:
                     assert induced_function(t, e) == oracle_induced_function(t, e)
 
     def test_riemann_stieltjes_on_the_spectral_theorem_sweep(self):
-        b3 = boolean_lattice(3)
-        s3 = stone_space(b3)
-        for e in enumerate_families(b3, GRID3):
-            lo, hi = e.bounds()
-            grids = [e.thresholds, GRID3, [Fraction(-1)] + list(GRID3) + [Fraction(2)]]
-            for eps in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 3)):
-                steps = int((hi - lo) / eps) + 1
-                grids.append([lo + k * eps for k in range(steps + 1)])
-            for grid in grids:
-                assert riemann_stieltjes(e, grid, s3).values == \
-                    oracle_riemann_stieltjes(e, [Fraction(t) for t in grid], s3)
+        for lat in (boolean_lattice(3), mo_lattice(2), mo_lattice(3), chain_lattice(4)):
+            space = stone_space(lat)
+            for e in enumerate_families(lat, GRID3):
+                lo, hi = e.bounds()
+                ts = list(e.thresholds)
+                mids = [(a + b) / 2 for a, b in zip(ts, ts[1:])]
+                grids = [ts, GRID3, [Fraction(-1)] + list(GRID3) + [Fraction(2)],
+                         # from below the first threshold, with points strictly
+                         # between jumps: without and with the thresholds
+                         [lo - 1] + mids + [hi], sorted([lo - 1] + ts + mids)]
+                for eps in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 3)):
+                    steps = int((hi - lo) / eps) + 1
+                    grids.append([lo + k * eps for k in range(steps + 1)])
+                for grid in grids:
+                    assert riemann_stieltjes(e, grid, space).values == \
+                        oracle_riemann_stieltjes(e, [Fraction(t) for t in grid], space)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_riemann_stieltjes_on_points_on_the_spectral_theorem_sweep(self, seed):

@@ -16,7 +16,9 @@ from stonespec import (FieldOfSets, InputError, MeasurableFunction, SetIdeal,
                        observable_function, quotient, riemann_stieltjes,
                        riemann_stieltjes_on_points, spectral_family_of,
                        SpectralFamily, enumerate_families)
+from stonespec.checks import GRID3
 from stonespec.lattice import bits
+from stonespec.measurable import _restrict
 
 HALF = Fraction(1, 2)
 
@@ -64,6 +66,12 @@ class TestFieldOfSets:
             FieldOfSets.from_partition(("p", "q"), [["p"]])  # q uncovered
         with pytest.raises(InputError):
             FieldOfSets.from_partition(("p", "q"), [["p", "q"], ["q"]])  # overlap
+
+    @pytest.mark.parametrize("atoms", [[1.0, 2], [1, 2.0], ["1", 2], [True, 2]])
+    def test_atom_masks_must_be_ints(self, atoms):
+        # a float is never truncated, and a string never parsed, into a mask
+        with pytest.raises(InputError, match="is not an int bitmask"):
+            FieldOfSets(("p", "q"), atoms)
 
 
 class TestMeasurableFunction:
@@ -283,6 +291,21 @@ class TestGamma:
                 values[label] = target[j]
             phi = MeasurableFunction(f, values)
             assert gamma_transform(phi, q).values == tuple(target)
+
+    def test_restriction_is_the_gelfand_transform_on_every_ideal(self):
+        # on a field of sets f_E is evaluation at atoms: each quasipoint of
+        # the quotient reads phi at the surviving point generating it
+        f = pot("1", "2", "3", "4")
+        for ideal in ideals_of(f):
+            q = quotient(f, ideal)
+            reduced = q.stone()
+            generators = [q.reduced.labels_of(q.lattice().payload[a]) for a in reduced.atoms]
+            for values in product(GRID3, repeat=4):
+                phi = MeasurableFunction(f, list(values))
+                want = tuple(phi(label) for (label,) in generators)
+                assert gamma_transform(phi, ideal).values == want
+                full = observable_function(spectral_family_of(phi), f.stone())
+                assert _restrict(full, q).values == want
 
 
 class TestLift:

@@ -8,8 +8,9 @@ from itertools import combinations, product
 
 import pytest
 
-from stonespec import (InputError, ObservableFunction, SpectralFamily,
-                       TopSpace, UnsupportedStructureError, all_topologies,
+from stonespec import (ComplexObservableFunction, InputError, ObservableFunction,
+                       SpectralFamily, TopSpace, UnsupportedStructureError,
+                       all_topologies,
                        classify_family,
                        completely_increasing_check, cpt_membership, f_star,
                        identification_check, induced_function, is_continuous,
@@ -161,6 +162,13 @@ class TestSpaceBasics:
         with pytest.raises(InputError):
             TopSpace.from_sets(("1", "2", "3"),
                                [[], ["1"], ["2"], ["1", "2", "3"]])  # no {1,2}
+
+    @pytest.mark.parametrize("opens", [[0, 1.7, 3], [0, 1, 3.0], [0, "3", 1, 3], [0, True, 3]])
+    def test_open_masks_must_be_ints(self, opens):
+        # a float is never truncated, and a string never parsed, into a mask
+        with pytest.raises(InputError, match="is not an int bitmask"):
+            TopSpace(("a", "b"), opens)
+        assert TopSpace(("a", "b"), [0, 1, 3]).opens == {0, 1, 3}
 
     def test_interior_closure_pseudocomplement(self):
         s = sierpinski()
@@ -490,6 +498,19 @@ class TestCptAndFStar:
                 m = [a * b for a, b in zip(re1, re2)]
                 assert f_star(d, s, (0, 0)) == g1 + g2
                 assert f_star(d, m, (0, 0)) == g1 * g2
+
+    def test_f_star_is_componentwise_and_the_gelfand_transform(self):
+        # every {0, 1} target on discrete(1..4): the real transform reads the
+        # point under each quasipoint, and the complex one is the pair of them
+        for n in range(1, 5):
+            d = TopSpace.discrete(tuple(str(i) for i in range(1, n + 1)))
+            p = pt_structure(d)
+            real = {}
+            for vec in product((Fraction(0), Fraction(1)), repeat=n):
+                real[vec] = f_star(d, vec)
+                assert all(real[vec].values[k] == vec[x] for k, x in p.pt.items())
+            for re, im in product(real, repeat=2):
+                assert f_star(d, re, im) == ComplexObservableFunction(real[re], real[im])
 
 
 class TestIncreasingCalculus:
