@@ -18,6 +18,7 @@ resolved instance file or a nonempty diagnostic list, never both.
 
 from __future__ import annotations
 
+import re
 import sys
 from bisect import bisect_right
 from fractions import Fraction
@@ -98,7 +99,9 @@ class ParseResult(Record):
 
 class _Scanner:
     def __init__(self, text: str):
-        self.text = text
+        # each comment becomes as many spaces, so offsets, lines and columns
+        # stay, and no block, clause or name ever sees comment text
+        self.text = re.sub("#[^\n]*", lambda c: " " * len(c[0]), text)
         self.n = len(text)
         self.i = 0
         self.line_starts = [0]
@@ -111,15 +114,8 @@ class _Scanner:
         return row + 1, i - self.line_starts[row] + 1
 
     def skip_ws(self):
-        while self.i < self.n:
-            ch = self.text[self.i]
-            if ch == "#":
-                while self.i < self.n and self.text[self.i] != "\n":
-                    self.i += 1
-            elif ch.isspace():
-                self.i += 1
-            else:
-                return
+        while self.i < self.n and self.text[self.i].isspace():
+            self.i += 1
 
     def at_end(self) -> bool:
         self.skip_ws()
@@ -153,10 +149,6 @@ class _Scanner:
         depth = 1
         while self.i < self.n:
             ch = self.text[self.i]
-            if ch == "#":
-                while self.i < self.n and self.text[self.i] != "\n":
-                    self.i += 1
-                continue
             if ch == "{":
                 depth += 1
             elif ch == "}":
@@ -500,7 +492,7 @@ class _Builder:
 
     def build_function(self, rb: _RawBlock):
         info = self.resolve(rb, ("field", "topology"))
-        ground = _labels(info)
+        ground = info.obj.points
         values = {}
         for p_text, p_at, v_text, v_at in self.entries(rb, "point: value"):
             p = p_text.strip()
@@ -519,11 +511,6 @@ class _Builder:
         _, sets = self.set_clause(rb, ("generators",), "ideal block needs a 'generators' clause")
         return self.construct(rb, "bad-ideal",
                               lambda: SetIdeal.from_generators(info.obj, sets))
-
-
-def _labels(info: BlockInfo) -> tuple:
-    """The point labels of a field or topology block."""
-    return info.obj.ground if info.kind == "field" else info.obj.points
 
 
 def parse(text: str) -> ParseResult:
@@ -652,7 +639,7 @@ def _json_block(b: BlockInfo, file: InstanceFile) -> dict:
                            for row in fam.matrix]}
     if b.kind == "function":
         return {"kind": "function", "name": b.name, "on": b.host,
-                "values": {str(p): str(v) for p, v in zip(_labels(host_info), b.obj.values)}}
+                "values": {str(p): str(v) for p, v in zip(host_info.obj.points, b.obj.values)}}
     if b.kind == "ideal":
         ideal = b.obj
         return {"kind": "ideal", "name": b.name, "in": b.host,

@@ -119,16 +119,12 @@ class Lattice:
         up = [1 << i for i in range(n)]
         for a, b in order:
             up[self.eid(a)] |= 1 << self.eid(b)
-        changed = True
-        while changed:
-            changed = False
+        # Warshall: after step k, up[i] has every element reached from i
+        # through intermediates among 0..k
+        for k in range(n):
             for i in range(n):
-                acc = up[i]
-                for j in bits(acc):
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
         if ortho is not None:
             omap = [None] * n
             if isinstance(ortho, Mapping):

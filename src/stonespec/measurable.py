@@ -1,8 +1,8 @@
 """Finite fields of sets, measurable functions, ideals and quotients.
 
-A field of sets is stored by its atom partition: membership, complement and
-union are block operations, and measurability of a point function is
-constancy on atoms.  Quotients by an ideal are realized by deleting the
+A field of sets is the finite topology whose opens are its members and
+whose minimal neighbourhoods are its atoms, so measurability of a point
+function is continuity: constancy on atoms.  Quotients by an ideal are realized by deleting the
 ideal's atoms, which keeps every class canonical (each class is represented
 by its union of surviving atoms).
 """
@@ -14,21 +14,28 @@ from itertools import product
 
 from .errors import InputError
 from .family import (ObservableFunction, SpectralFamily, _as_fraction, _step_sum,
-                     first_hits, level_sets, observable_function, point_values)
+                     level_sets, observable_function, point_values)
 from .lattice import Lattice, bits, label_masks
-from .stone import StoneSpace, stone_space
+from .stone import StoneSpace, stone_space, unions
+from .topology import (TopSpace, _family_of_levels, _family_payloads, _first_nonconstant,
+                       _min_nbhds, induced_function)
 
 
-class FieldOfSets:
-    """A finite algebra of subsets of a finite ground set."""
+class FieldOfSets(TopSpace):
+    """A finite algebra of subsets of a finite ground set.
+
+    It is the topology whose opens are its members: each member is clopen
+    and the minimal neighbourhood of a point is its atom, so the members are
+    the regular opens, the pseudocomplement is the complement, and a
+    measurable function is a continuous one.  ``ground`` is ``points``.
+    """
 
     def __init__(self, ground, atoms):
-        self.ground = tuple(ground)
-        if len(set(self.ground)) != len(self.ground):
+        ground = tuple(ground)
+        if len(set(ground)) != len(ground):
             raise InputError("duplicate points in the ground set")
-        if not self.ground:
+        if not ground:
             raise InputError("ground set must be nonempty")
-        self.full = (1 << len(self.ground)) - 1
         atoms = list(atoms)
         for a in atoms:
             if type(a) is not int:
@@ -41,18 +48,22 @@ class FieldOfSets:
             if a & union:
                 raise InputError("atoms overlap")
             union |= a
-        if union != self.full:
+        if union != (1 << len(ground)) - 1:
             raise InputError("atoms do not cover the ground set")
         if len(atoms) > 6:
             raise InputError("fields capped at 6 atoms (64-element lattice cap)")
+        nbhd = [0] * len(ground)
+        for a in atoms:
+            for p in bits(a):
+                nbhd[p] = a
+        self.ground = ground
         self.atoms = tuple(atoms)
-        self._lattice = None
+        opens = unions(atoms)
+        self._set(ground, opens, tuple(sorted(opens)), nbhd)
 
-    @classmethod
-    def from_partition(cls, ground, blocks) -> "FieldOfSets":
-        """Build from a partition given as iterables of point labels."""
-        ground = tuple(ground)
-        return cls(ground, label_masks(ground, blocks))
+    # the inherited from_sets: a partition given as iterables of point labels
+    from_partition = TopSpace.__dict__["from_sets"]
+    lattice = TopSpace.r_lattice
 
     @classmethod
     def from_family(cls, ground, sets) -> "FieldOfSets":
@@ -69,23 +80,12 @@ class FieldOfSets:
             for b in fam:
                 if a | b not in fam:
                     raise InputError("family is not closed under union")
-        atoms = []
-        for m in sorted(fam):
-            if m and not any(other and other & ~m == 0 and other != m for other in fam):
-                atoms.append(m)
-        field = cls(ground, atoms)
-        if set(field.members()) != fam:
-            raise InputError("family is not generated by its minimal members")
-        return field
-
-    def mask_of(self, points) -> int:
-        return label_masks(self.ground, [points])[0]
+        # closed under complement and union, so under intersection: the
+        # minimal neighbourhoods are its atoms and their unions its members
+        return cls(ground, set(_min_nbhds(fam, len(ground))))
 
     def labels_of(self, mask: int) -> tuple:
         return tuple(self.ground[i] for i in bits(mask))
-
-    def set_name(self, mask: int) -> str:
-        return "{" + ",".join(str(self.ground[i]) for i in bits(mask)) + "}"
 
     def union_of(self, combo: int) -> int:
         """The union of the atoms picked by the set bits of ``combo``."""
@@ -96,24 +96,10 @@ class FieldOfSets:
 
     def members(self) -> tuple:
         """Every union of atoms, sorted by mask value."""
-        return tuple(sorted(map(self.union_of, range(1 << len(self.atoms)))))
+        return self._basis
 
     def contains(self, mask: int) -> bool:
-        covered = 0
-        for a in self.atoms:
-            if a & mask:
-                if a & ~mask:
-                    return False
-                covered |= a
-        return covered == mask
-
-    def lattice(self) -> Lattice:
-        """The member sets as a Boolean lattice, complement as ortho."""
-        if self._lattice is None:
-            masks = self.members()
-            self._lattice = Lattice.from_sets(
-                masks, map(self.set_name, masks), self.full.__xor__)
-        return self._lattice
+        return mask in self.opens
 
     def stone(self) -> StoneSpace:
         return stone_space(self.lattice())
@@ -160,12 +146,10 @@ class MeasurableFunction:
 
     def __init__(self, field: FieldOfSets, values):
         values = point_values(field.ground, values)
-        for a in field.atoms:
-            low = a & -a
-            first = values[low.bit_length() - 1]
-            if any(values[p] != first for p in bits(a ^ low)):
-                raise InputError(
-                    f"function is not measurable: not constant on atom {field.set_name(a)}")
+        i = _first_nonconstant(field, values)
+        if i >= 0:
+            raise InputError("function is not measurable: not constant on atom "
+                             + field.set_name(field._nbhd[i]))
         self.field = field
         self.values = values
 
@@ -196,25 +180,14 @@ class MeasurableFunction:
 
 def spectral_family_of(phi: MeasurableFunction) -> SpectralFamily:
     """Level sets of phi as a family in the field's lattice: E at t is
-    the preimage of (-inf, t]."""
-    lat = phi.field.lattice()
-    levels = level_sets(phi.values)
-    # sorted distinct values, growing level sets ending at the ground set
-    return SpectralFamily._canonical(lat, [phi.values[i] for i, _ in levels],
-                                     [lat.set_ids[mask] for _, mask in levels])
+    the preimage of (-inf, t]; every level set is a member, hence open."""
+    return _family_of_levels(phi.field, level_sets(phi.values), phi.values)
 
 
 def function_of(field: FieldOfSets, family: SpectralFamily) -> MeasurableFunction:
     """The point function induced by a family in a field of sets: each point
     maps to the least threshold whose value contains it."""
-    lat = field.lattice()
-    if family.lattice is not lat and family.lattice != lat:
-        raise InputError("family does not live in this field's lattice")
-    values, missed = first_hits(family.thresholds,
-                                [lat.payload[v] for v in family.values], len(field.ground))
-    if missed:
-        raise InputError("family is not bounded above")
-    return MeasurableFunction(field, values)
+    return MeasurableFunction(field, induced_function(field, family))
 
 
 def atom_grid_values(field: FieldOfSets, grid):
@@ -258,8 +231,7 @@ class SetIdeal:
     __slots__ = ("field", "mask")
 
     def __init__(self, field: FieldOfSets, mask: int):
-        if not field.contains(mask):
-            raise InputError("ideal generator is not a member of the field")
+        _require_member(field, mask)
         if mask == field.full:
             raise InputError("the ground set may not belong to an ideal")
         self.field = field
@@ -269,9 +241,8 @@ class SetIdeal:
     def from_generators(cls, field: FieldOfSets, sets) -> "SetIdeal":
         m = 0
         for s in sets:
-            sm = s if isinstance(s, int) else field.mask_of(s)
-            if not field.contains(sm):
-                raise InputError("ideal generator is not a member of the field")
+            sm = field.mask_of(s) if hasattr(s, "__iter__") else s
+            _require_member(field, sm)
             m |= sm
         return cls(field, m)
 
@@ -293,6 +264,14 @@ class SetIdeal:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.field, self.mask) == (other.field, other.mask)
+
+
+def _require_member(field: FieldOfSets, mask) -> None:
+    # a float or bool equal to a member would pass the set lookup
+    if type(mask) is not int:
+        raise InputError(f"ideal generator {mask!r} is not an int bitmask")
+    if not field.contains(mask):
+        raise InputError("ideal generator is not a member of the field")
 
 
 def ideals_of(field: FieldOfSets) -> list:
@@ -410,7 +389,6 @@ def riemann_stieltjes_on_points(field: FieldOfSets, family: SpectralFamily,
                                 grid) -> MeasurableFunction:
     """Pointwise step sum along a grid; within the largest gap of the induced
     function, exact when the grid contains all thresholds."""
-    lat = field.lattice()
-    if family.lattice is not lat and family.lattice != lat:
-        raise InputError("family does not live in this field's lattice")
-    return MeasurableFunction(field, _step_sum(family, grid, lat.payload, len(field.ground)))
+    _family_payloads(field, family)  # rejects a family from another lattice
+    return MeasurableFunction(
+        field, _step_sum(family, grid, field.lattice().payload, len(field.ground)))

@@ -142,15 +142,16 @@ class TopSpace(FiniteSpace):
 # --- continuity and the induced families -------------------------------------
 
 
-def _constant_on_nbhds(space: TopSpace, keys) -> bool:
-    """Is ``keys`` constant on every minimal open neighbourhood?  Only key
-    equality is read, so values and their ranks in a grid agree."""
+def _first_nonconstant(space: TopSpace, keys) -> int:
+    """The first point whose minimal open neighbourhood ``keys`` is not
+    constant on, or -1.  Only key equality is read, so values and their
+    ranks in a grid agree."""
     for i, u in enumerate(space._nbhd):
         k = keys[i]
         for j in bits(u ^ 1 << i):
             if keys[j] != k:
-                return False
-    return True
+                return i
+    return -1
 
 
 def is_continuous(space: TopSpace, values) -> bool:
@@ -163,7 +164,7 @@ def is_continuous(space: TopSpace, values) -> bool:
     Equivalently, every fibre is open: a fibre is the preimage of an open
     interval that isolates its value, and every preimage is a union of fibres.
     """
-    return _constant_on_nbhds(space, point_values(space.points, values))
+    return _first_nonconstant(space, point_values(space.points, values)) < 0
 
 
 def _family_of_levels(space: TopSpace, levels, values) -> SpectralFamily:

@@ -167,6 +167,31 @@ class TestDiagnostics:
         assert a == b and len(a) == 2
 
 
+class TestComments:
+    """Comments may stand anywhere, inside a block too, and are read as
+    spaces: no clause, name or brace count ever sees their text."""
+
+    def test_comment_inside_a_clause(self):
+        file = parse_ok("lattice L { elements: 0, 1 # {x\n ; order: 0 < 1 ; }")
+        assert file.find("L").obj.names == ("0", "1")
+
+    def test_clause_punctuation_in_a_body_comment(self):
+        plain = parse_ok("lattice L { elements: 0, 1 ; order: 0 < 1 ; }")
+        commented = parse_ok("lattice L { elements: 0, 1 ; # a ; b : c , d < e\n"
+                             " order: 0 < 1 ; }")
+        assert commented == plain
+
+    def test_close_brace_in_a_comment_after_an_unknown_block(self):
+        result = dsl.parse("group G { elements: a ; # }\n}\n"
+                           "lattice L { elements: 0, 1 ; order: 0 < 1 ; }")
+        assert [d.code for d in result.diagnostics] == ["unknown-block"]
+
+    def test_positions_after_a_comment_are_unchanged(self):
+        d = first_diag("lattice L { # {x} ; : ,\n elements: 0, 1 ; order: 0 <-> 1 ; }",
+                       "malformed-clause")
+        assert (d.line, d.column) == (2, 25)
+
+
 class TestEmission:
     def test_fixpoint_on_all_fixture_files(self):
         paths = sorted(glob.glob(os.path.join(FIXTURES, "*.lat")))
@@ -368,3 +393,13 @@ class TestTotality:
         again = parse_ok(emitted)
         assert again == first
         assert dsl.emit_text(again) == emitted
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(instance_files(), st.data())
+    def test_a_comment_line_after_any_brace_or_semicolon(self, file, data):
+        text = dsl.emit_text(file)
+        cuts = [i + 1 for i, ch in enumerate(text) if ch in ";{"]
+        at = data.draw(st.sampled_from(cuts))
+        commented = text[:at] + "  # ; : , { } <\n" + text[at:]
+        assert parse_ok(commented) == parse_ok(text)

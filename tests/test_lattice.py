@@ -335,6 +335,46 @@ def seeded_sublattices(count, seed=0):
     return out
 
 
+def oracle_closure(n, pairs):
+    """Reflexive transitive closure of id pairs by the fixpoint: widen each
+    up-set by the up-sets of its members until nothing changes."""
+    up = [1 << i for i in range(n)]
+    for a, b in pairs:
+        up[a] |= 1 << b
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            acc = up[i]
+            for j in bits(acc):
+                acc |= up[j]
+            if acc != up[i]:
+                up[i] = acc
+                changed = True
+    return tuple(up)
+
+
+class TestOrderClosure:
+    def test_matches_the_fixpoint_on_random_orders_with_cycles(self):
+        rng = random.Random(13)
+        cyclic = 0
+        for _ in range(2000):
+            n = rng.randint(1, 12)
+            pairs = [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randint(0, 2 * n))]
+            want = oracle_closure(n, pairs)
+            names = [str(i) for i in range(n)]
+            assert Lattice(names, [(names[a], names[b]) for a, b in pairs]).up == want
+            cyclic += any(want[i] >> j & 1 and want[j] >> i & 1
+                          for i in range(n) for j in range(i))
+        assert cyclic > 100
+
+    def test_long_chain_given_by_its_covers(self):
+        lat = chain_lattice(64)
+        assert lat.up == oracle_closure(64, [(i, i + 1) for i in range(63)])
+        assert lat.up[lat.bottom] == (1 << 64) - 1
+
+
 class TestDistributive:
     def lattices(self):
         return ([boolean_lattice(n) for n in range(1, 7)]

@@ -10,9 +10,9 @@ from itertools import product
 
 import pytest
 
-from stonespec import (FieldOfSets, InputError, MeasurableFunction, SetIdeal,
-                       all_fields, bijection_report, function_of,
-                       gamma_transform, ideals_of, lift_spectral_family,
+from stonespec import (FieldOfSets, InputError, Lattice, MeasurableFunction, SetIdeal,
+                       TopSpace, all_fields, bijection_report, function_of,
+                       gamma_transform, ideals_of, is_continuous, lift_spectral_family,
                        observable_function, quotient, riemann_stieltjes,
                        riemann_stieltjes_on_points, spectral_family_of,
                        SpectralFamily, enumerate_families)
@@ -74,7 +74,65 @@ class TestFieldOfSets:
             FieldOfSets(("p", "q"), atoms)
 
 
+class TestFieldIsATopology:
+    """A field of sets is the topology of its members, so measurable
+    functions are the continuous ones; the general topology code is the
+    oracle."""
+
+    FIELDS = [f for n in (1, 2, 3, 4) for f in all_fields(tuple(str(i + 1) for i in range(n)))]
+
+    def test_the_same_space_as_the_topology_of_its_members(self):
+        for f in self.FIELDS:
+            assert isinstance(f, TopSpace) and f.ground == f.points
+            space = TopSpace(f.ground, f.members())
+            assert f.opens == space.opens and f._nbhd == space._nbhd
+            assert all(f.interior(x) == space.interior(x) for x in range(f.full + 1))
+            assert all(f.contains(x) == (x in space.opens) for x in range(f.full + 1))
+
+    def test_lattice_is_the_member_lattice_with_complement(self):
+        for f in self.FIELDS:
+            masks = f.members()
+            assert f.lattice() == Lattice.from_sets(masks, map(f.set_name, masks),
+                                                    f.full.__xor__)
+
+    def test_measurable_iff_continuous_on_every_grid3_function(self):
+        cases = 0
+        for f in self.FIELDS:
+            space = TopSpace(f.ground, f.members())
+            for values in product(GRID3, repeat=len(f.ground)):
+                try:
+                    MeasurableFunction(f, values)
+                    measurable = True
+                except InputError:
+                    measurable = False
+                on_atoms = all(len({values[p] for p in bits(a)}) == 1 for a in f.atoms)
+                assert measurable == on_atoms == is_continuous(space, values)
+                cases += 1
+        assert cases == 3 * 1 + 9 * 2 + 27 * 5 + 81 * 15
+
+    def test_from_family_recovers_every_field(self):
+        for f in self.FIELDS:
+            g = FieldOfSets.from_family(f.ground, map(f.labels_of, f.members()))
+            assert g == f and g.members() == f.members()
+
+    def test_discrete_and_generated_are_not_fields(self):
+        # both would pass the empty set and overlapping sets off as atoms
+        with pytest.raises(InputError):
+            FieldOfSets.discrete(("p", "q"))
+        with pytest.raises(InputError):
+            FieldOfSets.generated(("p", "q"), [["p"]])
+
+
 class TestMeasurableFunction:
+    def test_message_names_the_first_nonconstant_atom(self):
+        f = FieldOfSets.from_partition(("p", "q", "r", "s"), [["p", "s"], ["q", "r"]])
+        with pytest.raises(InputError) as err:
+            MeasurableFunction(f, {"p": 1, "q": 0, "r": 2, "s": 3})
+        assert str(err.value) == "function is not measurable: not constant on atom {p,s}"
+        with pytest.raises(InputError) as err:
+            MeasurableFunction(f, {"p": 1, "q": 0, "r": 2, "s": 1})
+        assert str(err.value) == "function is not measurable: not constant on atom {q,r}"
+
     def test_atom_constancy_enforced(self):
         f = FieldOfSets.from_partition(("p", "q"), [["p", "q"]])
         with pytest.raises(InputError):
@@ -154,6 +212,14 @@ class TestIdeals:
         f = pot("1", "2")
         with pytest.raises(InputError):
             SetIdeal.from_generators(f, [["1"], ["2"]])
+
+    @pytest.mark.parametrize("mask", [1.0, True])
+    @pytest.mark.parametrize("build", [SetIdeal, lambda f, m: SetIdeal.from_generators(f, [m])],
+                             ids=["init", "from_generators"])
+    def test_generator_masks_must_be_ints(self, build, mask):
+        # 1.0 and True equal the member 1, so a set lookup alone would admit them
+        with pytest.raises(InputError, match=f"^ideal generator {mask} is not an int bitmask$"):
+            build(pot("1", "2"), mask)
 
     def test_ideals_enumeration(self):
         assert len(ideals_of(pot("1", "2", "3", "4"))) == 15

@@ -21,7 +21,7 @@ from stonespec.lattice import bits
 from stonespec.checks import GRID3, _grid3_functions
 from stonespec.family import enumerate_families, level_sets, point_values
 from stonespec.lattice import MAX_ELEMENTS
-from stonespec.topology import (_constant_on_nbhds, _family_of_levels, _first_unclosed,
+from stonespec.topology import (_family_of_levels, _first_nonconstant, _first_unclosed,
                                 covers_spectrum)
 
 HALF = Fraction(1, 2)
@@ -281,7 +281,7 @@ class TestClosedFormsAgainstOracles:
             for t in all_topologies(n):
                 for ranks in product(range(len(GRID3)), repeat=n):
                     values = tuple(GRID3[k] for k in ranks)
-                    assert _constant_on_nbhds(t, ranks) == is_continuous(t, values)
+                    assert (_first_nonconstant(t, ranks) < 0) == is_continuous(t, values)
                     got = _family_of_levels(t, level_sets(ranks), values)
                     want = spectral_family_of_continuous(t, values)
                     assert type(got) is type(want)
@@ -300,7 +300,7 @@ class TestClosedFormsAgainstOracles:
                 for values, _, fibres in grid_fns:
                     ranks = [GRID3.index(v) for v in values]
                     got = t.opens.issuperset(fibres)
-                    assert got == _constant_on_nbhds(t, ranks)
+                    assert got == (_first_nonconstant(t, ranks) < 0)
                     verdicts[got] += 1
         assert sum(verdicts.values()) == 29577 and verdicts[True] == 2379
 
