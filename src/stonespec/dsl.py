@@ -555,12 +555,31 @@ def _covers(lat: Lattice):
 
 def emit_text(file: InstanceFile) -> str:
     """Canonical text form, rendered from each block's JSON form;
-    parse(emit_text(parse(x))) is a fixpoint."""
+    parse(emit_text(parse(x))) is a fixpoint.  A name the text would not
+    read back unchanged raises :class:`InputError`."""
     return "\n".join(_text_block(_json_block(b, file)) for b in file.blocks)
+
+
+def _check_writable(d: dict) -> None:
+    """Raise :class:`InputError` on the first name of the JSON form ``d``
+    that would not read back unchanged: block and host names must be one
+    scanner token, element names and point labels stripped text without a
+    reserved character, and element names free of the ``->`` an order
+    clause rejects."""
+    names = [("block name", d["name"])] + [("host name", d[k]) for k in ("in", "on") if k in d]
+    for what, name in names:
+        if not name or any(ch in _RESERVED or ch.isspace() for ch in name):
+            raise InputError(f"cannot write {what} {name!r} as text")
+    for what, label in ([("element name", e) for e in d.get("elements", ())]
+                        + [("point label", p) for p in d.get("points", ())]):
+        if (not label or label != label.strip() or any(ch in _RESERVED for ch in label)
+                or what == "element name" and "->" in label):
+            raise InputError(f"cannot write {what} {label!r} as text")
 
 
 def _text_block(d: dict) -> str:
     """One block of the text form, from its JSON form."""
+    _check_writable(d)
     kind = d["kind"]
     if kind == "lattice":
         head = f"lattice {d['name']}"

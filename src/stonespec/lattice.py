@@ -215,16 +215,17 @@ class Lattice:
     # -- identity ---------------------------------------------------------
 
     def eid(self, e) -> int:
-        """Resolve an element name (or id) to its dense id."""
-        if isinstance(e, str):
-            try:
-                return self.index[e]
-            except KeyError:
-                raise InputError(f"unknown element {e!r}") from None
-        i = int(e)
-        if not 0 <= i < self.n:
-            raise InputError(f"element id {i} out of range")
-        return i
+        """Resolve an element name (or int id) to its dense id."""
+        if type(e) is int:
+            if not 0 <= e < self.n:
+                raise InputError(f"element id {e} out of range")
+            return e
+        if not isinstance(e, str):
+            raise InputError(f"element {e!r} is neither a name nor an int id")
+        try:
+            return self.index[e]
+        except KeyError:
+            raise InputError(f"unknown element {e!r}") from None
 
     def __eq__(self, other):
         if self is other:
@@ -298,6 +299,33 @@ class Lattice:
         for e in elements:
             acc = table[acc][self.eid(e)]
         return acc
+
+    def _first_unjoined(self, elements, image, plus):
+        """The first nonempty family of ``elements`` whose join ``image``
+        does not send to the ``plus`` of its images, as element names, or
+        None if there is none.
+
+        With ``elements`` closed under join and ``plus`` associative,
+        commutative and idempotent, the law holds for every family iff it
+        holds for every pair, by induction on the family size.  Only if a
+        pair fails are the families scanned, in bitmask order over
+        ``elements``, each built from the one without its lowest member.
+        """
+        _, join = self._tables()
+        if all(image[join[a][b]] == plus(image[a], image[b])
+               for i, a in enumerate(elements) for b in elements[i + 1:]):
+            return None
+        total = 1 << len(elements)
+        join_of, plus_of = [None] * total, [None] * total
+        for s in range(1, total):
+            low = s & -s
+            e = elements[low.bit_length() - 1]
+            rest = s ^ low
+            join_of[s] = join[join_of[rest]][e] if rest else e
+            plus_of[s] = plus(plus_of[rest], image[e]) if rest else image[e]
+            if image[join_of[s]] != plus_of[s]:
+                return tuple(self.names[elements[j]] for j in bits(s))
+        return None
 
     def ortho_of(self, a) -> int:
         if self.ortho is None:

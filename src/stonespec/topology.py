@@ -14,7 +14,7 @@ from .family import (ComplexObservableFunction, ObservableFunction,
                      SpectralFamily, first_hits, level_sets, observable_function,
                      point_values)
 from .lattice import MAX_ELEMENTS, Lattice, Record, bits, label_masks
-from .stone import SCAN_CAP, FiniteSpace, StoneSpace, stone_space, unions
+from .stone import SCAN_CAP, StoneSpace, stone_space, unions
 
 
 def _min_nbhds(masks, n: int) -> list:
@@ -28,7 +28,7 @@ def _min_nbhds(masks, n: int) -> list:
     return nbhd
 
 
-class TopSpace(FiniteSpace):
+class TopSpace:
     """A finite topology, opens stored as point bitmasks."""
 
     def __init__(self, points, opens):
@@ -37,7 +37,7 @@ class TopSpace(FiniteSpace):
             raise InputError("duplicate point labels")
         if not self.points:
             raise InputError("a space needs at least one point")
-        self.full = self._full = (1 << len(self.points)) - 1
+        self.full = (1 << len(self.points)) - 1
         opens = tuple(opens)
         for o in opens:
             if type(o) is not int:
@@ -70,7 +70,7 @@ class TopSpace(FiniteSpace):
 
     def _set(self, points, opens, basis, nbhd) -> None:
         self.points = points
-        self.full = self._full = (1 << len(points)) - 1
+        self.full = (1 << len(points)) - 1
         self.opens, self._basis, self._nbhd = opens, basis, tuple(nbhd)
         self._interior = {}
         self._lattice = self._r_lattice = None
@@ -104,6 +104,22 @@ class TopSpace(FiniteSpace):
     def is_discrete(self) -> bool:
         """Computed Hausdorff flag: a finite space is Hausdorff iff discrete."""
         return len(self.opens) == self.full + 1
+
+    def interior(self, x: int) -> int:
+        """Largest open subset: the points p with U_p inside x."""
+        try:
+            return self._interior[x]
+        except KeyError:
+            acc = 0
+            for p in bits(x & self.full):
+                if self._nbhd[p] & ~x == 0:
+                    acc |= 1 << p
+            self._interior[x] = acc
+            return acc
+
+    def closure(self, x: int) -> int:
+        """Smallest closed superset (complement of the interior of the complement)."""
+        return self.full ^ self.interior(self.full ^ x)
 
     def pseudocomplement(self, u: int) -> int:
         """The complement of the closure; the ortho map of the regular opens."""
@@ -350,21 +366,8 @@ def completely_increasing_check(lat: Lattice, r: dict):
     nz = [e for e in range(lat.n) if e != lat.bottom]
     if len(nz) > SCAN_CAP:
         raise InputError(f"completely-increasing scan capped at {SCAN_CAP} elements")
-    _, join = lat._tables()
-    total = 1 << len(nz)
-    join_of = [lat.bottom] * total
-    max_of = [None] * total
-    for s in range(1, total):
-        low = s & -s
-        i = low.bit_length() - 1
-        rest = s ^ low
-        e = nz[i]
-        join_of[s] = e if rest == 0 else join[join_of[rest]][e]
-        max_of[s] = r[e] if rest == 0 else max(max_of[rest], r[e])
-        if r[join_of[s]] != max_of[s]:
-            witness = tuple(lat.names[nz[j]] for j in bits(s))
-            return False, witness
-    return True, None
+    witness = lat._first_unjoined(nz, r, max)
+    return witness is None, witness
 
 
 def star_condition_check(space: TopSpace, g: ObservableFunction):

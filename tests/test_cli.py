@@ -105,6 +105,9 @@ class TestStartup:
         loaded = set(done.stdout.split())
         assert "stonespec.cli" in loaded
         assert not loaded & {"dataclasses", "inspect"}
+        # the package depends on nothing outside the standard library
+        tops = {name.partition(".")[0] for name in loaded}
+        assert {t for t in tops if t != "stonespec"} <= sys.stdlib_module_names, tops
 
 
 class TestTables:

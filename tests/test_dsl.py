@@ -2,13 +2,15 @@
 
 import glob
 import os
+import re
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stonespec import dsl
+from stonespec import InputError, dsl
 from stonespec.family import ComplexSpectralFamily, SpectralFamily
 from stonespec.lattice import Lattice
 from stonespec.measurable import FieldOfSets, MeasurableFunction, SetIdeal
@@ -204,6 +206,51 @@ class TestEmission:
             file2 = parse_ok(emitted)
             assert file2 == file, path
             assert dsl.emit_text(file2) == emitted, path
+
+    @staticmethod
+    def chain_file(names, name="L"):
+        lat = Lattice(names, list(zip(names, names[1:])))
+        return dsl.InstanceFile([dsl.BlockInfo("lattice", name, None, lat)])
+
+    @pytest.mark.parametrize("names, bad", [
+        (["0", "a#b", "1"], "element name 'a#b'"),
+        (["0", "x->", "1"], "element name 'x->'"),
+        (["0", "a<->b", "1"], "element name 'a<->b'"),
+        (["0", "", "1"], "element name ''"),
+        (["0", " a", "1"], "element name ' a'"),
+        (["0", "a;", "1"], "element name 'a;'"),
+    ])
+    def test_unwritable_element_names_raise(self, names, bad):
+        with pytest.raises(InputError, match=f"^cannot write {re.escape(bad)} as text$"):
+            dsl.emit_text(self.chain_file(names))
+
+    @pytest.mark.parametrize("name", ["", "my L", "L{", "L#", "L:"])
+    def test_unwritable_block_names_raise(self, name):
+        with pytest.raises(InputError, match=f"^cannot write block name {re.escape(repr(name))} as text$"):
+            dsl.emit_text(self.chain_file(["0", "1"], name))
+
+    def test_unwritable_host_name_raises(self):
+        file = self.chain_file(["0", "1"], "L 2")
+        fam = SpectralFamily(file.blocks[0].obj, [(0, "1")])
+        file.blocks.insert(0, dsl.BlockInfo("family", "E", "L 2", fam))
+        with pytest.raises(InputError, match="^cannot write host name 'L 2' as text$"):
+            dsl.emit_text(file)
+
+    @pytest.mark.parametrize("points, bad", [
+        (("p,q", "r"), "'p,q'"), (("p", "r "), "'r '"), (("", "r"), "''"),
+        (("p}", "r"), "'p}'"),
+    ])
+    def test_unwritable_point_labels_raise(self, points, bad):
+        # ("p,q", "r") would be written as {p,q, r}: a different 3-point space
+        for kind, obj in (("topology", TopSpace(points, [0, 1, 3])),
+                          ("field", FieldOfSets(points, [1, 2]))):
+            file = dsl.InstanceFile([dsl.BlockInfo(kind, "S", None, obj)])
+            with pytest.raises(InputError, match=f"^cannot write point label {re.escape(bad)} as text$"):
+                dsl.emit_text(file)
+
+    def test_names_with_inner_spaces_and_dashes_round_trip(self):
+        file = self.chain_file(["0", "a b", "-", ">c", "1"])
+        assert parse_ok(dsl.emit_text(file)) == file
 
     def test_json_shapes(self):
         file = parse_ok(MO2_TEXT + "family E in MO2 { 0: a ; 1: 1 ; }")

@@ -194,6 +194,17 @@ class TestEval:
             SpectralFamily(b2, [(Fraction(0), "x"), (1.0, "1")])
 
 
+    @pytest.mark.parametrize("v", [1.9, 3.2, True, Fraction(3)])
+    def test_values_are_names_or_int_ids(self, v):
+        # 1.9 was read as element 1 and 3.2 as the top
+        b2 = boolean_lattice(2)
+        with pytest.raises(InputError, match="is neither a name nor an int id"):
+            SpectralFamily(b2, [(0, v), (1, "1")])
+        with pytest.raises(InputError, match="is neither a name nor an int id"):
+            ComplexSpectralFamily(b2, [0, 1], [0], [[v], ["1"]])
+        assert SpectralFamily(b2, [(0, 1), (1, 3)]) == SpectralFamily(b2, [(0, "x"), (1, "1")])
+
+
 def float_entry_points():
     """Each public entry point that takes a rational, called with 0.1."""
     from stonespec import FieldOfSets, MeasurableFunction, bijection_report
@@ -340,6 +351,52 @@ class TestTransferredAlgebra:
         e = SpectralFamily(b2, [(-2, "x"), (1, "1")])
         assert fam.sup_norm(e) == 2
         assert fam.sup_norm(fam.scale(HALF, e)) == 1
+
+
+def complex_values(e):
+    """The pointwise (re, im) values of a family's observable function; a
+    real family has imaginary part 0."""
+    if isinstance(e, ComplexSpectralFamily):
+        g = observable_function_complex(e)
+        return [g.value(k) for k in range(len(g.re.values))]
+    return [(v, Fraction(0)) for v in observable_function(e).values]
+
+
+class TestComplexAlgebra:
+    def test_operations_pull_back_pointwise_complex_arithmetic(self):
+        # every pair of the 16 product families of boolean(2) on the grid
+        # {0, 1}, and each of them against the 4 real families either side
+        b2 = boolean_lattice(2)
+        reals = enumerate_families(b2, (0, 1))
+        assert len(reals) == 4
+        cplx = [product_family(e1, e2) for e1 in reals for e2 in reals]
+        pairs = [(e, f) for e in cplx for f in cplx]
+        pairs += [(e, r) for e in cplx for r in reals] + [(r, e) for e in cplx for r in reals]
+        for e, f in pairs:
+            ve, vf = complex_values(e), complex_values(f)
+            total, product = fam.add(e, f), fam.mul(e, f)
+            assert isinstance(total, ComplexSpectralFamily)
+            assert complex_values(total) == [(a + c, b + d) for (a, b), (c, d) in zip(ve, vf)]
+            assert complex_values(product) == [(a * c - b * d, a * d + b * c)
+                                               for (a, b), (c, d) in zip(ve, vf)]
+        scalars = [(Fraction(2), Fraction(-1)), (Fraction(0), Fraction(1)),
+                   (Fraction(1, 2), Fraction(3))]
+        for e in cplx:
+            g = observable_function_complex(e)
+            ve = complex_values(e)
+            assert fam.from_complex_observable_function(g) == e
+            assert complex_values(fam.star(e)) == [(a, -b) for a, b in ve]
+            for alpha, beta in scalars:
+                want = [(alpha * a - beta * b, alpha * b + beta * a) for a, b in ve]
+                assert complex_values(fam.scale((alpha, beta), e)) == want
+                scaled = g.scale(alpha, beta)
+                assert [scaled.value(k) for k in range(len(ve))] == want
+                assert complex_values(fam.scale(alpha, e)) == [(alpha * a, alpha * b)
+                                                               for a, b in ve]
+            for f in cplx:
+                diff = g.re - observable_function_complex(f).re
+                assert list(diff.values) == [a - c for (a, _), (c, _) in
+                                             zip(ve, complex_values(f))]
 
 
 class TestSpectrum:

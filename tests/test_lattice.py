@@ -6,6 +6,7 @@ the declared relation) and frozen as literals where small enough.
 
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -70,6 +71,17 @@ class TestMeetJoin:
             boolean_lattice(2).meet(["nope"])
         with pytest.raises(InputError):
             boolean_lattice(2).eid(99)
+
+    @pytest.mark.parametrize("e", [1.7, 1.0, True, False, Fraction(1), None, (1,), b"x"])
+    def test_element_ids_are_names_or_ints(self, e):
+        # a float, bool or other number is never truncated into an id
+        b2 = boolean_lattice(2)
+        msg = "is neither a name nor an int id"
+        for call in (lambda: b2.eid(e), lambda: b2.le(e, "1"), lambda: b2.meet2("x", e)):
+            with pytest.raises(InputError, match=msg):
+                call()
+        assert [b2.eid(i) for i in range(b2.n)] == list(range(b2.n))
+        assert b2.eid("x") == b2.index["x"] and b2.le("x", 3)
 
 
 class TestAlgebraicLaws:

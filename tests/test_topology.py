@@ -10,7 +10,8 @@ import pytest
 
 from stonespec import (ComplexObservableFunction, InputError, ObservableFunction,
                        SpectralFamily, TopSpace, UnsupportedStructureError,
-                       all_topologies,
+                       all_fields, all_topologies, boolean_lattice, chain_lattice,
+                       mo_lattice,
                        classify_family,
                        completely_increasing_check, cpt_membership, f_star,
                        identification_check, induced_function, is_continuous,
@@ -101,6 +102,25 @@ def oracle_is_strongly_regular(space, family):
     return True, None, -1
 
 
+def oracle_completely_increasing(lat, r):
+    """r(join of S) == max of r over S for every nonempty family S of
+    nonzero elements, scanned in bitmask order, each family built from the
+    one without its lowest member; returns (bool, the first failing
+    family's element names)."""
+    nz = [e for e in range(lat.n) if e != lat.bottom]
+    total = 1 << len(nz)
+    join_of, max_of = [lat.bottom] * total, [None] * total
+    for s in range(1, total):
+        low = s & -s
+        e = nz[low.bit_length() - 1]
+        rest = s ^ low
+        join_of[s] = e if rest == 0 else lat.join2(join_of[rest], e)
+        max_of[s] = r[e] if rest == 0 else max(max_of[rest], r[e])
+        if r[join_of[s]] != max_of[s]:
+            return False, tuple(lat.names[nz[j]] for j in bits(s))
+    return True, None
+
+
 def small_spaces():
     for n in (1, 2, 3, 4):
         yield from all_topologies(n)
@@ -181,11 +201,15 @@ class TestSpaceBasics:
         assert s.closure(two) == two
 
     def test_interior_matches_oracle_on_all_subsets(self):
-        for n in (2, 3):
-            for s in all_topologies(n):
-                for x in range(s.full + 1):
-                    assert s.interior(x) == oracle_interior(s, x)
-                    assert s.closure(x) == s.full ^ oracle_interior(s, s.full ^ x)
+        # every topology and every field of sets on up to 4 points; the
+        # second pass reads the memo
+        for n in (1, 2, 3, 4):
+            spaces = all_topologies(n) + tuple(all_fields(tuple(str(i) for i in range(n))))
+            for s in spaces:
+                for _ in range(2):
+                    for x in range(s.full + 1):
+                        assert s.interior(x) == oracle_interior(s, x)
+                        assert s.closure(x) == s.full ^ oracle_interior(s, s.full ^ x)
 
     def test_minimal_neighbourhoods(self):
         for n in (1, 2, 3):
@@ -541,6 +565,37 @@ class TestIncreasingCalculus:
                 ok, witness = completely_increasing_check(lat, r_function(t, g))
                 assert ok, (t, values, witness)
 
+    def test_pair_test_matches_the_family_scan(self):
+        # r is the max of a random g over each Q_e (completely increasing
+        # exactly where the base preserves joins) or a random map into
+        # {0, 1, 2}; the witness is the first failing family in bitmask
+        # order, which need not be the first failing pair
+        rng = random.Random(0)
+        lattices = [t.r_lattice() for n in (1, 2, 3) for t in all_topologies(n)]
+        lattices += [t.lattice() for t in all_topologies(3)]
+        lattices += [boolean_lattice(n) for n in (1, 2, 3)]
+        lattices += [mo_lattice(k) for k in (1, 2)] + [chain_lattice(m) for m in range(1, 6)]
+        verdicts, sizes = {True: 0, False: 0}, set()
+        for lat in lattices:
+            st = stone_space(lat)
+            nz = [e for e in range(lat.n) if e != lat.bottom]
+            for _ in range(10):
+                g = [Fraction(rng.randrange(3)) for _ in range(st.n_points)]
+                for r in ({e: max(g[k] for k in bits(st.base[e])) for e in nz},
+                          {e: rng.randrange(3) for e in nz}):
+                    got = completely_increasing_check(lat, r)
+                    assert got == oracle_completely_increasing(lat, r), (lat.names, r)
+                    verdicts[got[0]] += 1
+                    sizes.add(len(got[1] or ()))
+        assert verdicts[True] and verdicts[False], verdicts
+        assert {0, 2, 3} <= sizes, sizes
+
+    def test_scan_cap(self):
+        lat = boolean_lattice(5)  # 31 nonzero elements
+        with pytest.raises(InputError,
+                           match=r"^completely-increasing scan capped at 20 elements$"):
+            completely_increasing_check(lat, {e: 0 for e in range(lat.n)})
+
     def test_star_condition_matches_membership_on_discrete(self):
         for n in (1, 2, 3):
             d = TopSpace.discrete(tuple(str(i) for i in range(n)))
@@ -644,7 +699,7 @@ class TestAllTopologies:
         # the generated spaces skip the checks of TopSpace(points, opens);
         # rebuilt through it, each must come out the same, down to the basis
         # order (which fixes lattice ids) and the minimal neighbourhoods
-        attrs = ("points", "full", "_full", "opens", "_basis", "_nbhd")
+        attrs = ("points", "full", "opens", "_basis", "_nbhd")
         for n in range(1, 6):
             for t in all_topologies(n):
                 checked = TopSpace(t.points, t.opens)
