@@ -480,10 +480,10 @@ class _Builder:
             entries[(x, y)] = self._resolve_value(info, v_text, v_at)
         xs = sorted({x for x, _ in entries})
         ys = sorted({y for _, y in entries})
-        missing = [(x, y) for x in xs for y in ys if (x, y) not in entries]
-        if missing:
+        if len(entries) < len(xs) * len(ys):  # walk at most len(entries) + 1 cells
+            x, y = next((x, y) for x in xs for y in ys if (x, y) not in entries)
             self.reject("malformed-clause",
-                        f"grid is not complete; missing entry at {missing[0]}", rb.at)
+                        f"grid is not complete; missing entry at {x},{y}", rb.at)
         matrix = [[entries[(x, y)] for y in ys] for x in xs]
         # the meet law reads the host's meet table, which a non-lattice lacks
         return self.construct(rb, "invalid-family",

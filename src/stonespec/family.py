@@ -255,15 +255,21 @@ def observable_function(family: SpectralFamily, space: StoneSpace = None) -> Obs
     because membership of the values in a filter is upward closed along the
     family and the last value is the top.
     """
-    if space is None:
-        space = stone_space(family.lattice)
-    elif space.lattice is not family.lattice and space.lattice != family.lattice:
-        raise InputError("spectrum was enumerated on a different lattice")
+    space = _spectrum(family.lattice, space)
     values, missed = first_hits(family.thresholds,
                                 [space.base[v] for v in family.values], space.n_points)
     if missed:  # unreachable: the top value lies in every filter
         raise InvalidFamilyError("family is not bounded above")
     return ObservableFunction(space, values)
+
+
+def _spectrum(lattice: Lattice, space) -> StoneSpace:
+    """The lattice's spectrum, or ``space`` once it is known to be one."""
+    if space is None:
+        return stone_space(lattice)
+    if space.lattice is not lattice and space.lattice != lattice:
+        raise InputError("spectrum was enumerated on a different lattice")
+    return space
 
 
 def _require_boolean(lattice: Lattice) -> None:
@@ -287,14 +293,13 @@ def _require_boolean(lattice: Lattice) -> None:
             f"the inverse transform needs a finite Boolean algebra ({reason})")
 
 
-def from_observable_function(g: ObservableFunction, lattice: Lattice = None) -> SpectralFamily:
+def from_observable_function(g: ObservableFunction) -> SpectralFamily:
     """The unique family with the given observable function, on a Boolean lattice.
 
     E at t is the join of the atoms whose quasipoint takes a value <= t.
     Restricted to Boolean lattices; elsewhere no inverse is attempted.
     """
-    if lattice is None:
-        lattice = g.space.lattice
+    lattice = g.space.lattice
     _require_boolean(lattice)
     _, join = lattice._tables()
     atoms = g.space.atoms
@@ -328,7 +333,7 @@ def scale(alpha, e):
         if isinstance(alpha, tuple):
             return from_complex_observable_function(g.scale(*alpha))
         return from_complex_observable_function(g.scale(alpha))
-    return from_observable_function(observable_function(e).scale(alpha), e.lattice)
+    return from_observable_function(observable_function(e).scale(alpha))
 
 
 def star(e):
@@ -351,7 +356,7 @@ def _transfer2(e, f, op):
         return from_complex_observable_function(op(ge, gf))
     ge = observable_function(e)
     gf = observable_function(f)
-    return from_observable_function(op(ge, gf), e.lattice)
+    return from_observable_function(op(ge, gf))
 
 
 def _as_complex_function(e):
@@ -396,8 +401,11 @@ class ComplexSpectralFamily:
 
     ``matrix[i][j]`` is the value on [xs[i], xs[i+1]) x [ys[j], ys[j+1]);
     bottom applies whenever either coordinate lies below its first grid line.
-    The meet law  E(s) & E(t) == E(min s, min t)  is checked on the whole
-    grid and the corner value must be the top.
+    The meet law  E(s) & E(t) == E(min s, min t)  holds on the whole grid iff
+    the margins (last column and last row) are chains and every cell is the
+    meet of its two margin cells, E(i, j) == E(i, c) & E(r, j); only those
+    pairs are checked, and the corner value must be the top.  The canonical
+    grid is then the canonical thresholds of the two margins.
     """
 
     __slots__ = ("lattice", "xs", "ys", "matrix")
@@ -413,8 +421,11 @@ class ComplexSpectralFamily:
         matrix = [[lattice.eid(v) for v in row] for row in matrix]
         if len(matrix) != len(xs) or any(len(row) != len(ys) for row in matrix):
             raise InvalidFamilyError("value matrix does not match the grids")
-        cells = [(i, j) for i in range(len(xs)) for j in range(len(ys))]
-        for (i, j), (k, l) in combinations(cells, 2):
+        r, c = len(xs) - 1, len(ys) - 1
+        pairs = [((i, c), (i + 1, c)) for i in range(r)]
+        pairs += [((r, j), (r, j + 1)) for j in range(c)]
+        pairs += [((i, c), (r, j)) for i in range(r) for j in range(c)]
+        for (i, j), (k, l) in pairs:
             got = lattice.meet2(matrix[i][j], matrix[k][l])
             want = matrix[min(i, k)][min(j, l)]
             if got != want:
@@ -423,13 +434,11 @@ class ComplexSpectralFamily:
         if matrix[-1][-1] != lattice.top:
             raise InvalidFamilyError("family is not bounded above (corner must be top)")
 
-        keep_r = _kept_lines(matrix, lattice.bottom)
-        keep_c = _kept_lines(list(zip(*(matrix[i] for i in keep_r))), lattice.bottom)
-
         self.lattice = lattice
-        self.xs = tuple(xs[i] for i in keep_r)
-        self.ys = tuple(ys[j] for j in keep_c)
-        self.matrix = tuple(tuple(matrix[i][j] for j in keep_c) for i in keep_r)
+        self.xs = SpectralFamily._canonical(lattice, xs, [row[c] for row in matrix]).thresholds
+        self.ys = SpectralFamily._canonical(lattice, ys, matrix[r]).thresholds
+        cols = [bisect_left(ys, y) for y in self.ys]
+        self.matrix = tuple(tuple(matrix[bisect_left(xs, x)][j] for j in cols) for x in self.xs)
 
     def eval(self, lam, mu) -> int:
         i = bisect_right(self.xs, _as_fraction(lam)) - 1
@@ -446,20 +455,6 @@ class ComplexSpectralFamily:
             return NotImplemented
         return ((self.xs, self.ys, self.matrix, self.lattice)
                 == (other.xs, other.ys, other.matrix, other.lattice))
-
-
-def _kept_lines(lines, bottom) -> list:
-    """Indices of the grid lines a canonical family keeps: leading all-bottom
-    lines go (but never the last line), and so does each line equal to the
-    kept line before it."""
-    start = 0
-    while start < len(lines) - 1 and all(v == bottom for v in lines[start]):
-        start += 1
-    keep = [start]
-    for i in range(start + 1, len(lines)):
-        if lines[i] != lines[keep[-1]]:
-            keep.append(i)
-    return keep
 
 
 def product_family(e1: SpectralFamily, e2: SpectralFamily) -> ComplexSpectralFamily:
@@ -487,8 +482,7 @@ def observable_function_complex(e: ComplexSpectralFamily,
                                 space: StoneSpace = None) -> ComplexObservableFunction:
     """Componentwise least grid lines whose value (for some partner line) lies
     in the quasipoint; packaged as real + imaginary observable functions."""
-    if space is None:
-        space = stone_space(e.lattice)
+    space = _spectrum(e.lattice, space)
     rows = [0] * len(e.xs)
     cols = [0] * len(e.ys)
     for i, row in enumerate(e.matrix):
@@ -518,8 +512,7 @@ def riemann_stieltjes(family: SpectralFamily, grid, space: StoneSpace = None) ->
     being summed.  The result is within the largest grid gap of f_E, and
     equals f_E exactly whenever the grid contains every threshold.
     """
-    if space is None:
-        space = stone_space(family.lattice)
+    space = _spectrum(family.lattice, space)
     return ObservableFunction(space, _step_sum(family, grid, space.base, space.n_points))
 
 

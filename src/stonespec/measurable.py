@@ -330,15 +330,13 @@ class QuotientAlgebra:
 
     def embedded_point_indices(self) -> tuple:
         """Indices, into the original Stone space, of the quasipoints containing
-        the ideal's dual filter, ordered to match the reduced Stone space."""
+        the ideal's dual filter, ordered to match the reduced Stone space: those
+        of the surviving atoms, the only atoms the reduced space holds."""
         if self._embedded is None:
             space = self.field.stone()
             lat = self.field.lattice()
-            perp_ids = [lat.set_ids[m] for m in self.ideal.perp_members()]
             # order by the generating atom, matching the reduced enumeration
-            by_atom = {lat.payload[a]: k for k, (a, members)
-                       in enumerate(zip(space.atoms, space.points))
-                       if all(members >> e & 1 for e in perp_ids)}
+            by_atom = {lat.payload[a]: k for k, a in enumerate(space.atoms)}
             reduced = self.stone()
             self._embedded = tuple(by_atom[_moved(reduced.lattice.payload[a], self._unshift)]
                                    for a in reduced.atoms)

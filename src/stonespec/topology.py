@@ -17,10 +17,16 @@ from .lattice import MAX_ELEMENTS, Lattice, Record, bits, label_masks
 from .stone import SCAN_CAP, StoneSpace, stone_space, unions
 
 
+MAX_POINTS = 4096
+
+
 def _min_nbhds(masks, n: int) -> list:
     """For each of n points, the intersection of the masks that contain it
     (all n points if none does): its minimal open neighbourhood U_x when the
-    masks are the opens of a topology, or generate one."""
+    masks are the opens of a topology, or generate one.  Each U_x is an n-bit
+    int, so n is capped first."""
+    if n > MAX_POINTS:
+        raise InputError(f"{n} points exceed the cap of {MAX_POINTS}")
     nbhd = [(1 << n) - 1] * n
     for m in masks:
         for i in bits(m):

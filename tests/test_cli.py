@@ -341,6 +341,39 @@ class TestInputRobustness:
         assert done.stderr == (f"error: parse failed:\n{path}:1:1: error: {why} "
                                "[bad-topology]\n")
 
+    CHAIN2 = "lattice L { elements: 0, 1 ; order: 0 < 1 ; }\n"
+
+    def test_large_family2_decomposes_in_bounded_time(self, tmp_path):
+        # 6,400 cells: the meet law is read on 6,399 generating pairs, not on
+        # all 20 million pairs of cells
+        cells = " ; ".join(f"{i},{j}: 1" for i in range(80) for j in range(80))
+        path = tmp_path / "grid80.lat"
+        path.write_text(self.CHAIN2 + f"family2 G in L {{ {cells} ; }}\n")
+        done = run_bounded("decompose", str(path), "G")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "first:  0: 1\nsecond: 0: 1\n"
+
+    def test_sparse_family2_names_its_first_gap_in_bounded_time(self, tmp_path):
+        # 2,000 lines each way but only the diagonal: the grid is not listed
+        cells = " ; ".join(f"{i},{i}: 1" for i in range(2000))
+        path = tmp_path / "diagonal.lat"
+        path.write_text(self.CHAIN2 + f"family2 G in L {{ {cells} ; }}\n")
+        done = run_bounded("validate", str(path))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (f"error: parse failed:\n{path}:2:1: error: grid is not "
+                               "complete; missing entry at 0,1 [malformed-clause]\n")
+
+    def test_too_many_points_stop_before_the_neighbourhoods(self, tmp_path):
+        # one n-bit neighbourhood per point would take n^2 / 8 bytes; parsing
+        # the file alone takes about a second of CPU
+        points = ",".join(str(i) for i in range(60000))
+        path = tmp_path / "points.lat"
+        path.write_text(f"topology T on {{{points}}} {{ generators: {{{points}}} ; }}\n")
+        done = run_bounded("validate", str(path), cpu_s=2)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (f"error: parse failed:\n{path}:1:1: error: 60000 points "
+                               "exceed the cap of 4096 [bad-topology]\n")
+
     def test_validate_still_reports_an_invalid_lattice(self, tmp_path):
         path = tmp_path / "bad.lat"
         path.write_text(self.CYCLE)

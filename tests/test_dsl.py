@@ -158,6 +158,12 @@ class TestDiagnostics:
                        "invalid-family")
         assert d.message == "not a lattice: a, b have no least upper bound"
 
+    def test_incomplete_family2_names_the_first_gap(self):
+        # the gap is named as a file writes its key; the 1/2 row is complete
+        d = first_diag(MO2_TEXT + "family2 G in MO2 { 0,0: a ; 1/2,0: a ; 1/2,1: 1 ; }",
+                       "malformed-clause")
+        assert d.message == "grid is not complete; missing entry at 0,1"
+
     def test_never_both_file_and_diagnostics(self):
         result = dsl.parse(MO2_TEXT + "family E in MO2 { 0: zz ; }")
         assert result.file is None and result.diagnostics

@@ -2,8 +2,10 @@
 two-parameter families and step-sum integration."""
 
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -263,9 +265,15 @@ class TestObservableFunction:
                         assert (g.values[k] <= t) == rhs
 
     def test_mismatched_space_rejected(self):
-        e = SpectralFamily(mo_lattice(2), [(0, "1")])
-        with pytest.raises(InputError):
-            observable_function(e, stone_space(boolean_lattice(2)))
+        # one guard for every transform that takes a spectrum
+        e = SpectralFamily(mo_lattice(2), [(0, "a"), (1, "1")])
+        e2 = product_family(e, e)
+        other = stone_space(boolean_lattice(2))
+        for call in (lambda: observable_function(e, other),
+                     lambda: observable_function_complex(e2, other),
+                     lambda: riemann_stieltjes(e, e.thresholds, other)):
+            with pytest.raises(InputError, match="^spectrum was enumerated on a different"):
+                call()
 
 
 class TestInverseTransform:
@@ -467,6 +475,109 @@ def oracle_decompositions(e, candidates):
     """Brute force: all component pairs whose product equals the family."""
     return [(f1, f2) for f1 in candidates for f2 in candidates
             if product_family(f1, f2) == e]
+
+
+def oracle_meet_law_failure(lattice, matrix):
+    """The scan over every pair of cells that ``ComplexSpectralFamily`` ran
+    before it read only the generating pairs: the first failing pair, or None."""
+    cells = [(i, j) for i in range(len(matrix)) for j in range(len(matrix[0]))]
+    for (i, j), (k, l) in combinations(cells, 2):
+        if lattice.meet2(matrix[i][j], matrix[k][l]) != matrix[min(i, k)][min(j, l)]:
+            return (i, j), (k, l)
+    return None
+
+
+def oracle_kept_lines(lines, bottom):
+    """The grid lines the canonical form kept before it was read from the
+    margins: leading all-bottom lines go (but never the last line), and so
+    does each line equal to the kept line before it."""
+    start = 0
+    while start < len(lines) - 1 and all(v == bottom for v in lines[start]):
+        start += 1
+    keep = [start]
+    for i in range(start + 1, len(lines)):
+        if lines[i] != lines[keep[-1]]:
+            keep.append(i)
+    return keep
+
+
+# every grid up to 3 x 2 and 2 x 3
+GRID_SHAPES = [(r, c) for r in (1, 2, 3) for c in (1, 2, 3) if r * c <= 6]
+
+
+class TestGeneratingPairs:
+    """The constructor reads the meet law on the generating pairs and the
+    canonical grid from the margins; on every matrix of the small grids it
+    must agree with the all-pairs scan and with ``oracle_kept_lines``."""
+
+    @pytest.mark.parametrize("lattice", [boolean_lattice(2), mo_lattice(2), chain_lattice(3),
+                                         boolean_lattice(3)], ids=["B2", "MO2", "C3", "B3"])
+    def test_every_matrix_against_the_all_pairs_scan(self, lattice):
+        failed = valid = 0
+        for rows, cols in GRID_SHAPES:
+            xs = tuple(Fraction(i) for i in range(rows))
+            ys = tuple(Fraction(j) for j in range(cols))
+            for flat in product(range(lattice.n), repeat=rows * cols):
+                matrix = [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+                failing = oracle_meet_law_failure(lattice, matrix)
+                try:
+                    e = ComplexSpectralFamily(lattice, xs, ys, matrix)
+                except InvalidFamilyError as err:
+                    if failing is None:
+                        assert matrix[-1][-1] != lattice.top
+                        assert str(err) == "family is not bounded above (corner must be top)"
+                        continue
+                    # grid line k sits at k, so the message names cell indices
+                    i, j, k, l = map(int, re.fullmatch(
+                        r"meet law fails at grid cells \((\d+),(\d+)\) and \((\d+),(\d+)\)",
+                        str(err)).groups())
+                    assert lattice.meet2(matrix[i][j], matrix[k][l]) != \
+                        matrix[min(i, k)][min(j, l)]
+                    failed += 1
+                    continue
+                assert failing is None and matrix[-1][-1] == lattice.top
+                keep_r = oracle_kept_lines(matrix, lattice.bottom)
+                keep_c = oracle_kept_lines(list(zip(*(matrix[i] for i in keep_r))),
+                                           lattice.bottom)
+                assert e.xs == tuple(xs[i] for i in keep_r)
+                assert e.ys == tuple(ys[j] for j in keep_c)
+                assert e.matrix == tuple(tuple(matrix[i][j] for j in keep_c) for i in keep_r)
+                valid += 1
+        assert failed and valid
+
+    def test_a_non_lattice_host_fails_as_before(self):
+        # a and b have two minimal upper bounds; a 1 x 1 grid reads no meet
+        host = Lattice(["0", "a", "b", "c", "d", "1"],
+                       [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
+                        ("b", "d"), ("c", "1"), ("d", "1")])
+        assert ComplexSpectralFamily(host, (0,), (0,), [["1"]]).matrix == ((host.top,),)
+        for rows, cols in ((1, 2), (2, 1), (2, 2)):
+            for flat in product(range(host.n), repeat=rows * cols):
+                matrix = [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+                with pytest.raises(InputError, match="not a lattice") as want:
+                    oracle_meet_law_failure(host, matrix)
+                with pytest.raises(InputError) as got:
+                    ComplexSpectralFamily(host, range(rows), range(cols), matrix)
+                assert str(got.value) == str(want.value)
+
+    def test_the_witness_is_a_generating_pair(self):
+        # x & 0 != x fails first on all pairs; the generating pairs first read
+        # the margins (chains here) and then the cell (0,0) against them
+        b2 = boolean_lattice(2)
+        matrix = [["x", "0"], ["y", "1"]]
+        assert oracle_meet_law_failure(b2, [[b2.eid(v) for v in row] for row in matrix]) \
+            == ((0, 0), (0, 1))
+        with pytest.raises(InvalidFamilyError) as err:
+            ComplexSpectralFamily(b2, (0, 1), (0, 1), matrix)
+        assert str(err.value) == "meet law fails at grid cells (0,1) and (1,0)"
+
+    def test_one_element_lattice_keeps_the_first_line(self):
+        # top is bottom: like SpectralFamily, the canonical grid keeps the
+        # first line of each margin
+        one = chain_lattice(1)
+        e = ComplexSpectralFamily(one, (0, 1), (0, 1, 2), [["0"] * 3] * 2)
+        assert (e.xs, e.ys, e.matrix) == ((0,), (0,), ((0,),))
+        assert e.xs == SpectralFamily(one, [(0, "0"), (1, "0")]).thresholds
 
 
 class TestComplexFamilies:

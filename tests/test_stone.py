@@ -260,10 +260,6 @@ class TestTopology:
             space = stone_space(lat)
             closed = {space.all_points ^ o for o in space.opens()}
             for x in range(space.all_points + 1):
-                want = space.all_points
-                for c in closed:
-                    if x & ~c == 0 and len(list(bits(c))) < len(list(bits(want))):
-                        want = c
                 supersets = [c for c in closed if x & ~c == 0]
                 smallest = min(supersets, key=lambda c: (bin(c).count("1"), c))
                 assert space.closure(x) == smallest

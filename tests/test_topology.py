@@ -8,7 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
-from stonespec import (ComplexObservableFunction, InputError, ObservableFunction,
+from stonespec import (ComplexObservableFunction, FieldOfSets, InputError, ObservableFunction,
                        SpectralFamily, TopSpace, UnsupportedStructureError,
                        all_fields, all_topologies, boolean_lattice, chain_lattice,
                        mo_lattice,
@@ -22,8 +22,8 @@ from stonespec.lattice import bits
 from stonespec.checks import GRID3, _grid3_functions
 from stonespec.family import enumerate_families, level_sets, point_values
 from stonespec.lattice import MAX_ELEMENTS
-from stonespec.topology import (_family_of_levels, _first_nonconstant, _first_unclosed,
-                                covers_spectrum)
+from stonespec.topology import (MAX_POINTS, _family_of_levels, _first_nonconstant,
+                                _first_unclosed, covers_spectrum)
 
 HALF = Fraction(1, 2)
 
@@ -656,6 +656,17 @@ class TestGenerated:
         with pytest.raises(InputError, match=f"65 open sets exceed the cap of {MAX_ELEMENTS}"):
             TopSpace(points, chain)
         assert len(TopSpace(points[:63], chain[:64]).opens) == MAX_ELEMENTS
+
+    def test_points_over_the_cap_rejected_before_their_neighbourhoods(self):
+        points = tuple(range(MAX_POINTS + 1))
+        full = (1 << len(points)) - 1
+        assert TopSpace(points[:-1], [0, full >> 1])._nbhd[-1] == full >> 1
+        why = f"^{MAX_POINTS + 1} points exceed the cap of {MAX_POINTS}$"
+        for make in (lambda: TopSpace(points, [0, full]),
+                     lambda: TopSpace.generated(points, [points]),
+                     lambda: FieldOfSets.from_family(points, [[], points])):
+            with pytest.raises(InputError, match=why):
+                make()
 
 
 class TestAllTopologies:
