@@ -15,8 +15,7 @@ from stonespec import (FieldOfSets, MeasurableFunction, function_of,
                        riemann_stieltjes_on_points, spectral_family_of)
 
 print("== the floor function, windowed over three sample points ==")
-w3 = FieldOfSets.from_partition(("-1/2", "1/2", "3/2"),
-                                [["-1/2"], ["1/2"], ["3/2"]])
+w3 = FieldOfSets.discrete(("-1/2", "1/2", "3/2"))
 floorw = MeasurableFunction(w3, {"-1/2": -1, "1/2": 0, "3/2": 1})
 e = spectral_family_of(floorw)
 lat = w3.lattice()
@@ -31,7 +30,7 @@ print("function -> family -> function:", function_of(w3, spectral_family_of(floo
 
 print()
 print("== step sums ==")
-six = FieldOfSets.from_partition(tuple("abcdef"), [[p] for p in "abcdef"])
+six = FieldOfSets.discrete(tuple("abcdef"))
 phi = MeasurableFunction(six, {"a": Fraction(1, 3), "b": Fraction(3, 4),
                                "c": 1, "d": Fraction(8, 5), "e": 2, "f": 0})
 e6 = spectral_family_of(phi)

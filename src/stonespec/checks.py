@@ -197,7 +197,7 @@ def suite_spectral_theorem(max_size: int = 6, seed: int = 0) -> SuiteResult:
     epsilon, exactly on grids containing every threshold."""
     res = SuiteResult("spectral-theorem")
     rng = random.Random(seed)
-    f6 = mea.FieldOfSets.from_partition(_ground(6), [[p] for p in _ground(6)])
+    f6 = mea.FieldOfSets.discrete(_ground(6))
     res.notes.append(f"seed {seed}, 20 random functions on 6 points")
     for _ in range(20):
         values = [Fraction(rng.randint(0, 20), rng.choice((1, 2, 5, 10)))
@@ -320,7 +320,7 @@ def suite_quotient(max_size: int = 4, seed: int = 0) -> SuiteResult:
     kernel law, representative independence and the lift round trip."""
     res = SuiteResult("quotient")
     n = _clamp(max_size, 4)
-    f = mea.FieldOfSets.from_partition(_ground(n), [[p] for p in _ground(n)])
+    f = mea.FieldOfSets.discrete(_ground(n))
     space = f.stone()
     lat = f.lattice()
     ideals = mea.ideals_of(f)

@@ -15,10 +15,10 @@ from itertools import product
 from .errors import InputError
 from .family import (ObservableFunction, SpectralFamily, _as_fraction, _step_sum,
                      level_sets, observable_function, point_values)
-from .lattice import Lattice, bits, label_masks
-from .stone import StoneSpace, stone_space, unions
+from .lattice import Lattice, bits
+from .stone import StoneSpace, stone_space
 from .topology import (TopSpace, _family_of_levels, _family_payloads, _first_nonconstant,
-                       _min_nbhds, induced_function)
+                       _points, induced_function)
 
 
 class FieldOfSets(TopSpace):
@@ -31,11 +31,7 @@ class FieldOfSets(TopSpace):
     """
 
     def __init__(self, ground, atoms):
-        ground = tuple(ground)
-        if len(set(ground)) != len(ground):
-            raise InputError("duplicate points in the ground set")
-        if not ground:
-            raise InputError("ground set must be nonempty")
+        ground = _points(ground)
         atoms = list(atoms)
         for a in atoms:
             if type(a) is not int:
@@ -56,10 +52,19 @@ class FieldOfSets(TopSpace):
         for a in atoms:
             for p in bits(a):
                 nbhd[p] = a
-        self.ground = ground
-        self.atoms = tuple(atoms)
-        opens = unions(atoms)
-        self._set(ground, opens, tuple(sorted(opens)), nbhd)
+        self._of_nbhds(ground, nbhd)
+
+    def _of_nbhds(self, points: tuple, nbhd) -> "FieldOfSets":
+        """The topology's build for U_x that partition the points (a topology
+        is a field iff it is closed under complement); the U_x are the atoms."""
+        blocks = {}
+        for i, u in enumerate(nbhd):
+            blocks[u] = blocks.get(u, 0) | 1 << i
+        if any(u != block for u, block in blocks.items()):
+            raise InputError("not closed under complement")
+        # first seen at its lowest point, so in order of lowest point
+        self.ground, self.atoms = points, tuple(blocks)
+        return super()._of_nbhds(points, nbhd)
 
     # the inherited from_sets: a partition given as iterables of point labels
     from_partition = TopSpace.__dict__["from_sets"]
@@ -67,22 +72,9 @@ class FieldOfSets(TopSpace):
 
     @classmethod
     def from_family(cls, ground, sets) -> "FieldOfSets":
-        """Build from an explicit family, validating the closure laws."""
-        ground = tuple(ground)
-        full = (1 << len(ground)) - 1
-        fam = set(label_masks(ground, sets))
-        if 0 not in fam or full not in fam:
-            raise InputError("a field of sets must contain the empty set and the ground set")
-        for m in fam:
-            if full ^ m not in fam:
-                raise InputError("family is not closed under complement")
-        for a in fam:
-            for b in fam:
-                if a | b not in fam:
-                    raise InputError("family is not closed under union")
-        # closed under complement and union, so under intersection: the
-        # minimal neighbourhoods are its atoms and their unions its members
-        return cls(ground, set(_min_nbhds(fam, len(ground))))
+        """Build from an explicit family: a topology closed under complement."""
+        space = TopSpace.from_sets(ground, sets)
+        return cls.__new__(cls)._of_nbhds(space.points, space._nbhd)
 
     def labels_of(self, mask: int) -> tuple:
         return tuple(self.ground[i] for i in bits(mask))

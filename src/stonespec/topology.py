@@ -20,13 +20,22 @@ from .stone import SCAN_CAP, StoneSpace, stone_space, unions
 MAX_POINTS = 4096
 
 
+def _points(points) -> tuple:
+    """The labels as a tuple: distinct, nonempty and at most ``MAX_POINTS``."""
+    points = tuple(points)
+    if len(set(points)) != len(points):
+        raise InputError("duplicate point labels")
+    if not points:
+        raise InputError("a space needs at least one point")
+    if len(points) > MAX_POINTS:
+        raise InputError(f"{len(points)} points exceed the cap of {MAX_POINTS}")
+    return points
+
+
 def _min_nbhds(masks, n: int) -> list:
     """For each of n points, the intersection of the masks that contain it
     (all n points if none does): its minimal open neighbourhood U_x when the
-    masks are the opens of a topology, or generate one.  Each U_x is an n-bit
-    int, so n is capped first."""
-    if n > MAX_POINTS:
-        raise InputError(f"{n} points exceed the cap of {MAX_POINTS}")
+    masks are the opens of a topology, or generate one."""
     nbhd = [(1 << n) - 1] * n
     for m in masks:
         for i in bits(m):
@@ -38,67 +47,61 @@ class TopSpace:
     """A finite topology, opens stored as point bitmasks."""
 
     def __init__(self, points, opens):
-        self.points = tuple(points)
-        if len(set(self.points)) != len(self.points):
-            raise InputError("duplicate point labels")
-        if not self.points:
-            raise InputError("a space needs at least one point")
-        self.full = (1 << len(self.points)) - 1
-        opens = tuple(opens)
+        self.points = points = _points(points)
+        full = (1 << len(points)) - 1
+        seen = set()
         for o in opens:
             if type(o) is not int:
                 raise InputError(f"open set {o!r} is not an int bitmask")
-        opens = frozenset(opens)
-        if any(o < 0 or o > self.full for o in opens):
+            seen.add(o)
+            if len(seen) > MAX_ELEMENTS:
+                raise InputError(f"more than {MAX_ELEMENTS} open sets (the cap)")
+        if any(o < 0 or o > full for o in seen):
             raise InputError("open set outside the point set")
-        if 0 not in opens or self.full not in opens:
+        if 0 not in seen or full not in seen:
             raise InputError("a topology must contain the empty set and the whole space")
-        if len(opens) > MAX_ELEMENTS:
-            raise InputError(f"{len(opens)} open sets exceed the cap of {MAX_ELEMENTS}")
-        seq = sorted(opens)
+        seq = sorted(seen)
         for a in seq:
             for b in seq:
-                if a | b not in opens:
+                if a | b not in seen:
                     raise InputError(
                         f"not closed under union: {self.set_name(a)}, {self.set_name(b)}")
-                if a & b not in opens:
+                if a & b not in seen:
                     raise InputError(
                         f"not closed under intersection: {self.set_name(a)}, {self.set_name(b)}")
-        self._set(self.points, opens, seq, _min_nbhds(seq, len(self.points)))
+        self._of_nbhds(points, _min_nbhds(seq, len(points)))
 
-    @classmethod
-    def _trusted(cls, points: tuple, opens: frozenset, nbhd) -> "TopSpace":
-        """The space, trusted: for callers whose construction guarantees a
-        topology on distinct points with these U_x.  ``__init__`` checks."""
-        self = cls.__new__(cls)
-        self._set(points, opens, sorted(opens), nbhd)
-        return self
-
-    def _set(self, points, opens, basis, nbhd) -> None:
+    def _of_nbhds(self, points: tuple, nbhd) -> "TopSpace":
+        """The space whose minimal open neighbourhoods are ``nbhd`` and whose opens
+        are their unions, trusted: points from ``_points``, U_x a preorder.  Every
+        constructor ends here, on ``cls.__new__(cls)`` if it skips ``__init__``."""
         self.points = points
         self.full = (1 << len(points)) - 1
-        self.opens, self._basis, self._nbhd = opens, basis, tuple(nbhd)
+        self.opens = unions(nbhd)
+        self._basis = tuple(sorted(self.opens))
+        self._nbhd = tuple(nbhd)
         self._interior = {}
         self._lattice = self._r_lattice = None
+        return self
 
     @classmethod
     def from_sets(cls, points, sets) -> "TopSpace":
-        points = tuple(points)
+        points = _points(points)
         return cls(points, label_masks(points, sets))
 
     @classmethod
     def discrete(cls, points) -> "TopSpace":
-        points = tuple(points)
-        return cls(points, range(1 << len(points)))
+        points = _points(points)
+        return cls.__new__(cls)._of_nbhds(points, [1 << i for i in range(len(points))])
 
     @classmethod
     def generated(cls, points, sets) -> "TopSpace":
         """The least topology containing the sets: each point's minimal open
         neighbourhood is the intersection of the sets around it, and the opens
         are the unions of those neighbourhoods, built only up to the cap."""
-        points = tuple(points)
+        points = _points(points)
         nbhd = _min_nbhds(label_masks(points, sets), len(points))
-        return cls(points, unions(nbhd))
+        return cls.__new__(cls)._of_nbhds(points, nbhd)
 
     def mask_of(self, labels) -> int:
         return label_masks(self.points, [labels])[0]
@@ -421,12 +424,13 @@ def all_topologies(n: int) -> tuple:
         raise InputError("exhaustive topology generation capped at 5 points")
     if n in _TOPOLOGY_CACHE:
         return _TOPOLOGY_CACHE[n]
-    families = []
+    labels = tuple(str(i + 1) for i in range(n))
+    spaces = []
     nbhd = []
 
     def extend(i: int) -> None:
         if i == n:
-            families.append((unions(nbhd), tuple(nbhd)))
+            spaces.append(TopSpace.__new__(TopSpace)._of_nbhds(labels, nbhd))
             return
         for u in range(1 << n):
             if u >> i & 1 and all(
@@ -437,8 +441,6 @@ def all_topologies(n: int) -> tuple:
                 nbhd.pop()
 
     extend(0)
-    labels = tuple(str(i + 1) for i in range(n))
-    families.sort(key=lambda fam: (len(fam[0]), tuple(sorted(fam[0]))))
-    spaces = tuple(TopSpace._trusted(labels, *fam) for fam in families)
+    spaces = tuple(sorted(spaces, key=lambda t: (len(t.opens), t._basis)))
     _TOPOLOGY_CACHE[n] = spaces
     return spaces

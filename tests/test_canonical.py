@@ -74,4 +74,5 @@ def test_spectral_family_of_on_the_bijection_fields(checked):
 
 
 def test_trusted_constructor_is_not_exported():
-    assert not hasattr(stonespec, "_canonical")
+    for name in ("_canonical", "_of_nbhds", "_points"):
+        assert not hasattr(stonespec, name)

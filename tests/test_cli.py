@@ -334,12 +334,10 @@ class TestInputRobustness:
         points = ",".join(str(i + 1) for i in range(n))
         path = tmp_path / f"{clause}{n}.lat"
         path.write_text(f"topology T on {{{points}}} {{\n  {clause}: {sets} ;\n}}\n")
-        why = ("more than 64 open sets (the cap)" if clause == "generators"
-               else f"{1 << n} open sets exceed the cap of 64")
         done = run_bounded("validate", str(path))
         assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == (f"error: parse failed:\n{path}:1:1: error: {why} "
-                               "[bad-topology]\n")
+        assert done.stderr == (f"error: parse failed:\n{path}:1:1: error: more than 64 open "
+                               "sets (the cap) [bad-topology]\n")
 
     CHAIN2 = "lattice L { elements: 0, 1 ; order: 0 < 1 ; }\n"
 
@@ -373,6 +371,23 @@ class TestInputRobustness:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == (f"error: parse failed:\n{path}:1:1: error: 60000 points "
                                "exceed the cap of 4096 [bad-topology]\n")
+
+    @pytest.mark.parametrize("kind, clause, code", [
+        ("field", "atoms: ", "bad-field"),
+        ("topology", "opens: {}, ", "bad-topology"),
+        ("topology", "generators: ", "bad-topology"),
+    ], ids=["atoms", "opens", "generators"])
+    def test_many_singletons_stop_before_their_masks(self, tmp_path, kind, clause, code):
+        # 60,000 singletons in under 1 MB of text: one 60,000-bit mask each
+        # would take 450 MB, so the point cap must come before any mask
+        points = ",".join(str(i) for i in range(60000))
+        sets = ", ".join("{" + str(i) + "}" for i in range(60000))
+        path = tmp_path / f"{kind}.lat"
+        path.write_text(f"{kind} S on {{{points}}} {{ {clause}{sets} ; }}\n")
+        done = run_bounded("validate", str(path), cpu_s=2, memory=150 << 20)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (f"error: parse failed:\n{path}:1:1: error: 60000 points "
+                               f"exceed the cap of 4096 [{code}]\n")
 
     def test_validate_still_reports_an_invalid_lattice(self, tmp_path):
         path = tmp_path / "bad.lat"

@@ -235,7 +235,7 @@ class TestFirstHitCallers:
     def test_riemann_stieltjes_on_points_on_the_spectral_theorem_sweep(self, seed):
         rng = random.Random(seed)
         ground = tuple(str(i) for i in range(1, 7))
-        f6 = FieldOfSets.from_partition(ground, [[p] for p in ground])
+        f6 = FieldOfSets.discrete(ground)
         for _ in range(20):
             phi = MeasurableFunction(f6, [Fraction(rng.randint(0, 20), rng.choice((1, 2, 5, 10)))
                                           for _ in ground])

@@ -6,7 +6,7 @@ library's bitmask representation.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -24,7 +24,21 @@ HALF = Fraction(1, 2)
 
 
 def pot(*labels):
-    return FieldOfSets.from_partition(labels, [[p] for p in labels])
+    return FieldOfSets.discrete(labels)
+
+
+def oracle_field_atoms(ground, family):
+    """The atoms of a family of label sets if it is a field of sets, else
+    None: it must hold the empty and the whole set and be closed under
+    complement and pairwise union; the atom of a point is then the meet of
+    the members around it."""
+    fam = set(map(frozenset, family))
+    whole = frozenset(ground)
+    if frozenset() not in fam or whole not in fam:
+        return None
+    if any(whole - a not in fam or a | b not in fam for a in fam for b in fam):
+        return None
+    return {frozenset.intersection(*(m for m in fam if p in m)) for p in ground}
 
 
 def label_sets(field, family):
@@ -115,12 +129,36 @@ class TestFieldIsATopology:
             g = FieldOfSets.from_family(f.ground, map(f.labels_of, f.members()))
             assert g == f and g.members() == f.members()
 
-    def test_discrete_and_generated_are_not_fields(self):
-        # both would pass the empty set and overlapping sets off as atoms
-        with pytest.raises(InputError):
-            FieldOfSets.discrete(("p", "q"))
-        with pytest.raises(InputError):
+    def test_discrete_is_the_power_set_and_generated_needs_complements(self):
+        for ground in (("p",), ("p", "q"), tuple("abcdef")):
+            f = FieldOfSets.discrete(ground)
+            g = FieldOfSets.from_partition(ground, [[p] for p in ground])
+            assert f == g and (f.opens, f._basis, f._nbhd) == (g.opens, g._basis, g._nbhd)
+        # {}, {p}, {p,q} is a topology, but not closed under complement
+        with pytest.raises(InputError, match="^not closed under complement$"):
             FieldOfSets.generated(("p", "q"), [["p"]])
+        assert FieldOfSets.generated(("p", "q"), [["p"], ["q"]]) == pot("p", "q")
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_from_family_against_the_closure_scan(self, n):
+        # every family of subsets of n points: 2^(2^n) of them
+        ground = tuple(str(i + 1) for i in range(n))
+        subsets = [frozenset(c) for k in range(n + 1) for c in combinations(ground, k)]
+        fields = 0
+        for pick in range(1 << len(subsets)):
+            family = [subsets[i] for i in bits(pick)]
+            atoms = oracle_field_atoms(ground, family)
+            try:
+                got = FieldOfSets.from_family(ground, family)
+            except InputError:
+                assert atoms is None, family
+                continue
+            assert atoms is not None, family
+            want = FieldOfSets.from_partition(ground, atoms)
+            assert got == want and (got.opens, got._basis, got._nbhd) == \
+                (want.opens, want._basis, want._nbhd)
+            fields += 1
+        assert fields == len(all_fields(ground))
 
 
 class TestMeasurableFunction:

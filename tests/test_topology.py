@@ -2,6 +2,8 @@
 and the completely increasing calculus."""
 
 import random
+import signal
+import time
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
@@ -167,6 +169,20 @@ def oracle_all_topologies(n):
     return sorted(seen, key=lambda fam: (len(fam), tuple(sorted(fam))))
 
 
+def oracle_build(points, opens):
+    """What a build from checked opens stores: the opens, the sorted basis and
+    each point's minimal open neighbourhood, the meet of the opens around it."""
+    opens = frozenset(opens)
+    nbhd = []
+    for i in range(len(points)):
+        u = (1 << len(points)) - 1
+        for o in opens:
+            if o >> i & 1:
+                u &= o
+        nbhd.append(u)
+    return opens, tuple(sorted(opens)), tuple(nbhd)
+
+
 def value_tuples(n, rng):
     """Every GRID3 tuple, then seeded tuples with ties and negative values."""
     yield from product(GRID3, repeat=n)
@@ -189,6 +205,25 @@ class TestSpaceBasics:
         with pytest.raises(InputError, match="is not an int bitmask"):
             TopSpace(("a", "b"), opens)
         assert TopSpace(("a", "b"), [0, 1, 3]).opens == {0, 1, 3}
+
+    @pytest.mark.parametrize("make", [
+        lambda: FieldOfSets(("a", "b"), [-1]),
+        lambda: FieldOfSets(("a", "b"), [1, -2]),
+        lambda: FieldOfSets(("a", "b"), [1 << 5]),
+        lambda: TopSpace(("a", "b"), [0, -1, 3]),
+    ], ids=["field-minus-one", "field-minus-two", "field-beyond", "topology-minus-one"])
+    def test_masks_outside_the_points_rejected_before_their_bits_are_read(self, make):
+        # lattice.bits never ends on a negative mask, so the call runs under a timer
+        def expire(*_):
+            raise TimeoutError("the mask's bits were read")
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 2)
+        try:
+            with pytest.raises(InputError):
+                make()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
 
     def test_interior_closure_pseudocomplement(self):
         s = sierpinski()
@@ -649,11 +684,11 @@ class TestGenerated:
             points = tuple(str(i) for i in range(n))
             with pytest.raises(InputError, match=rf"more than {MAX_ELEMENTS} open sets \(the cap\)$"):
                 TopSpace.generated(points, [[p] for p in points])
-        # an explicit list is counted before the closure test: the chain
-        # topology on 64 points is closed, but has 65 opens
+        # an explicit list is counted while it is read, before the closure
+        # test: the chain topology on 64 points is closed, but has 65 opens
         chain = [(1 << k) - 1 for k in range(65)]
         points = tuple(str(i) for i in range(64))
-        with pytest.raises(InputError, match=f"65 open sets exceed the cap of {MAX_ELEMENTS}"):
+        with pytest.raises(InputError, match=rf"^more than {MAX_ELEMENTS} open sets \(the cap\)$"):
             TopSpace(points, chain)
         assert len(TopSpace(points[:63], chain[:64]).opens) == MAX_ELEMENTS
 
@@ -663,10 +698,23 @@ class TestGenerated:
         assert TopSpace(points[:-1], [0, full >> 1])._nbhd[-1] == full >> 1
         why = f"^{MAX_POINTS + 1} points exceed the cap of {MAX_POINTS}$"
         for make in (lambda: TopSpace(points, [0, full]),
+                     lambda: TopSpace.from_sets(points, [[], points]),
                      lambda: TopSpace.generated(points, [points]),
-                     lambda: FieldOfSets.from_family(points, [[], points])):
+                     lambda: TopSpace.discrete(points),
+                     lambda: FieldOfSets(points, [full]),
+                     lambda: FieldOfSets.from_partition(points, [points]),
+                     lambda: FieldOfSets.from_family(points, [[], points]),
+                     lambda: FieldOfSets.discrete(points)):
             with pytest.raises(InputError, match=why):
                 make()
+
+    def test_discrete_stops_at_the_cap_at_once(self):
+        # the singletons' unions stop at the 65th open, never near 2^22 of them
+        points = tuple(range(22))
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=rf"^more than {MAX_ELEMENTS} open sets \(the cap\)$"):
+            TopSpace.discrete(points)
+        assert time.perf_counter() - start < 0.01
 
 
 class TestAllTopologies:
@@ -707,15 +755,21 @@ class TestAllTopologies:
         assert len({t.opens for t in spaces}) == 6942
 
     def test_generated_spaces_equal_checked_construction(self):
-        # the generated spaces skip the checks of TopSpace(points, opens);
-        # rebuilt through it, each must come out the same, down to the basis
-        # order (which fixes lattice ids) and the minimal neighbourhoods
+        # the generated spaces and fields skip the checks of TopSpace(points,
+        # opens); rebuilt through it, and by _of_nbhds from the U_x that the
+        # opens alone give, each must come out as the opens alone say, down
+        # to the basis order (which fixes lattice ids)
         attrs = ("points", "full", "opens", "_basis", "_nbhd")
         for n in range(1, 6):
-            for t in all_topologies(n):
+            fields = tuple(all_fields(tuple(str(i + 1) for i in range(n)))) if n < 5 else ()
+            for t in all_topologies(n) + fields:
+                want = oracle_build(t.points, t.opens)
                 checked = TopSpace(t.points, t.opens)
+                trusted = TopSpace.__new__(TopSpace)._of_nbhds(t.points, want[2])
                 for attr in attrs:
-                    assert getattr(t, attr) == getattr(checked, attr), (t.opens, attr)
+                    assert getattr(t, attr) == getattr(checked, attr) == \
+                        getattr(trusted, attr), (t.opens, attr)
+                assert (t.opens, t._basis, t._nbhd) == want
 
     def test_size_cap(self):
         with pytest.raises(InputError):
