@@ -31,7 +31,10 @@ from .topology import TopSpace
 
 KINDS = ("lattice", "topology", "field", "family", "family2", "function", "ideal")
 
-_RESERVED = set("{},;:<#")
+_RESERVED = "{},;:<#"
+_WS = re.compile(r"\s*")  # \s matches exactly the characters str.isspace accepts
+_TOKEN = re.compile(f"[^{_RESERVED}\\s]*")  # a maximal run of non-reserved, non-space text
+_BRACE = re.compile("[{}]")
 
 
 class Diagnostic(Record, frozen=True):
@@ -104,37 +107,22 @@ class _Scanner:
         self.text = re.sub("#[^\n]*", lambda c: " " * len(c[0]), text)
         self.n = len(text)
         self.i = 0
-        self.line_starts = [0]
-        for k, ch in enumerate(text):
-            if ch == "\n":
-                self.line_starts.append(k + 1)
+        self.line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
 
     def linecol(self, i: int) -> tuple:
         row = bisect_right(self.line_starts, i) - 1
         return row + 1, i - self.line_starts[row] + 1
 
-    def skip_ws(self):
-        while self.i < self.n and self.text[self.i].isspace():
-            self.i += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.i >= self.n
-
     def token(self) -> tuple:
-        """Read a maximal run of non-reserved, non-space characters."""
-        self.skip_ws()
-        start = self.i
-        while self.i < self.n:
-            ch = self.text[self.i]
-            if ch in _RESERVED or ch.isspace():
-                break
-            self.i += 1
-        return self.text[start:self.i], start
+        self.peek()
+        m = _TOKEN.match(self.text, self.i)
+        self.i = m.end()
+        return m[0], m.start()
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.i] if self.i < self.n else ""
+        """Skip whitespace; the next character, or "" at the end."""
+        self.i = _WS.match(self.text, self.i).end()
+        return self.text[self.i:self.i + 1]
 
     def expect(self, ch: str) -> bool:
         if self.peek() == ch:
@@ -147,31 +135,20 @@ class _Scanner:
         been consumed); returns (raw, start_index, balanced)."""
         start = self.i
         depth = 1
-        while self.i < self.n:
-            ch = self.text[self.i]
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    raw = self.text[start:self.i]
-                    self.i += 1
-                    return raw, start, True
-            self.i += 1
-        return self.text[start:self.i], start, False
+        for m in _BRACE.finditer(self.text, start):
+            depth += 1 if m[0] == "{" else -1
+            if depth == 0:
+                self.i = m.end()
+                return self.text[start:m.start()], start, True
+        self.i = self.n
+        return self.text[start:], start, False
 
     def skip_to_close(self):
-        depth = 0
-        while self.i < self.n:
-            ch = self.text[self.i]
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                if depth <= 1:
-                    self.i += 1
-                    return
-                depth -= 1
-            self.i += 1
+        """Consume through the next brace, and through the block it opens if any."""
+        m = _BRACE.search(self.text, self.i)
+        self.i = m.end() if m else self.n
+        if m and m[0] == "{":
+            self.body()
 
 
 class _RawBlock(Record):
@@ -184,26 +161,23 @@ class _RawBlock(Record):
 
 
 def _split_top(text: str, sep: str):
-    """Split on a separator at brace depth zero, keeping offsets."""
-    parts = []
-    depth = 0
-    start = 0
-    for k, ch in enumerate(text):
-        if ch == "{":
+    """Yield the parts between separators at brace depth zero, with offsets."""
+    depth = start = 0
+    for m in re.finditer("[{}" + sep + "]", text):
+        if m[0] == "{":
             depth += 1
-        elif ch == "}":
+        elif m[0] == "}":
             depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append((text[start:k], start))
-            start = k + 1
-    parts.append((text[start:], start))
-    return parts
+        elif depth == 0:
+            yield text[start:m.start()], start
+            start = m.end()
+    yield text[start:], start
 
 
 def _scan(sc: _Scanner, diag):
     """Split the text into raw blocks; malformed headers go to ``diag``."""
     blocks = []
-    while not sc.at_end():
+    while sc.peek():
         kind, at = sc.token()
         if kind not in KINDS:
             diag("unknown-block", f"unknown block kind {kind or sc.peek()!r}", at,
@@ -282,7 +256,7 @@ def _parse_setlit(text: str):
     if not (text.startswith("{") and text.endswith("}")):
         return None
     inner = text[1:-1]
-    return [t.strip() for t, _ in _split_top(inner, ",") if t.strip()]
+    return tuple(t.strip() for t, _ in _split_top(inner, ",") if t.strip())
 
 
 class _Rejected(Exception):
@@ -312,9 +286,11 @@ class _Builder:
         except error as e:
             self.reject(code, str(e), rb.at)
 
-    def set_list(self, payload: str, at: int):
-        """The set literals of a comma-separated clause payload."""
+    def set_list(self, payload: str, at: int, unique: bool):
+        """The set literals of a comma-separated clause payload; with
+        ``unique``, a literal written again is read once."""
         sets = []
+        seen = set()
         for part, off in _split_top(payload, ","):
             if not part.strip():
                 continue
@@ -322,6 +298,10 @@ class _Builder:
             if lit is None:
                 self.reject("malformed-clause",
                             f"expected a set literal, got {part.strip()!r}", at + off)
+            if lit in seen:
+                continue
+            if unique:
+                seen.add(lit)
             sets.append(lit)
         return sets
 
@@ -332,14 +312,15 @@ class _Builder:
         if len(cm) != 1:
             self.reject("malformed-clause", missing, rb.at)
         (key, clause), = cm.items()
-        return key, self.set_list(*clause)
+        # opens and generators are sets of sets; a repeated atom must still overlap
+        return key, self.set_list(*clause, unique=key != "atoms")
 
     def clause_map(self, rb: _RawBlock, allowed):
         out = {}
         ok = True
         for text, at in rb.clauses:
             head, _ = _strip_at((text, at))
-            parts = _split_top(text, ":")
+            parts = list(_split_top(text, ":"))
             if len(parts) != 2:
                 self.diag("malformed-clause", f"expected 'key: payload' in {head!r}", at)
                 ok = False
@@ -366,7 +347,7 @@ class _Builder:
         payload_at); a clause without exactly one colon is rejected as not
         of the ``form``."""
         for text, at in rb.clauses:
-            parts = _split_top(text, ":")
+            parts = list(_split_top(text, ":"))
             if len(parts) != 2:
                 self.reject("malformed-clause", f"expected '{form}'", at)
             (key, key_at), (payload, payload_at) = parts
@@ -473,7 +454,7 @@ class _Builder:
         info = self.resolve(rb, ("lattice", "field", "topology"))
         entries = {}
         for key, key_at, v_text, v_at in self.entries(rb, "x,y: value"):
-            key_parts = _split_top(key, ",")
+            key_parts = list(_split_top(key, ","))
             if len(key_parts) != 2:
                 self.reject("malformed-clause", "grid keys are pairs 'x,y'", key_at)
             x, y = (self.rational(k, key_at, f"in {key.strip()!r}") for k, _ in key_parts)
@@ -568,7 +549,7 @@ def _check_writable(d: dict) -> None:
     clause rejects."""
     names = [("block name", d["name"])] + [("host name", d[k]) for k in ("in", "on") if k in d]
     for what, name in names:
-        if not name or any(ch in _RESERVED or ch.isspace() for ch in name):
+        if not name or not _TOKEN.fullmatch(name):
             raise InputError(f"cannot write {what} {name!r} as text")
     for what, label in ([("element name", e) for e in d.get("elements", ())]
                         + [("point label", p) for p in d.get("points", ())]):

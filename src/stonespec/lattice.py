@@ -418,7 +418,8 @@ class Lattice:
         if entries:
             return ValidationReport(entries)
 
-        self._compute_tables()
+        if self._meet is None:
+            self._compute_tables()
         for a, b, kind in self._table_failures:
             entries.append(Violation(
                 "lattice-law", f"{self.names[a]}, {self.names[b]} have no {kind}",

@@ -18,7 +18,7 @@ from .family import (ObservableFunction, SpectralFamily, _as_fraction, _step_sum
 from .lattice import Lattice, bits
 from .stone import StoneSpace, stone_space
 from .topology import (TopSpace, _family_of_levels, _family_payloads, _first_nonconstant,
-                       _points, induced_function)
+                       _points, all_topologies, induced_function)
 
 
 class FieldOfSets(TopSpace):
@@ -46,8 +46,6 @@ class FieldOfSets(TopSpace):
             union |= a
         if union != (1 << len(ground)) - 1:
             raise InputError("atoms do not cover the ground set")
-        if len(atoms) > 6:
-            raise InputError("fields capped at 6 atoms (64-element lattice cap)")
         nbhd = [0] * len(ground)
         for a in atoms:
             for p in bits(a):
@@ -113,22 +111,12 @@ class FieldOfSets(TopSpace):
 
 
 def all_fields(ground) -> list:
-    """Every field of sets on the ground set, one per partition."""
-    ground = tuple(ground)
-    n = len(ground)
-    out = []
-    # restricted-growth strings enumerate set partitions canonically
-    def rec(i, code, k):
-        if i == n:
-            blocks = [0] * k
-            for p, c in enumerate(code):
-                blocks[c] |= 1 << p
-            out.append(FieldOfSets(ground, blocks))
-            return
-        for c in range(k + 1):
-            rec(i + 1, code + [c], max(k, c + 1))
-    rec(0, [], 0)
-    return out
+    """Every field of sets on the ground set, one per partition: the
+    topologies on as many points that are closed under complement."""
+    ground = _points(ground)
+    return [FieldOfSets.__new__(FieldOfSets)._of_nbhds(ground, t._nbhd)
+            for t in all_topologies(len(ground))
+            if all(t.full ^ u in t.opens for u in t._nbhd)]
 
 
 class MeasurableFunction:
@@ -147,15 +135,6 @@ class MeasurableFunction:
 
     def __call__(self, point) -> Fraction:
         return self.values[self.field.ground.index(point)]
-
-    def level_mask(self, t) -> int:
-        """The member set of points with value <= t."""
-        t = _as_fraction(t)
-        m = 0
-        for i, v in enumerate(self.values):
-            if v <= t:
-                m |= 1 << i
-        return m
 
     def __repr__(self):
         pairs = ", ".join(f"{p}: {v}" for p, v in zip(self.field.ground, self.values))
@@ -308,11 +287,6 @@ class QuotientAlgebra:
         if not self.field.contains(mask):
             raise InputError("not a member of the field")
         return _moved(mask & self.survivors, self._shift)
-
-    def class_members(self, reduced_mask: int) -> tuple:
-        """All original members in the class of a reduced member."""
-        return tuple(m for m in self.field.members()
-                     if self.class_of(m) == reduced_mask)
 
     def lattice(self) -> Lattice:
         return self.reduced.lattice()

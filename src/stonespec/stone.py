@@ -31,19 +31,6 @@ class DualIdeal(Record, frozen=True):
         return tuple(self.lattice.names[i] for i in bits(self.members))
 
 
-def is_dual_ideal(lattice: Lattice, members: int) -> bool:
-    """Check the filter axioms for an element bitmask."""
-    if members == 0 or members >> lattice.bottom & 1:
-        return False
-    for a in bits(members):
-        if lattice.up[a] & ~members:
-            return False
-        for b in bits(members):
-            if not members >> lattice.meet2(a, b) & 1:
-                return False
-    return True
-
-
 def principal_dual_ideal(lattice: Lattice, a) -> DualIdeal:
     """The up-set of a single nonzero element."""
     ia = lattice.eid(a)

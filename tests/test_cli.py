@@ -389,6 +389,18 @@ class TestInputRobustness:
         assert done.stderr == (f"error: parse failed:\n{path}:1:1: error: 60000 points "
                                f"exceed the cap of 4096 [{code}]\n")
 
+    def test_a_repeated_open_set_is_read_once(self, tmp_path):
+        # 300,000 copies of one 4,096-point set literal in 2.4 MB of text: a
+        # mask for each copy would take about 240 MB before the open set count
+        points = ",".join(str(i) for i in range(1, 4097))
+        opens = ", ".join(["{4096}"] * 300000)
+        path = tmp_path / "repeated.lat"
+        path.write_text(f"topology T on {{{points}}} {{ opens: {opens} ; }}\n")
+        done = run_bounded("validate", str(path), cpu_s=5, memory=150 << 20)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (f"error: parse failed:\n{path}:1:1: error: a topology must "
+                               "contain the empty set and the whole space [bad-topology]\n")
+
     def test_validate_still_reports_an_invalid_lattice(self, tmp_path):
         path = tmp_path / "bad.lat"
         path.write_text(self.CYCLE)

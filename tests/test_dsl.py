@@ -5,9 +5,10 @@ import os
 import re
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stonespec import InputError, dsl
@@ -163,6 +164,12 @@ class TestDiagnostics:
         d = first_diag(MO2_TEXT + "family2 G in MO2 { 0,0: a ; 1/2,0: a ; 1/2,1: 1 ; }",
                        "malformed-clause")
         assert d.message == "grid is not complete; missing entry at 0,1"
+
+    def test_a_field_past_six_atoms_is_over_the_open_set_cap(self):
+        points = ", ".join(f"p{i}" for i in range(7))
+        atoms = ", ".join(f"{{p{i}}}" for i in range(7))
+        d = first_diag(f"\nfield F on {{{points}}} {{ atoms: {atoms} ; }}\n", "bad-field")
+        assert str(d) == "2:1: error: more than 64 open sets (the cap) [bad-field]"
 
     def test_never_both_file_and_diagnostics(self):
         result = dsl.parse(MO2_TEXT + "family E in MO2 { 0: zz ; }")
@@ -352,15 +359,34 @@ FRAGMENTS = st.one_of(st.sampled_from(["{", "}", ";", ":", ",", "<", "<->", "#",
                       RATIONAL_TOKENS, st.text(max_size=4))
 
 
-@st.composite
-def texts(draw):
-    """Plausible instance files, then cut and spliced with stray fragments."""
-    text = "\n".join(draw(st.lists(blocks(), max_size=5)))
-    for _ in range(draw(st.integers(0, 3))):
+def _spliced(draw, text, edits):
+    """``text`` with ``edits`` spans of up to 8 characters replaced by stray fragments."""
+    for _ in range(edits):
         i = draw(st.integers(0, len(text)))
         j = draw(st.integers(i, min(len(text), i + 8)))
         text = text[:i] + draw(FRAGMENTS) + text[j:]
     return text
+
+
+@st.composite
+def texts(draw):
+    """Plausible instance files, then cut and spliced with stray fragments."""
+    text = "\n".join(draw(st.lists(blocks(), max_size=5)))
+    return _spliced(draw, text, draw(st.integers(0, 3)))
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+FIXTURE_TEXTS = [_read(p) for p in sorted(glob.glob(os.path.join(FIXTURES, "*.lat")))]
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture file with one to four spans spliced."""
+    return _spliced(draw, draw(st.sampled_from(FIXTURE_TEXTS)), draw(st.integers(1, 4)))
 
 
 FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -456,3 +482,136 @@ class TestTotality:
         at = data.draw(st.sampled_from(cuts))
         commented = text[:at] + "  # ; : , { } <\n" + text[at:]
         assert parse_ok(commented) == parse_ok(text)
+
+
+# --- the character-loop scanner, kept as the oracle of the pattern scanner ----------
+
+
+_ORACLE_RESERVED = set("{},;:<#")
+
+
+class OracleScanner:
+    """The scanner as a loop over characters, one at a time."""
+
+    def __init__(self, text: str):
+        self.text = re.sub("#[^\n]*", lambda c: " " * len(c[0]), text)
+        self.n = len(text)
+        self.i = 0
+        self.line_starts = [0]
+        for k, ch in enumerate(text):
+            if ch == "\n":
+                self.line_starts.append(k + 1)
+
+    linecol = dsl._Scanner.linecol
+
+    def skip_ws(self):
+        while self.i < self.n and self.text[self.i].isspace():
+            self.i += 1
+
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.i >= self.n
+
+    def token(self) -> tuple:
+        self.skip_ws()
+        start = self.i
+        while self.i < self.n:
+            ch = self.text[self.i]
+            if ch in _ORACLE_RESERVED or ch.isspace():
+                break
+            self.i += 1
+        return self.text[start:self.i], start
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.i] if self.i < self.n else ""
+
+    def expect(self, ch: str) -> bool:
+        if self.peek() == ch:
+            self.i += 1
+            return True
+        return False
+
+    def body(self) -> tuple:
+        start = self.i
+        depth = 1
+        while self.i < self.n:
+            ch = self.text[self.i]
+            if ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
+                    raw = self.text[start:self.i]
+                    self.i += 1
+                    return raw, start, True
+            self.i += 1
+        return self.text[start:self.i], start, False
+
+    def skip_to_close(self):
+        depth = 0
+        while self.i < self.n:
+            ch = self.text[self.i]
+            if ch == "{":
+                depth += 1
+            elif ch == "}":
+                if depth <= 1:
+                    self.i += 1
+                    return
+                depth -= 1
+            self.i += 1
+
+
+def oracle_split_top(text: str, sep: str):
+    """The parts between separators at brace depth zero, by a loop over characters."""
+    parts = []
+    depth = 0
+    start = 0
+    for k, ch in enumerate(text):
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        elif ch == sep and depth == 0:
+            parts.append((text[start:k], start))
+            start = k + 1
+    parts.append((text[start:], start))
+    return parts
+
+
+def parse_outcome(text):
+    """What a parse shows: the ok flag, every diagnostic and every block."""
+    result = dsl.parse(text)
+    blocks = [(b.kind, b.name, b.host, b.obj) for b in result.file.blocks] if result.ok else []
+    return result.ok, [str(d) for d in result.diagnostics], blocks
+
+
+def oracle_parse_outcome(text):
+    with mock.patch.multiple(dsl, _Scanner=OracleScanner, _split_top=oracle_split_top):
+        return parse_outcome(text)
+
+
+class TestPatternScanner:
+    def test_patterns_classify_every_character_as_the_loops_did(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        # each pattern deletes the characters it matches and leaves the rest in order
+        assert dsl._WS.sub("", every) == "".join(ch for ch in every if not ch.isspace())
+        assert dsl._TOKEN.sub("", every) == "".join(
+            ch for ch in every if ch in _ORACLE_RESERVED or ch.isspace())
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(texts(), mutated_fixtures(), st.text(max_size=60)))
+    @example("lattice a<b { elements: 0 ; }")
+    @example("topology T on {p, q { opens: {} ; }} field F { atoms: {p} ; }")
+    def test_parse_matches_the_character_loop_scanner(self, text):
+        assert parse_outcome(text) == oracle_parse_outcome(text)
+
+    def test_fixtures_match_the_character_loop_scanner(self):
+        for text in FIXTURE_TEXTS:
+            assert parse_outcome(text) == oracle_parse_outcome(text)
+
+    @pytest.mark.parametrize("sep", [",", ";", ":"])
+    @given(st.text(st.sampled_from("{},;: a\n"), max_size=30))
+    def test_split_top_matches_the_character_loop(self, sep, text):
+        assert list(dsl._split_top(text, sep)) == oracle_split_top(text, sep)

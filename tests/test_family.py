@@ -216,14 +216,13 @@ def float_entry_points():
     space = stone_space(b2)
     e = SpectralFamily(b2, [(0, "x"), (1, "1")])
     field = FieldOfSets.from_partition(("1", "2"), [["1"], ["2"]])
-    phi = MeasurableFunction(field, [0, 1])
     return {
         "point_values": lambda: point_values(("a",), [0.1]),
         "ObservableFunction": lambda: ObservableFunction(space, [0, 0.1]),
         "ObservableFunction.scale": lambda: observable_function(e, space).scale(0.1),
         "family.scale": lambda: fam.scale(0.1, e),
         "MeasurableFunction": lambda: MeasurableFunction(field, [0, 0.1]),
-        "MeasurableFunction.level_mask": lambda: phi.level_mask(0.1),
+        "SpectralFamily.eval": lambda: e.eval(0.1),
         "bijection_report": lambda: bijection_report(field, [0, 0.1]),
     }
 

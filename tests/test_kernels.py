@@ -86,9 +86,14 @@ def oracle_observable_function_complex(e, space):
     return tuple(re), tuple(im)
 
 
+def level_mask(phi, t):
+    """The member set of the points where phi is at most t."""
+    return sum(1 << i for i, v in enumerate(phi.values) if v <= t)
+
+
 def oracle_spectral_family_of(phi):
     """One scan of every point per threshold (``level_mask``)."""
-    return [(t, phi.field.element_of(phi.level_mask(t))) for t in sorted(set(phi.values))]
+    return [(t, phi.field.element_of(level_mask(phi, t))) for t in sorted(set(phi.values))]
 
 
 def oracle_from_observable_function(g, lattice):

@@ -165,6 +165,47 @@ class TestValidate:
         assert "ortho-complement" in codes
 
 
+class TestValidateReusesTables:
+    @staticmethod
+    def count_builds(monkeypatch):
+        built = []
+        build = Lattice._compute_tables
+        monkeypatch.setattr(Lattice, "_compute_tables",
+                            lambda self: built.append(self) or build(self))
+        return built
+
+    def test_validate_after_meet2_builds_the_tables_once(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        lat = pentagon()
+        lat.meet2("a", "b")
+        assert lat.validate().ok and lat.validate().ok
+        assert built == [lat]
+
+    def test_a_family2_host_is_validated_on_the_tables_it_has(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures",
+                            "mo2.lat")
+        with open(path, encoding="utf-8") as handle:
+            lat = dsl.parse(handle.read()).file.find("MO2").obj
+        assert lat.validate().ok
+        assert built == [lat]
+
+    def test_reports_are_those_of_fresh_tables(self):
+        hexa = Lattice(["0", "p", "q", "r", "s", "1"],
+                       [("0", "p"), ("0", "q"), ("p", "r"), ("q", "r"),
+                        ("p", "s"), ("q", "s"), ("r", "1"), ("s", "1")])
+        lattices = fixture_file_lattices() + [hexa, Lattice(["u", "v"], [])]
+        for lat in lattices:
+            lat._meet = lat._join = lat._table_failures = None
+            fresh = lat.validate()
+            try:
+                lat.meet2(lat.n - 1, 0)
+            except InputError:
+                pass
+            assert lat.validate() == fresh
+        assert "lattice-law" in hexa.validate().codes()
+
+
 class TestFixtures:
     def test_boolean_sizes_and_flags(self):
         b2 = boolean_lattice(2)

@@ -11,21 +11,22 @@ from stonespec import (InputError, all_topologies, boolean_lattice, chain_lattic
                        is_completely_distributive, mo_lattice,
                        principal_dual_ideal, stone_space)
 from stonespec.lattice import Lattice, bits
-from stonespec.stone import is_dual_ideal, unions
+from stonespec.stone import unions
+
+
+def is_dual_ideal(lat, members):
+    """The filter axioms on an element bitmask: nonempty, without the bottom,
+    upward closed and closed under meets."""
+    if members == 0 or members >> lat.bottom & 1:
+        return False
+    ids = list(bits(members))
+    return (all(lat.up[a] & ~members == 0 for a in ids)
+            and all(members >> lat.meet2(a, b) & 1 for a in ids for b in ids))
 
 
 def oracle_dual_ideals(lat):
     """Every subset satisfying the filter axioms, by exhaustive scan."""
-    out = []
-    for members in range(1, 1 << lat.n):
-        if members >> lat.bottom & 1:
-            continue
-        ids = list(bits(members))
-        upward = all(lat.up[a] & ~members == 0 for a in ids)
-        meets = all(members >> lat.meet2(a, b) & 1 for a in ids for b in ids)
-        if upward and meets:
-            out.append(members)
-    return out
+    return [m for m in range(1, 1 << lat.n) if is_dual_ideal(lat, m)]
 
 
 def oracle_quasipoints(lat):
