@@ -16,7 +16,7 @@ from .family import (ComplexObservableFunction, ComplexSpectralFamily,
                      observable_function, observable_function_complex,
                      product_family, riemann_stieltjes, spectrum_of)
 from .lattice import (Lattice, ValidationReport, Violation, boolean_lattice,
-                      build_fixture, chain_lattice, mo_lattice, product_lattice)
+                      chain_lattice, mo_lattice, product_lattice)
 from .measurable import (FieldOfSets, MeasurableFunction, QuotientAlgebra,
                          SetIdeal, all_fields, bijection_report, function_of,
                          gamma_transform, ideals_of, lift_spectral_family,

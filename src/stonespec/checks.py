@@ -2,9 +2,9 @@
 
 Each suite machine-checks one cluster of structural statements on
 exhaustively generated finite instances and reports counterexamples instead
-of assuming them away.  Suites are pure functions of (max_size, seed) and
-print deterministically; the CLI ``check`` subcommand and the acceptance
-tests both run them.
+of assuming them away.  :func:`run_suite` makes each suite's result, which
+the suite fills as a pure function of (max_size, seed); the CLI ``check``
+subcommand and the acceptance tests both run suites through it.
 """
 
 from __future__ import annotations
@@ -60,10 +60,9 @@ def _ground(n):
 # --- bijection between measurable functions and their families ----------------
 
 
-def suite_bijection(max_size: int = 4, seed: int = 0) -> SuiteResult:
+def suite_bijection(res: SuiteResult, max_size: int, seed: int) -> None:
     """Round-trip the level-set family and induced-function transforms over
     every field of sets on a small ground set and every grid function."""
-    res = SuiteResult("bijection")
     n = _clamp(max_size, 4)
     fields = mea.all_fields(_ground(n))
     res.notes.append(f"{len(fields)} fields of sets on {n} points, grid {GRID3}")
@@ -71,7 +70,6 @@ def suite_bijection(max_size: int = 4, seed: int = 0) -> SuiteResult:
         cases, failures = mea.bijection_report(f, GRID3)
         res.cases += cases
         res.failures.extend(f"field {f.atoms}: {msg}" for msg in failures)
-    return res
 
 
 # --- injectivity of the observable-function transform --------------------------
@@ -88,7 +86,7 @@ def _injectivity_fixtures(max_size: int):
     return out
 
 
-def suite_injectivity(max_size: int = 4, seed: int = 0) -> SuiteResult:
+def suite_injectivity(res: SuiteResult, max_size: int, seed: int) -> None:
     """Distinct canonical bounded families must induce distinct observable
     functions, over every fixture lattice and the threshold grid {0, 1, 2}.
 
@@ -97,7 +95,6 @@ def suite_injectivity(max_size: int = 4, seed: int = 0) -> SuiteResult:
     (the distinguishing argument needs an orthocomplement).  The failures are
     reported as the counterexamples they are.
     """
-    res = SuiteResult("injectivity")
     grid = (Fraction(0), Fraction(1), Fraction(2))
     for label, lat in _injectivity_fixtures(max_size):
         space = stone_space(lat)
@@ -109,7 +106,6 @@ def suite_injectivity(max_size: int = 4, seed: int = 0) -> SuiteResult:
             res.check(other is e or other == e,
                       "{}: {!r} and {!r} share the observable function {}",
                       label, other, e, dict(zip(names, key)))
-    return res
 
 
 # --- continuity of observable functions ----------------------------------------
@@ -130,10 +126,9 @@ def _random_family(rng: random.Random, lat: Lattice) -> fam.SpectralFamily:
     return fam.SpectralFamily(lat, jumps)
 
 
-def suite_continuity(max_size: int = 4, seed: int = 0) -> SuiteResult:
+def suite_continuity(res: SuiteResult, max_size: int, seed: int) -> None:
     """Preimages of value-separating open intervals under f_E are open in the
     Stone topology, for seeded random families."""
-    res = SuiteResult("continuity")
     rng = random.Random(seed)
     lattices = [mo_lattice(_clamp(max_size, 3)), boolean_lattice(_clamp(max_size, 4))]
     spaces = [stone_space(lat) for lat in lattices]
@@ -154,16 +149,14 @@ def suite_continuity(max_size: int = 4, seed: int = 0) -> SuiteResult:
                     mask |= 1 << k
             res.check(space.is_open(mask),
                       "{!r}: preimage of ({}, {}) is not open", e, lo, hi)
-    return res
 
 
 # --- complex (two-parameter) families -------------------------------------------
 
 
-def suite_complex(max_size: int = 4, seed: int = 0) -> SuiteResult:
+def suite_complex(res: SuiteResult, max_size: int, seed: int) -> None:
     """Every valid two-parameter family on boolean(2) with grid {0,1}^2
     decomposes uniquely and its function splits componentwise."""
-    res = SuiteResult("complex-decomposition")
     lat = boolean_lattice(2)
     space = stone_space(lat)
     grid = (Fraction(0), Fraction(1))
@@ -186,16 +179,14 @@ def suite_complex(max_size: int = 4, seed: int = 0) -> SuiteResult:
                       and g.im == fam.observable_function(e2, space),
                       "componentwise function split fails for matrix {}", matrix)
     res.notes.append(f"{valid} valid matrices on boolean(2) x {{0,1}}^2")
-    return res
 
 
 # --- the step-sum spectral theorem ----------------------------------------------
 
 
-def suite_spectral_theorem(max_size: int = 6, seed: int = 0) -> SuiteResult:
+def suite_spectral_theorem(res: SuiteResult, max_size: int, seed: int) -> None:
     """Step sums along epsilon grids approximate the induced function within
     epsilon, exactly on grids containing every threshold."""
-    res = SuiteResult("spectral-theorem")
     rng = random.Random(seed)
     f6 = mea.FieldOfSets.discrete(_ground(6))
     res.notes.append(f"seed {seed}, 20 random functions on 6 points")
@@ -219,17 +210,15 @@ def suite_spectral_theorem(max_size: int = 6, seed: int = 0) -> SuiteResult:
         g = fam.observable_function(e, s3)
         integral = fam.riemann_stieltjes(e, e.thresholds, s3)
         res.check(integral == g, "quasipoint step sum differs from f_E for {!r}", e)
-    return res
 
 
 # --- the continuous-function correspondence -------------------------------------
 
 
-def suite_correspondence(max_size: int = 4, seed: int = 0) -> SuiteResult:
+def suite_correspondence(res: SuiteResult, max_size: int, seed: int) -> None:
     """Sweep every topology on up to five labeled points and every grid
     function: continuity matches strong regularity in both directions, with
     the domain/regularity side conditions."""
-    res = SuiteResult("continuous-correspondence")
     n_max = _clamp(max_size, 5)
     counts = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
     found = None  # the first regular family that is not strongly regular
@@ -295,7 +284,6 @@ def suite_correspondence(max_size: int = 4, seed: int = 0) -> SuiteResult:
         res.check(top.classify_family(t, e) == "regular",
                   "witness search returned a non-witness on {!r}", t)
         res.notes.append(f"regular-but-not-strongly-regular witness on {t!r}: {e!r}")
-    return res
 
 
 def _grid3_functions(n: int) -> list:
@@ -315,10 +303,9 @@ def _grid3_functions(n: int) -> list:
 # --- quotient algebras and the induced transform --------------------------------
 
 
-def suite_quotient(max_size: int = 4, seed: int = 0) -> SuiteResult:
+def suite_quotient(res: SuiteResult, max_size: int, seed: int) -> None:
     """All ideals of the power set on four points: dual-filter laws, the
     kernel law, representative independence and the lift round trip."""
-    res = SuiteResult("quotient")
     n = _clamp(max_size, 4)
     f = mea.FieldOfSets.discrete(_ground(n))
     space = f.stone()
@@ -382,17 +369,15 @@ def suite_quotient(max_size: int = 4, seed: int = 0) -> SuiteResult:
             res.check(mea.gamma_transform(phi, q) ==
                       fam.observable_function(e, q.stone()),
                       "ideal {!r}: lift-then-transform differs from f_E", ideal)
-    return res
 
 
 # --- the completely increasing calculus ------------------------------------------
 
 
-def suite_increasing(max_size: int = 4, seed: int = 0) -> SuiteResult:
+def suite_increasing(res: SuiteResult, max_size: int, seed: int) -> None:
     """Closure law and complete distributivity for every regular-open algebra
     on up to four points; complete monotonicity for seeded functions; the
     infimum condition coincides with fibre-constancy on discrete spaces."""
-    res = SuiteResult("increasing-calculus")
     rng = random.Random(seed)
     spaces = []
     for n in range(1, _clamp(max_size, 4) + 1):
@@ -429,17 +414,15 @@ def suite_increasing(max_size: int = 4, seed: int = 0) -> SuiteResult:
             res.check(stars == member,
                       "discrete({}): infimum condition and fibre test disagree "
                       "for {}", n, values)
-    return res
 
 
 # --- the point-fibre function algebra ---------------------------------------------
 
 
-def suite_point_iso(max_size: int = 4, seed: int = 0) -> SuiteResult:
+def suite_point_iso(res: SuiteResult, max_size: int, seed: int) -> None:
     """On discrete spaces the transform from bounded point functions is a
     norm-preserving *-isomorphism onto the functions on the spectrum, and the
     spectrum reproduces the space."""
-    res = SuiteResult("point-isomorphism")
     rng = random.Random(seed)
     for n in range(1, _clamp(max_size, 5) + 1):
         t = top.TopSpace.discrete(_ground(n))
@@ -498,16 +481,14 @@ def suite_point_iso(max_size: int = 4, seed: int = 0) -> SuiteResult:
             norm_m = max(a * a + b * b for a, b in zip(re1, im1))
             res.check(g1.sup_norm_squared() == norm_m,
                       "discrete({}): sup norm not preserved", n)
-    return res
 
 
 # --- the counterexample battery -----------------------------------------------------
 
 
-def suite_counterexamples(max_size: int = 4, seed: int = 0) -> SuiteResult:
+def suite_counterexamples(res: SuiteResult, max_size: int, seed: int) -> None:
     """Named negative cases: the two-point non-discrete space, the six-element
     orthomodular non-distributive lattice and the one-quasipoint chain."""
-    res = SuiteResult("counterexamples")
     sierp = top.TopSpace.from_sets(("1", "2"), [[], ["1"], ["1", "2"]])
     e = top.spectral_family_of_continuous(sierp, (Fraction(0), Fraction(1)))
     sr, witness = top.is_strongly_regular(sierp, e)
@@ -535,7 +516,6 @@ def suite_counterexamples(max_size: int = 4, seed: int = 0) -> SuiteResult:
     res.check(dual_ideal_intersection_law(c3, "m1")
               and not dual_ideal_intersection_law(c3, "1"),
               "chain(3) intersection law should hold at the atom and fail at the top")
-    return res
 
 
 SUITES = {
@@ -561,4 +541,7 @@ def suite(name: str):
 
 
 def run_suite(name: str, max_size: int = 4, seed: int = 0) -> SuiteResult:
-    return suite(name)(max_size=max_size, seed=seed)
+    """Run the suite ``name`` into a result named after it."""
+    res = SuiteResult(name)
+    suite(name)(res, max_size, seed)
+    return res

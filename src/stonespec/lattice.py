@@ -107,13 +107,13 @@ class Lattice:
     ``order`` is any set of pairs (a, b) meaning a <= b; the reflexive
     transitive closure is taken, so covering pairs suffice.  ``flags`` are
     claimed properties ("distributive", "orthomodular") checked by
-    :meth:`validate`.  ``payload`` optionally attaches opaque per-element data;
-    lattices of sets (:meth:`from_sets`) store their masks there and map them
-    back to ids through ``set_ids``, which is None on every other lattice.
+    :meth:`validate`.  Lattices of sets (:meth:`from_sets`) store their masks
+    in ``payload`` and map them back to ids through ``set_ids``; both are
+    None on every other lattice.
     """
 
     def __init__(self, names: Sequence[str], order: Iterable[tuple], *,
-                 ortho=None, flags: Iterable[str] = (), payload=None):
+                 ortho=None, flags: Iterable[str] = ()):
         self._set_names(names)
         n = self.n
         up = [1 << i for i in range(n)]
@@ -135,7 +135,7 @@ class Lattice:
                 for ia, b in enumerate(ortho):
                     omap[ia] = self.eid(b)
             ortho = omap
-        self._set_order(up, ortho, flags, payload)
+        self._set_order(up, ortho, flags)
 
     @classmethod
     def from_sets(cls, masks, names, complement=None) -> "Lattice":
@@ -159,11 +159,11 @@ class Lattice:
                     u |= 1 << j
             up.append(u)
         if complement is None:
-            lat._set_order(up, None, (), masks)
+            lat._set_order(up, None, ())
         else:
             lat._set_order(up, [ids.get(complement(m)) for m in masks],
-                           ("distributive", "orthomodular"), masks)
-        lat.set_ids = ids
+                           ("distributive", "orthomodular"))
+        lat.payload, lat.set_ids = masks, ids
         return lat
 
     def _set_names(self, names):
@@ -178,7 +178,7 @@ class Lattice:
         self.index = {s: i for i, s in enumerate(names)}
         self.n = len(names)
 
-    def _set_order(self, up, ortho, flags, payload):
+    def _set_order(self, up, ortho, flags):
         """Finish construction from the closed order ``up`` and the ortho ids."""
         n = self.n
         self.up = tuple(up)
@@ -203,8 +203,7 @@ class Lattice:
         unknown = self.flags - {"distributive", "orthomodular"}
         if unknown:
             raise InputError(f"unknown lattice flags: {sorted(unknown)}")
-        self.payload = None if payload is None else tuple(payload)
-        self.set_ids = None
+        self.payload = self.set_ids = None
 
         self._meet = None
         self._join = None
@@ -536,15 +535,3 @@ def product_lattice(l1: Lattice, l2: Lattice) -> Lattice:
                  for i in range(l1.n * l2.n)]
     return Lattice(names, order, ortho=ortho, flags=l1.flags & l2.flags)
 
-
-_FIXTURES = {"boolean": boolean_lattice, "chain": chain_lattice, "MO": mo_lattice,
-             "product": product_lattice}
-
-
-def build_fixture(kind: str, *args) -> Lattice:
-    """Dispatch to one of the canonical constructions by name."""
-    try:
-        builder = _FIXTURES[kind]
-    except KeyError:
-        raise InputError(f"unknown fixture kind {kind!r}") from None
-    return builder(*args)

@@ -68,12 +68,6 @@ class FieldOfSets(TopSpace):
     from_partition = TopSpace.__dict__["from_sets"]
     lattice = TopSpace.r_lattice
 
-    @classmethod
-    def from_family(cls, ground, sets) -> "FieldOfSets":
-        """Build from an explicit family: a topology closed under complement."""
-        space = TopSpace.from_sets(ground, sets)
-        return cls.__new__(cls)._of_nbhds(space.points, space._nbhd)
-
     def labels_of(self, mask: int) -> tuple:
         return tuple(self.ground[i] for i in bits(mask))
 
@@ -314,11 +308,9 @@ def quotient(field: FieldOfSets, ideal: SetIdeal) -> QuotientAlgebra:
     return QuotientAlgebra(field, ideal)
 
 
-def gamma_transform(phi: MeasurableFunction, q) -> ObservableFunction:
+def gamma_transform(phi: MeasurableFunction, q: QuotientAlgebra) -> ObservableFunction:
     """Observable function of the level-set family of phi, restricted to the
     quasipoints over the quotient; independent of the representative."""
-    if isinstance(q, SetIdeal):
-        q = QuotientAlgebra(phi.field, q)
     if q.field != phi.field:
         raise InputError("quotient belongs to a different field")
     return _restrict(observable_function(spectral_family_of(phi), phi.field.stone()), q)

@@ -65,7 +65,6 @@ class StoneSpace:
         self.lattice = lattice
         self.atoms = tuple(atoms)
         self.points = tuple(lattice.up[a] for a in self.atoms)
-        self.point_index = {m: k for k, m in enumerate(self.points)}
         base = [0] * lattice.n
         for k, members in enumerate(self.points):
             for a in bits(members):

@@ -16,7 +16,7 @@ import pytest
 import stonespec
 from stonespec import (MeasurableFunction, SpectralFamily, all_fields, all_topologies,
                        enumerate_families, spectral_family_of)
-from stonespec.checks import GRID3, _ground, _injectivity_fixtures, suite_correspondence
+from stonespec.checks import GRID3, _ground, _injectivity_fixtures, run_suite
 from stonespec.family import level_sets
 from stonespec.measurable import atom_grid_values
 from stonespec.topology import _family_of_levels
@@ -51,7 +51,7 @@ def test_correspondence_sweep_both_directions(checked):
                 level_families += 1
     assert len(checked) == level_families == 29577
     # the suite's own families, at least one enumerated family per topology
-    res = suite_correspondence(4)
+    res = run_suite("continuous-correspondence", 4)
     assert res.failures == []
     assert len(checked) > level_families + 389
 

@@ -8,7 +8,7 @@ import pytest
 
 from stonespec import SpectralFamily, boolean_lattice
 from stonespec import topology as top
-from stonespec.checks import GRID3, SuiteResult, suite_correspondence
+from stonespec.checks import GRID3, SuiteResult, run_suite
 from stonespec.family import level_sets
 
 
@@ -59,7 +59,7 @@ def oracle_regular_not_strongly_regular(n_max):
 @pytest.mark.parametrize("max_size", [2, 3])
 def test_sweep_reports_the_first_witness(max_size):
     found = oracle_regular_not_strongly_regular(max_size)
-    notes = suite_correspondence(max_size).notes
+    notes = run_suite("continuous-correspondence", max_size).notes
     if found is None:
         assert notes == ["regular-but-not-strongly-regular family: no witness at scale"]
     else:

@@ -396,11 +396,11 @@ FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 def instance_files(draw):
     """Valid instance files built from library objects: one block of every
     kind, hosted by a fixture lattice, a topology and a field of sets."""
-    from stonespec import (all_fields, all_topologies, build_fixture,
-                           enumerate_families, ideals_of, product_family)
+    from stonespec import (all_fields, all_topologies, boolean_lattice, chain_lattice,
+                           enumerate_families, ideals_of, mo_lattice, product_family)
     grid = draw(st.lists(FRACTIONS, min_size=1, max_size=3, unique=True))
-    lat = build_fixture(draw(st.sampled_from(["boolean", "chain", "MO"])),
-                        draw(st.integers(1, 3)))
+    lat = draw(st.sampled_from([boolean_lattice, chain_lattice, mo_lattice]))(
+        draw(st.integers(1, 3)))
     space = draw(st.sampled_from(all_topologies(draw(st.integers(1, 3)))))
     field = draw(st.sampled_from(all_fields(("p", "q", "r"))))
     families = enumerate_families(lat, grid)

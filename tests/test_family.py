@@ -630,7 +630,7 @@ class TestComplexFamilies:
         g = observable_function_complex(e, space)
         assert g.re == observable_function(e1, space)
         assert g.im == observable_function(e1, space)
-        assert g.value(space.point_index[mo2.up[mo2.eid("a")]]) == (0, 0)
+        assert g.value(space.points.index(mo2.up[mo2.eid("a")])) == (0, 0)
 
     def test_all_top_components(self):
         b2 = boolean_lattice(2)
@@ -670,7 +670,7 @@ class TestStepIntegration:
         g = observable_function(e, space)
         diffs = [a - b for a, b in zip(s.values, g.values)]
         assert all(0 <= d <= Fraction(1, 4) for d in diffs)
-        assert s.values[space.point_index[b2.up[b2.eid("x")]]] == HALF
+        assert s.values[space.points.index(b2.up[b2.eid("x")])] == HALF
 
     def test_literal_increment_sum_oracle(self):
         # the library value equals the sum of tag * indicator increments

@@ -12,7 +12,7 @@ import pytest
 
 from stonespec import dsl
 from stonespec import (InputError, Lattice, NoOrthocomplementError,
-                       boolean_lattice, build_fixture, chain_lattice,
+                       boolean_lattice, chain_lattice,
                        mo_lattice, product_lattice)
 from stonespec.checks import SuiteResult
 from stonespec.lattice import Violation, bits
@@ -238,12 +238,6 @@ class TestFixtures:
             with pytest.raises(InputError):
                 builder(0)
 
-    def test_build_fixture_dispatch(self):
-        assert build_fixture("boolean", 2) == boolean_lattice(2)
-        assert build_fixture("chain", 3) == chain_lattice(3)
-        with pytest.raises(InputError):
-            build_fixture("pentagon")
-
     def test_product_carries_order_and_ortho(self):
         p = product_lattice(boolean_lattice(1), boolean_lattice(1))
         assert p.n == 4 and p.validate().ok
@@ -280,10 +274,12 @@ def oracle_set_lattice(masks, names, complement=None):
              for i, a in enumerate(masks) for j, b in enumerate(masks)
              if a & ~b == 0]
     if complement is None:
-        return Lattice(names, order, payload=masks)
-    ortho = {names[i]: names[masks.index(complement(m))] for i, m in enumerate(masks)}
-    return Lattice(names, order, ortho=ortho,
-                   flags=("distributive", "orthomodular"), payload=masks)
+        lat = Lattice(names, order)
+    else:
+        ortho = {names[i]: names[masks.index(complement(m))] for i, m in enumerate(masks)}
+        lat = Lattice(names, order, ortho=ortho, flags=("distributive", "orthomodular"))
+    lat.payload = tuple(masks)
+    return lat
 
 
 def assert_same_set_lattice(got, want):

@@ -6,7 +6,7 @@ library's bitmask representation.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
@@ -46,20 +46,6 @@ def oracle_partitions(n):
     return out
 
 
-def oracle_field_atoms(ground, family):
-    """The atoms of a family of label sets if it is a field of sets, else
-    None: it must hold the empty and the whole set and be closed under
-    complement and pairwise union; the atom of a point is then the meet of
-    the members around it."""
-    fam = set(map(frozenset, family))
-    whole = frozenset(ground)
-    if frozenset() not in fam or whole not in fam:
-        return None
-    if any(whole - a not in fam or a | b not in fam for a in fam for b in fam):
-        return None
-    return {frozenset.intersection(*(m for m in fam if p in m)) for p in ground}
-
-
 def label_sets(field, family):
     """The family's jumps as (threshold, frozenset-of-labels) pairs."""
     lat = field.lattice()
@@ -74,13 +60,6 @@ class TestFieldOfSets:
         assert f.contains(f.mask_of(["q", "r"]))
         assert not f.contains(f.mask_of(["q"]))
         assert len(f.members()) == 4
-
-    def test_from_family_validates_closure(self):
-        FieldOfSets.from_family(("p", "q"), [[], ["p"], ["q"], ["p", "q"]])
-        with pytest.raises(InputError):
-            FieldOfSets.from_family(("p", "q"), [[], ["p"], ["p", "q"]])  # no complement
-        with pytest.raises(InputError):
-            FieldOfSets.from_family(("p", "q"), [["p"], ["q"]])  # no empty/full
 
     def test_lattice_is_boolean(self):
         f = FieldOfSets.from_partition(("p", "q", "r"), [["p"], ["q", "r"]])
@@ -156,11 +135,6 @@ class TestFieldIsATopology:
                 cases += 1
         assert cases == 3 * 1 + 9 * 2 + 27 * 5 + 81 * 15
 
-    def test_from_family_recovers_every_field(self):
-        for f in self.FIELDS:
-            g = FieldOfSets.from_family(f.ground, map(f.labels_of, f.members()))
-            assert g == f and g.members() == f.members()
-
     def test_discrete_is_the_power_set_and_generated_needs_complements(self):
         for ground in (("p",), ("p", "q"), tuple("abcdef")):
             f = FieldOfSets.discrete(ground)
@@ -170,27 +144,6 @@ class TestFieldIsATopology:
         with pytest.raises(InputError, match="^not closed under complement$"):
             FieldOfSets.generated(("p", "q"), [["p"]])
         assert FieldOfSets.generated(("p", "q"), [["p"], ["q"]]) == pot("p", "q")
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_from_family_against_the_closure_scan(self, n):
-        # every family of subsets of n points: 2^(2^n) of them
-        ground = tuple(str(i + 1) for i in range(n))
-        subsets = [frozenset(c) for k in range(n + 1) for c in combinations(ground, k)]
-        fields = 0
-        for pick in range(1 << len(subsets)):
-            family = [subsets[i] for i in bits(pick)]
-            atoms = oracle_field_atoms(ground, family)
-            try:
-                got = FieldOfSets.from_family(ground, family)
-            except InputError:
-                assert atoms is None, family
-                continue
-            assert atoms is not None, family
-            want = FieldOfSets.from_partition(ground, atoms)
-            assert got == want and (got.opens, got._basis, got._nbhd) == \
-                (want.opens, want._basis, want._nbhd)
-            fields += 1
-        assert fields == len(all_fields(ground))
 
 
 class TestMeasurableFunction:
@@ -389,7 +342,8 @@ class TestGamma:
         ideal = SetIdeal.from_generators(f, [["1"]])
         phi = MeasurableFunction(f, {"1": 5, "2": 0, "3": 1})
         psi = MeasurableFunction(f, {"1": -2, "2": 0, "3": 1})
-        assert gamma_transform(phi, ideal) == gamma_transform(psi, ideal)
+        q = quotient(f, ideal)
+        assert gamma_transform(phi, q) == gamma_transform(psi, q)
 
     def test_kernel_law(self):
         f = pot("1", "2", "3")
@@ -440,7 +394,7 @@ class TestGamma:
             for values in product(GRID3, repeat=4):
                 phi = MeasurableFunction(f, list(values))
                 want = tuple(phi(label) for (label,) in generators)
-                assert gamma_transform(phi, ideal).values == want
+                assert gamma_transform(phi, q).values == want
                 full = observable_function(spectral_family_of(phi), f.stone())
                 assert _restrict(full, q).values == want
 

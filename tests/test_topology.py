@@ -703,7 +703,6 @@ class TestGenerated:
                      lambda: TopSpace.discrete(points),
                      lambda: FieldOfSets(points, [full]),
                      lambda: FieldOfSets.from_partition(points, [points]),
-                     lambda: FieldOfSets.from_family(points, [[], points]),
                      lambda: FieldOfSets.discrete(points)):
             with pytest.raises(InputError, match=why):
                 make()
