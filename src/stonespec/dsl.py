@@ -287,9 +287,8 @@ class _Builder:
             self.reject(code, str(e), rb.at)
 
     def set_list(self, payload: str, at: int, unique: bool):
-        """The set literals of a comma-separated clause payload; with
-        ``unique``, a literal written again is read once."""
-        sets = []
+        """Yield the set literals of a comma-separated clause payload as they
+        are parsed; with ``unique``, a literal written again is read once."""
         seen = set()
         for part, off in _split_top(payload, ","):
             if not part.strip():
@@ -302,8 +301,7 @@ class _Builder:
                 continue
             if unique:
                 seen.add(lit)
-            sets.append(lit)
-        return sets
+            yield lit
 
     def set_clause(self, rb: _RawBlock, allowed, missing):
         """The key and set literals of the one clause of a block whose clause
@@ -477,7 +475,7 @@ class _Builder:
         values = {}
         for p_text, p_at, v_text, v_at in self.entries(rb, "point: value"):
             p = p_text.strip()
-            if p not in ground:
+            if p not in info.obj._index:
                 self.reject("unknown-element", f"unknown point {p!r}", p_at)
             values[p] = self.rational(v_text, v_at)
         missing = [p for p in ground if p not in values]
@@ -647,15 +645,17 @@ def _json_block(b: BlockInfo, file: InstanceFile) -> dict:
     raise InputError(f"cannot emit block kind {b.kind!r}")
 
 
+def _dot_id(name: str) -> str:
+    """``name`` as a quoted DOT ID, its backslashes and quotes escaped."""
+    return '"' + re.sub(r'(["\\])', r"\\\1", name) + '"'
+
+
 def emit_dot(b: BlockInfo) -> str:
     """Hasse diagram of a lattice, topology or field as a DOT digraph."""
     if b.kind not in ("lattice", "topology", "field"):
         raise InputError(f"cannot draw block kind {b.kind!r}")
     lat = b.lattice()
-    lines = [f'digraph "{b.name}" {{', "  rankdir=BT;"]
-    for name in lat.names:
-        lines.append(f'  "{name}";')
-    for a, x in _covers(lat):
-        lines.append(f'  "{lat.names[a]}" -> "{lat.names[x]}";')
-    lines.append("}")
-    return "\n".join(lines)
+    ids = [_dot_id(name) for name in lat.names]
+    lines = [f"digraph {_dot_id(b.name)} {{", "  rankdir=BT;"] + [f"  {i};" for i in ids]
+    lines += [f"  {ids[a]} -> {ids[x]};" for a, x in _covers(lat)]
+    return "\n".join(lines + ["}"])

@@ -26,18 +26,16 @@ def bits(mask: int):
         mask ^= low
 
 
-def label_masks(labels, sets) -> list:
-    """The bitmask of each set of point labels, bit i standing for labels[i]."""
-    index = {p: i for i, p in enumerate(labels)}
-    masks = []
+def label_masks(index, sets):
+    """Yield the bitmask of each set of point labels as it is read, bit
+    ``index[p]`` standing for label p."""
     for s in sets:
         m = 0
         for p in s:
             if p not in index:
                 raise InputError(f"unknown point {p!r}")
             m |= 1 << index[p]
-        masks.append(m)
-    return masks
+        yield m
 
 
 class Record:

@@ -32,22 +32,20 @@ class FieldOfSets(TopSpace):
 
     def __init__(self, ground, atoms):
         ground = _points(ground)
-        atoms = list(atoms)
-        for a in atoms:
+        kept, union = [], 0
+        for a in atoms:  # each checked as it is read, so a fault stops the read
             if type(a) is not int:
                 raise InputError(f"atom {a!r} is not an int bitmask")
-        atoms = sorted(atoms, key=lambda m: m & -m)
-        union = 0
-        for a in atoms:
             if a == 0:
                 raise InputError("empty atom")
             if a & union:
                 raise InputError("atoms overlap")
             union |= a
+            kept.append(a)
         if union != (1 << len(ground)) - 1:
             raise InputError("atoms do not cover the ground set")
         nbhd = [0] * len(ground)
-        for a in atoms:
+        for a in kept:
             for p in bits(a):
                 nbhd[p] = a
         self._of_nbhds(ground, nbhd)

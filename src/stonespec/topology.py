@@ -9,6 +9,8 @@ discrete spaces; everything else works for arbitrary finite topologies.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import InputError, UnsupportedStructureError
 from .family import (ComplexObservableFunction, ObservableFunction,
                      SpectralFamily, first_hits, level_sets, observable_function,
@@ -87,7 +89,7 @@ class TopSpace:
     @classmethod
     def from_sets(cls, points, sets) -> "TopSpace":
         points = _points(points)
-        return cls(points, label_masks(points, sets))
+        return cls(points, label_masks({p: i for i, p in enumerate(points)}, sets))
 
     @classmethod
     def discrete(cls, points) -> "TopSpace":
@@ -100,11 +102,17 @@ class TopSpace:
         neighbourhood is the intersection of the sets around it, and the opens
         are the unions of those neighbourhoods, built only up to the cap."""
         points = _points(points)
-        nbhd = _min_nbhds(label_masks(points, sets), len(points))
+        index = {p: i for i, p in enumerate(points)}
+        nbhd = _min_nbhds(label_masks(index, sets), len(points))
         return cls.__new__(cls)._of_nbhds(points, nbhd)
 
+    @cached_property
+    def _index(self) -> dict:
+        """Each point label's bit, built on the first lookup."""
+        return {p: i for i, p in enumerate(self.points)}
+
     def mask_of(self, labels) -> int:
-        return label_masks(self.points, [labels])[0]
+        return next(label_masks(self._index, [labels]))
 
     def set_name(self, mask: int) -> str:
         return "{" + ",".join(str(self.points[i]) for i in bits(mask)) + "}"

@@ -401,6 +401,58 @@ class TestInputRobustness:
         assert done.stderr == (f"error: parse failed:\n{path}:1:1: error: a topology must "
                                "contain the empty set and the whole space [bad-topology]\n")
 
+    POINTS = ",".join(str(i) for i in range(1, 4097))
+
+    @pytest.mark.parametrize("kind, clause, sets, why", [
+        # 300,000 copies of one atom: a 4,096-bit mask for each would take
+        # about 170 MB, but the second copy already overlaps the first
+        ("field", "atoms", ["{4096}"] * 300000, "atoms overlap [bad-field]"),
+        # 370,846 distinct pairs in 4 MB: the 65th distinct open is the cap
+        ("topology", "opens", [f"{{{a},{b}}}" for a in range(1, 1000)
+                               for b in range(a + 1, 1000)][:370846],
+         "more than 64 open sets (the cap) [bad-topology]"),
+    ], ids=["repeated-atoms", "distinct-opens"])
+    def test_set_literals_stop_at_the_first_fault(self, tmp_path, kind, clause, sets, why):
+        path = tmp_path / f"{kind}.lat"
+        path.write_text(f"{kind} S on {{{self.POINTS}}} {{ {clause}: {', '.join(sets)} ; }}\n")
+        done = run_bounded("validate", str(path), cpu_s=3, memory=150 << 20)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: parse failed:\n{path}:1:1: error: {why}\n"
+
+    def test_the_first_fault_in_reading_order_is_reported(self, tmp_path):
+        # the unknown point comes after the 65th distinct open, the empty
+        # atom after the overlap
+        opens = ", ".join([f"{{{i}}}" for i in range(1, 66)] + ["{nope}"])
+        path = tmp_path / "two.lat"
+        path.write_text(f"topology T on {{{self.POINTS}}} {{ opens: {opens} ; }}\n"
+                        "field F on {p, q} { atoms: {p}, {p,q}, {} ; }\n")
+        assert run("validate", str(path)) == (2, "", (
+            f"error: parse failed:\n{path}:1:1: error: more than 64 open sets (the cap) "
+            f"[bad-topology]\n{path}:2:1: error: atoms overlap [bad-field]\n"))
+
+    TOPOLOGY = f"topology T on {{{POINTS}}} {{ opens: {{}}, {{{POINTS}}} ; }}\n"
+
+    def test_a_long_family_of_set_literals_reads_labels_through_one_index(self, tmp_path):
+        # 20,001 values over 4,096 points: an index of the points per value
+        # takes several seconds
+        jumps = " ; ".join([f"{k}: {{}}" for k in range(20000)] + [f"20000: {{{self.POINTS}}}"])
+        path = tmp_path / "family.lat"
+        path.write_text(self.TOPOLOGY + f"family E in T {{ {jumps} ; }}\n")
+        done = run_bounded("spectrum", str(path), "E", cpu_s=2)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("sp = {20000}; resolvent = (-inf, 20000) u (20000, ")
+
+    def test_a_long_function_block_reads_labels_through_one_index(self, tmp_path):
+        # every point, then 56,000 entries on the last hundred: a scan of
+        # the 4,096 labels per entry takes several seconds
+        keys = list(range(1, 4097)) + [4096 - k % 100 for k in range(56000)]
+        entries = " ; ".join(f"{p}: {p % 7}" for p in keys)
+        path = tmp_path / "function.lat"
+        path.write_text(self.TOPOLOGY + f"function g on T {{ {entries} ; }}\n")
+        done = run_bounded("validate", str(path), cpu_s=2)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "topology T: ok\nfunction g: ok\n"
+
     def test_validate_still_reports_an_invalid_lattice(self, tmp_path):
         path = tmp_path / "bad.lat"
         path.write_text(self.CYCLE)

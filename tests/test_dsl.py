@@ -286,6 +286,20 @@ family E in F { 0: {p} ; 1: {p,q} ; }
         assert '"0" -> "a"' in dot and '"a" -> "1"' in dot
         assert '"0" -> "1"' not in dot  # transitive edge reduced
 
+    def test_dot_ids_read_back_as_the_names(self):
+        # neither quote nor backslash is reserved; DOT reads \" as " and \\ as \
+        file = parse_ok('lattice Q"\\ { elements: 0, a"b, c\\, \\" ; '
+                        'order: 0 < a"b, 0 < c\\, a"b < \\", c\\ < \\" ; }')
+        lat = file.find('Q"\\').obj
+        assert lat.names == ("0", 'a"b', "c\\", '\\"')
+        dot = dsl.emit_dot(file.find('Q"\\'))
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        ids = [re.sub(r"\\(.)", r"\1", q) for q in re.findall(quoted, dot)]
+        assert ids[0] == 'Q"\\' and set(ids[1:]) == set(lat.names)
+        assert len(ids) == 1 + 4 + 2 * 4  # the graph, each element, each cover edge
+        assert re.sub(quoted, "ID", dot).split() == (
+            ["digraph", "ID", "{", "rankdir=BT;"] + ["ID;"] * 4 + ["ID", "->", "ID;"] * 4 + ["}"])
+
 
 class TestRationals:
     def test_exact_forms(self):
