@@ -532,4 +532,3 @@ def product_lattice(l1: Lattice, l2: Lattice) -> Lattice:
         ortho = [l1.ortho[i // l2.n] * l2.n + l2.ortho[i % l2.n]
                  for i in range(l1.n * l2.n)]
     return Lattice(names, order, ortho=ortho, flags=l1.flags & l2.flags)
-
