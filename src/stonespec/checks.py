@@ -23,6 +23,7 @@ from .stone import (dual_ideal_intersection_law, is_completely_distributive,
 
 HALF = Fraction(1, 2)
 GRID3 = (Fraction(0), HALF, Fraction(1))
+PROBES = (Fraction(-1),) + GRID3  # below the grid and on each of its points
 
 
 class SuiteResult(Record):
@@ -111,14 +112,15 @@ def suite_injectivity(res: SuiteResult, max_size: int, seed: int) -> None:
 # --- continuity of observable functions ----------------------------------------
 
 
+POOL = tuple(Fraction(k, 4) for k in range(-8, 9))  # sorted: rng.sample draws by position
+
+
 def _random_family(rng: random.Random, lat: Lattice) -> fam.SpectralFamily:
-    pool = sorted(Fraction(k, 4) for k in range(-8, 9))
     k = rng.randint(1, 4)
-    thresholds = sorted(rng.sample(pool, k))
+    thresholds = sorted(rng.sample(POOL, k))
     chain = [lat.top]
     for _ in range(k - 1):
-        lower = [e for e in range(lat.n) if e != lat.bottom
-                 and e != chain[0] and lat.le(e, chain[0])]
+        lower = list(bits(lat.down[chain[0]] & ~(1 << chain[0] | 1 << lat.bottom)))
         if not lower:
             break
         chain.insert(0, rng.choice(lower))
@@ -137,18 +139,17 @@ def suite_continuity(res: SuiteResult, max_size: int, seed: int) -> None:
         lat = lattices[i % 2]
         space = spaces[i % 2]
         e = _random_family(rng, lat)
-        g = fam.observable_function(e, space)
-        distinct = sorted(set(g.values))
-        cuts = [distinct[0] - 1]
-        cuts += [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
+        g = fam.observable_function(e, space).values
+        # the values between the j-th and the k-th cut are the j-th to the
+        # (k-1)-th distinct ones: a difference of two level masks
+        levels = fam.level_sets(g)
+        distinct = [g[x] for x, _ in levels]
+        cuts = [distinct[0] - 1] + [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
         cuts.append(distinct[-1] + 1)
-        for lo, hi in combinations(cuts, 2):
-            mask = 0
-            for k, v in enumerate(g.values):
-                if lo < v < hi:
-                    mask |= 1 << k
-            res.check(space.is_open(mask),
-                      "{!r}: preimage of ({}, {}) is not open", e, lo, hi)
+        masks = [0] + [m for _, m in levels]
+        for j, k in combinations(range(len(cuts)), 2):
+            res.check(space.is_open(masks[j] ^ masks[k]),
+                      "{!r}: preimage of ({}, {}) is not open", e, cuts[j], cuts[k])
 
 
 # --- complex (two-parameter) families -------------------------------------------
@@ -197,8 +198,9 @@ def suite_spectral_theorem(res: SuiteResult, max_size: int, seed: int) -> None:
         e = mea.spectral_family_of(phi)
         lo, hi = e.bounds()
         for eps in (HALF, Fraction(1, 10)):
+            (p, q), (r, d) = lo.as_integer_ratio(), eps.as_integer_ratio()
             steps = int((hi - lo) / eps) + 1
-            grid = [lo + k * eps for k in range(steps + 1)]
+            grid = [Fraction(p * d + k * r * q, q * d) for k in range(steps + 1)]  # lo + k*eps
             s = mea.riemann_stieltjes_on_points(f6, e, grid)
             err = max(abs(a - b) for a, b in zip(phi.values, s.values))
             res.check(err <= eps, "|phi - s| = {} > {} for {!r}", err, eps, phi)
@@ -346,8 +348,8 @@ def suite_quotient(res: SuiteResult, max_size: int, seed: int) -> None:
         # kernel law and representative independence over the value grid
         for values, bumped, phi, full in functions:
             g = mea._restrict(full, q)
-            vanishes = all(v == 0 for v in g.values)
-            outside = all(values[p] == 0 for p in bits(q.survivors))
+            vanishes = not any(g.values)
+            outside = not any(values[p] for p in bits(q.survivors))
             res.check(vanishes == outside,
                       "ideal {!r}: kernel law fails for {!r}", ideal, phi)
             psi_values = list(values)
@@ -358,13 +360,12 @@ def suite_quotient(res: SuiteResult, max_size: int, seed: int) -> None:
                 res.check(mea.gamma_transform(psi, q) == g,
                           "ideal {!r}: representative dependence for {!r}", ideal, phi)
         # lift round trip on every bounded family of the quotient
-        for e in fam.enumerate_families(q.lattice(), GRID3):
+        reduced = q.lattice()
+        for e in fam.enumerate_families(reduced, GRID3):
             phi = mea.lift_spectral_family(q, e)
             back = mea.spectral_family_of(phi)
-            lifted_ok = all(
-                q.class_of(lat.payload[back.eval(t)]) ==
-                q.reduced.lattice().payload[e.eval(t)]
-                for t in (Fraction(-1),) + GRID3)
+            lifted_ok = all(q.class_of(lat.payload[back.eval(t)]) == reduced.payload[e.eval(t)]
+                            for t in PROBES)
             res.check(lifted_ok, "ideal {!r}: lifted family has wrong classes", ideal)
             res.check(mea.gamma_transform(phi, q) ==
                       fam.observable_function(e, q.stone()),
@@ -459,8 +460,11 @@ def suite_point_iso(res: SuiteResult, max_size: int, seed: int) -> None:
             target_count += 1
         res.notes.append(f"discrete({n}): {target_count} exhaustive surjectivity targets")
         for _ in range(25):
-            re1, im1, re2, im2 = ([Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
-                                   for _ in range(n)] for _ in range(4))
+            # four lists of values a/c as numerators over 2, drawn a then c at each point
+            nums = [[rng.randint(-4, 4) * (2 // rng.choice((1, 2))) for _ in range(n)]
+                    for _ in range(4)]
+            re1, im1, re2, im2 = ([Fraction(a, 2) for a in h] for h in nums)
+            four = list(zip(*nums))
             g1 = top.f_star(t, re1, im1)
             g2 = top.f_star(t, re2, im2)
             for k in range(n):
@@ -468,17 +472,17 @@ def suite_point_iso(res: SuiteResult, max_size: int, seed: int) -> None:
                 res.check(g1.value(k) == (re1[x], im1[x]),
                           "discrete({}): value at the quasipoint over {} "
                           "differs from the point value", n, t.points[x])
-            s_re = [a + b for a, b in zip(re1, re2)]
-            s_im = [a + b for a, b in zip(im1, im2)]
+            s_re = [Fraction(a + c, 2) for a, _, c, _ in four]
+            s_im = [Fraction(b + d, 2) for _, b, _, d in four]
             res.check(top.f_star(t, s_re, s_im) == g1 + g2,
                       "discrete({}): additivity fails", n)
-            p_re = [a * c - b * d for a, b, c, d in zip(re1, im1, re2, im2)]
-            p_im = [a * d + b * c for a, b, c, d in zip(re1, im1, re2, im2)]
+            p_re = [Fraction(a * c - b * d, 4) for a, b, c, d in four]
+            p_im = [Fraction(a * d + b * c, 4) for a, b, c, d in four]
             res.check(top.f_star(t, p_re, p_im) == g1 * g2,
                       "discrete({}): multiplicativity fails", n)
-            res.check(top.f_star(t, re1, [-v for v in im1]) == g1.conj(),
+            res.check(top.f_star(t, re1, [Fraction(-b, 2) for b in nums[1]]) == g1.conj(),
                       "discrete({}): conjugation fails", n)
-            norm_m = max(a * a + b * b for a, b in zip(re1, im1))
+            norm_m = Fraction(max(a * a + b * b for a, b, _, _ in four), 4)
             res.check(g1.sup_norm_squared() == norm_m,
                       "discrete({}): sup norm not preserved", n)
 

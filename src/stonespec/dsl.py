@@ -35,6 +35,7 @@ _RESERVED = "{},;:<#"
 _WS = re.compile(r"\s*")  # \s matches exactly the characters str.isspace accepts
 _TOKEN = re.compile(f"[^{_RESERVED}\\s]*")  # a maximal run of non-reserved, non-space text
 _BRACE = re.compile("[{}]")
+_SPLIT = {sep: re.compile("[{}" + sep + "]") for sep in ",;:"}  # braces and one separator
 
 
 class Diagnostic(Record, frozen=True):
@@ -60,7 +61,7 @@ class PointFunction(Record, frozen=True):
     values: tuple
 
     def __call__(self, point):
-        return self.values[self.space.points.index(point)]
+        return self.values[self.space.index_of(point)]
 
 
 class BlockInfo(Record):
@@ -163,7 +164,7 @@ class _RawBlock(Record):
 def _split_top(text: str, sep: str):
     """Yield the parts between separators at brace depth zero, with offsets."""
     depth = start = 0
-    for m in re.finditer("[{}" + sep + "]", text):
+    for m in _SPLIT[sep].finditer(text):
         if m[0] == "{":
             depth += 1
         elif m[0] == "}":
@@ -288,19 +289,21 @@ class _Builder:
 
     def set_list(self, payload: str, at: int, unique: bool):
         """Yield the set literals of a comma-separated clause payload as they
-        are parsed; with ``unique``, a literal written again is read once."""
-        seen = set()
+        are parsed; with ``unique``, a literal written again is read once, and
+        a part whose text was read before is not parsed again."""
+        seen, texts = set(), set()
         for part, off in _split_top(payload, ","):
-            if not part.strip():
+            text = part.strip()
+            if not text or text in texts:
                 continue
-            lit = _parse_setlit(part)
+            lit = _parse_setlit(text)
             if lit is None:
-                self.reject("malformed-clause",
-                            f"expected a set literal, got {part.strip()!r}", at + off)
+                self.reject("malformed-clause", f"expected a set literal, got {text!r}", at + off)
             if lit in seen:
                 continue
             if unique:
                 seen.add(lit)
+                texts.add(text)
             yield lit
 
     def set_clause(self, rb: _RawBlock, allowed, missing):

@@ -126,6 +126,15 @@ class ObservableFunction:
         self.space = space
         self.values = values
 
+    @classmethod
+    def _of(cls, space: StoneSpace, values) -> "ObservableFunction":
+        """The function with these values, trusted: they are ``Fraction``s,
+        one per quasipoint, by the caller's construction; ``__init__`` checks."""
+        self = cls.__new__(cls)
+        self.space = space
+        self.values = tuple(values)
+        return self
+
     def __getitem__(self, k: int) -> Fraction:
         return self.values[k]
 
@@ -143,19 +152,19 @@ class ObservableFunction:
 
     def __add__(self, other):
         self._same_space(other)
-        return ObservableFunction(self.space, [a + b for a, b in zip(self.values, other.values)])
+        return self._of(self.space, [a + b for a, b in zip(self.values, other.values)])
 
     def __sub__(self, other):
         self._same_space(other)
-        return ObservableFunction(self.space, [a - b for a, b in zip(self.values, other.values)])
+        return self._of(self.space, [a - b for a, b in zip(self.values, other.values)])
 
     def __mul__(self, other):
         self._same_space(other)
-        return ObservableFunction(self.space, [a * b for a, b in zip(self.values, other.values)])
+        return self._of(self.space, [a * b for a, b in zip(self.values, other.values)])
 
     def scale(self, alpha) -> "ObservableFunction":
         alpha = _as_fraction(alpha)
-        return ObservableFunction(self.space, [alpha * v for v in self.values])
+        return self._of(self.space, [alpha * v for v in self.values])
 
     def sup_norm(self) -> Fraction:
         return max(abs(v) for v in self.values)
@@ -236,8 +245,9 @@ def level_sets(keys) -> list:
     ties, with integer comparisons instead of ``Fraction.__lt__``.
     """
     if keys and all(type(k) is Fraction for k in keys):
-        d = lcm(*[k.denominator for k in keys])
-        keys = [k.numerator * (d // k.denominator) for k in keys]
+        ratios = [k.as_integer_ratio() for k in keys]
+        d = lcm(*[q for _, q in ratios])
+        keys = [p * (d // q) for p, q in ratios]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     out = []
     mask = 0
@@ -260,7 +270,7 @@ def observable_function(family: SpectralFamily, space: StoneSpace = None) -> Obs
                                 [space.base[v] for v in family.values], space.n_points)
     if missed:  # unreachable: the top value lies in every filter
         raise InvalidFamilyError("family is not bounded above")
-    return ObservableFunction(space, values)
+    return ObservableFunction._of(space, values)
 
 
 def _spectrum(lattice: Lattice, space) -> StoneSpace:

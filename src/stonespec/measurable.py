@@ -126,7 +126,7 @@ class MeasurableFunction:
         self.values = values
 
     def __call__(self, point) -> Fraction:
-        return self.values[self.field.ground.index(point)]
+        return self.values[self.field.index_of(point)]
 
     def __repr__(self):
         pairs = ", ".join(f"{p}: {v}" for p, v in zip(self.field.ground, self.values))
@@ -317,7 +317,7 @@ def gamma_transform(phi: MeasurableFunction, q: QuotientAlgebra) -> ObservableFu
 def _restrict(full: ObservableFunction, q: QuotientAlgebra) -> ObservableFunction:
     """A transform on the field's whole spectrum, read on the quasipoints
     over the quotient."""
-    return ObservableFunction(q.stone(), [full.values[k] for k in q.embedded_point_indices()])
+    return ObservableFunction._of(q.stone(), [full.values[k] for k in q.embedded_point_indices()])
 
 
 def lift_spectral_family(q: QuotientAlgebra, family: SpectralFamily) -> MeasurableFunction:

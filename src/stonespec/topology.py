@@ -111,6 +111,10 @@ class TopSpace:
         """Each point label's bit, built on the first lookup."""
         return {p: i for i, p in enumerate(self.points)}
 
+    def index_of(self, label) -> int:
+        """The bit of one point label; an unknown label is an input error."""
+        return self.mask_of([label]).bit_length() - 1
+
     def mask_of(self, labels) -> int:
         return next(label_masks(self._index, [labels]))
 

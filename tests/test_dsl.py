@@ -105,6 +105,25 @@ family2 G in MO2 { 0,0: a ; 0,1: a ; 1,0: a ; 1,1: 1 ; }
         assert "opens:" in emitted  # emission always lists the closed family
         assert dsl.parse(emitted).file == file
 
+    def test_a_repeated_open_is_parsed_once(self):
+        text = "topology S on {1, 2} { opens: {}, {1}, {1}, {1,2}, {}, {1}, { 1 }, {1,2} ; }"
+        with mock.patch.object(dsl, "_parse_setlit", side_effect=dsl._parse_setlit) as spy:
+            file = parse_ok(text)
+        # one call per distinct text; "{ 1 }" is the same open written apart
+        assert [c.args[0] for c in spy.call_args_list] == ["{}", "{1}", "{1,2}", "{ 1 }"]
+        assert file == parse_ok("topology S on {1, 2} { opens: {}, {1}, {1,2} ; }")
+
+    def test_a_repeated_atom_still_overlaps(self):
+        assert first_diag("field F on {p, q} { atoms: {p}, {q}, {p} ; }",
+                          "bad-field").message == "atoms overlap"
+
+    def test_an_unknown_point_is_an_input_error(self):
+        f = parse_ok("topology S on {1, 2} { opens: {}, {1}, {1,2} ; }\n"
+                     "function f on S { 1: 0 ; 2: 1 ; }").objects()["f"]
+        assert f("2") == 1
+        with pytest.raises(InputError, match="unknown point 'zz'"):
+            f("zz")
+
     def test_topology_needs_exactly_one_open_clause(self):
         result = dsl.parse(
             "topology S on {1} { opens: {}, {1} ; generators: {1} ; }")

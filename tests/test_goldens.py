@@ -7,8 +7,8 @@ the exit code, stdout and stderr, byte for byte, and a golden file
 fixture, byte for byte.  ``tests/goldens/help.txt`` records, the same way,
 ``--help`` of the program and of every subcommand and three usage errors,
 at a fixed width of 80 columns, and ``tests/goldens/check_all_n<N>_seed<S>.txt``
-records ``check all --max-size N --seed S`` for N = 1..4 and S = 0, 1: every
-suite's notes, failures and case counts.  After an intended output change,
+records ``check all --max-size N --seed S`` for N = 1..4 and S = 0, 1, and
+for N = 4 and S = 2: every suite's notes, failures and case counts.  After an intended output change,
 regenerate the files and review the diff:
 
     PYTHONPATH=src python tests/test_goldens.py
@@ -35,6 +35,7 @@ HELP_CALLS = ([["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
 CHECK_ALL = {f"check_all_n{n}_seed{seed}.txt": ["check", "all", "--max-size", str(n),
                                                 "--seed", str(seed)]
              for seed in (0, 1) for n in (1, 2, 3, 4)}
+CHECK_ALL["check_all_n4_seed2.txt"] = ["check", "all", "--max-size", "4", "--seed", "2"]
 
 
 def calls(path):

@@ -194,6 +194,11 @@ class TestLevelSetFamily:
         phi = function_of(f, e)
         assert phi("x") == 0 and phi("y") == 1
 
+    def test_an_unknown_point_is_an_input_error(self):
+        phi = MeasurableFunction(pot("x", "y"), {"x": 0, "y": 1})
+        with pytest.raises(InputError, match="unknown point 'zz'"):
+            phi("zz")
+
     def test_level_set_identity(self):
         # preimage of (-inf, t] under the induced function recovers each value
         for field in all_fields(("1", "2", "3", "4", "5")):
