@@ -113,10 +113,6 @@ family2 G in MO2 { 0,0: a ; 0,1: a ; 1,0: a ; 1,1: 1 ; }
         assert [c.args[0] for c in spy.call_args_list] == ["{}", "{1}", "{1,2}", "{ 1 }"]
         assert file == parse_ok("topology S on {1, 2} { opens: {}, {1}, {1,2} ; }")
 
-    def test_a_repeated_atom_still_overlaps(self):
-        assert first_diag("field F on {p, q} { atoms: {p}, {q}, {p} ; }",
-                          "bad-field").message == "atoms overlap"
-
     def test_an_unknown_point_is_an_input_error(self):
         f = parse_ok("topology S on {1, 2} { opens: {}, {1}, {1,2} ; }\n"
                      "function f on S { 1: 0 ; 2: 1 ; }").objects()["f"]

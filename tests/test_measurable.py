@@ -168,6 +168,11 @@ class TestMeasurableFunction:
         assert f.labels_of(level_mask(phi, 0)) == ("p",)
         assert f.labels_of(level_mask(phi, 2)) == ("p", "q")
 
+    def test_an_unknown_point_is_an_input_error(self):
+        phi = MeasurableFunction(pot("x", "y"), {"x": 0, "y": 1})
+        with pytest.raises(InputError, match="unknown point 'zz'"):
+            phi("zz")
+
 
 class TestLevelSetFamily:
     def test_constant_function(self):
@@ -193,11 +198,6 @@ class TestLevelSetFamily:
         e = spectral_family_of(MeasurableFunction(f, {"x": 0, "y": 1}))
         phi = function_of(f, e)
         assert phi("x") == 0 and phi("y") == 1
-
-    def test_an_unknown_point_is_an_input_error(self):
-        phi = MeasurableFunction(pot("x", "y"), {"x": 0, "y": 1})
-        with pytest.raises(InputError, match="unknown point 'zz'"):
-            phi("zz")
 
     def test_level_set_identity(self):
         # preimage of (-inf, t] under the induced function recovers each value
