@@ -162,22 +162,26 @@ def suite_complex(res: SuiteResult, max_size: int, seed: int) -> None:
     space = stone_space(lat)
     grid = (Fraction(0), Fraction(1))
     candidates = fam.enumerate_families(lat, grid)
+
+    def on_grid(e):  # a family's values at the grid points, row by row
+        return [e.eval(x, y) for x in grid for y in grid]
     valid = 0
     for v12 in range(lat.n):
         for v21 in range(lat.n):
             matrix = [[lat.meet2(v12, v21), v12], [v21, lat.top]]
             e = fam.ComplexSpectralFamily(lat, grid, grid, matrix)
             valid += 1
-            e1, e2 = fam.decompose(e)
-            res.check(fam.product_family(e1, e2) == e,
+            res.check(on_grid(fam.product_family(*fam.decompose(e))) == matrix[0] + matrix[1],
                       "recombine(decompose) != identity for matrix {}", matrix)
             matches = [(f1, f2) for f1 in candidates for f2 in candidates
-                       if fam.product_family(f1, f2) == e]
+                       if on_grid(fam.product_family(f1, f2)) == matrix[0] + matrix[1]]
             res.check(len(matches) == 1,
                       "{} decompositions found for matrix {}", len(matches), matrix)
+            # each part against the least row (column) with a cell in the quasipoint
             g = fam.observable_function_complex(e, space)
-            res.check(g.re == fam.observable_function(e1, space)
-                      and g.im == fam.observable_function(e2, space),
+            scans = [tuple(next(t for t, line in zip(grid, lines) if any(m >> v & 1 for v in line))
+                           for m in space.points) for lines in (matrix, list(zip(*matrix)))]
+            res.check([g.re.values, g.im.values] == scans,
                       "componentwise function split fails for matrix {}", matrix)
     res.notes.append(f"{valid} valid matrices on boolean(2) x {{0,1}}^2")
 

@@ -19,12 +19,10 @@ resolved instance file or a nonempty diagnostic list, never both.
 from __future__ import annotations
 
 import re
-import sys
 from bisect import bisect_right
-from fractions import Fraction
 
 from .errors import InputError, InvalidFamilyError
-from .family import ComplexSpectralFamily, SpectralFamily
+from .family import ComplexSpectralFamily, SpectralFamily, parse_rational
 from .lattice import Lattice, Record, bits
 from .measurable import FieldOfSets, MeasurableFunction, SetIdeal
 from .topology import TopSpace
@@ -231,25 +229,6 @@ def _strip_at(piece):
     text, at = piece
     stripped = text.lstrip()
     return stripped.rstrip(), at + (len(text) - len(stripped))
-
-
-def parse_rational(token: str):
-    """The exact value of ``p/q`` or a finite decimal, or None if malformed.
-
-    ``Fraction`` expands a decimal exponent e into 10**|e|, which takes
-    unbounded time and can yield integers too long for ``str``.  So a token
-    whose mantissa length plus |e| reaches the interpreter's int-to-str digit
-    limit is rejected first.
-    """
-    token = token.strip()
-    mantissa, e, exponent = token.lower().partition("e")
-    try:
-        if e and abs(int(exponent)) + len(mantissa) >= (
-                sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits):
-            return None
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        return None
 
 
 def _parse_setlit(text: str):

@@ -9,22 +9,45 @@ jumps so equality of families is plain equality of representations.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
 from .errors import InputError, InvalidFamilyError, UnsupportedStructureError
-from .lattice import Lattice, Record, bits
+from .lattice import Lattice, Record, _eq_by, bits
 from .stone import StoneSpace, stone_space
 
 
-def _as_fraction(x) -> Fraction:
+def parse_rational(x):
+    """The exact value of a ``Fraction`` (shared, as it is immutable), an int,
+    a ``Decimal`` or a string ``p/q`` or finite decimal; None for anything
+    else, floats included.  ``Fraction`` expands a decimal exponent e into
+    10**|e|, in unbounded time, so a decimal whose mantissa length plus |e|
+    reaches the int-to-str digit limit, past which it could not be printed,
+    is refused first."""
     if type(x) is Fraction:
-        return x  # immutable, so safe to share
+        return x
     if isinstance(x, float):
-        raise InputError(f"exact rationals required, got float {x!r}")
-    return Fraction(x)
+        return None
+    try:
+        if isinstance(x, (str, Decimal)):
+            mantissa, e, exponent = str(x).strip().lower().partition("e")
+            if e and abs(int(exponent)) + len(mantissa) >= (
+                    sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits):
+                return None
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        return None
+
+
+def _as_fraction(x) -> Fraction:
+    q = parse_rational(x)
+    if q is None:
+        raise InputError(f"exact rationals required, got {type(x).__name__} {x!r}")
+    return q
 
 
 def point_values(labels, values) -> tuple:
@@ -107,11 +130,7 @@ class SpectralFamily:
                           for t, v in zip(self.thresholds, self.values))
         return "SpectralFamily{" + parts + "}"
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.thresholds, self.values, self.lattice)
-                == (other.thresholds, other.values, other.lattice))
+    __eq__ = _eq_by("thresholds", "values", "lattice")
 
 
 class ObservableFunction:
@@ -142,13 +161,7 @@ class ObservableFunction:
         if self.space is not other.space and self.space.points != other.space.points:
             raise InputError("observable functions live on different spectra")
 
-    def __eq__(self, other):
-        if not isinstance(other, ObservableFunction):
-            return NotImplemented
-        return self.values == other.values and (
-            self.space is other.space or self.space.points == other.space.points)
-
-    __hash__ = None
+    __eq__ = _eq_by("values", "space.points")
 
     def __add__(self, other):
         self._same_space(other)
@@ -187,10 +200,7 @@ class ComplexObservableFunction:
         self.re = re
         self.im = im
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.re, self.im) == (other.re, other.im)
+    __eq__ = _eq_by("re", "im")
 
     def __add__(self, other):
         return ComplexObservableFunction(self.re + other.re, self.im + other.im)
@@ -339,10 +349,8 @@ def mul(e, f):
 def scale(alpha, e):
     """Pullback of scalar multiplication."""
     if isinstance(e, ComplexSpectralFamily):
-        g = observable_function_complex(e)
-        if isinstance(alpha, tuple):
-            return from_complex_observable_function(g.scale(*alpha))
-        return from_complex_observable_function(g.scale(alpha))
+        args = alpha if isinstance(alpha, tuple) else (alpha,)
+        return from_complex_observable_function(observable_function_complex(e).scale(*args))
     return from_observable_function(observable_function(e).scale(alpha))
 
 
@@ -397,10 +405,7 @@ class SpectrumDecomposition(Record, frozen=True):
 def spectrum_of(family: SpectralFamily) -> SpectrumDecomposition:
     """Points where the family is not locally constant: exactly its jump set."""
     ts = family.thresholds
-    resolvent = [(None, ts[0])]
-    resolvent += [(a, b) for a, b in zip(ts, ts[1:])]
-    resolvent.append((ts[-1], None))
-    return SpectrumDecomposition(ts, tuple(resolvent))
+    return SpectrumDecomposition(ts, tuple(zip((None,) + ts, ts + (None,))))
 
 
 # --- two-parameter (complex) families ----------------------------------------
@@ -414,11 +419,11 @@ class ComplexSpectralFamily:
     The meet law  E(s) & E(t) == E(min s, min t)  holds on the whole grid iff
     the margins (last column and last row) are chains and every cell is the
     meet of its two margin cells, E(i, j) == E(i, c) & E(r, j); only those
-    pairs are checked, and the corner value must be the top.  The canonical
-    grid is then the canonical thresholds of the two margins.
+    pairs are checked, and the corner value must be the top.  Only the two
+    margins are kept, as canonical families; the rest is read off them.
     """
 
-    __slots__ = ("lattice", "xs", "ys", "matrix")
+    __slots__ = ("first", "second")
 
     def __init__(self, lattice: Lattice, xs, ys, matrix):
         xs = tuple(_as_fraction(x) for x in xs)
@@ -444,64 +449,58 @@ class ComplexSpectralFamily:
         if matrix[-1][-1] != lattice.top:
             raise InvalidFamilyError("family is not bounded above (corner must be top)")
 
-        self.lattice = lattice
-        self.xs = SpectralFamily._canonical(lattice, xs, [row[c] for row in matrix]).thresholds
-        self.ys = SpectralFamily._canonical(lattice, ys, matrix[r]).thresholds
-        cols = [bisect_left(ys, y) for y in self.ys]
-        self.matrix = tuple(tuple(matrix[bisect_left(xs, x)][j] for j in cols) for x in self.xs)
+        self.first = SpectralFamily._canonical(lattice, xs, [row[c] for row in matrix])
+        self.second = SpectralFamily._canonical(lattice, ys, matrix[r])
+
+    lattice = property(lambda self: self.first.lattice)
+    xs = property(lambda self: self.first.thresholds)
+    ys = property(lambda self: self.second.thresholds)
+
+    @property
+    def matrix(self) -> tuple:
+        return tuple(tuple(self._meet(a, b) for b in self.second.values)
+                     for a in self.first.values)
 
     def eval(self, lam, mu) -> int:
-        i = bisect_right(self.xs, _as_fraction(lam)) - 1
-        j = bisect_right(self.ys, _as_fraction(mu)) - 1
-        if i < 0 or j < 0:
-            return self.lattice.bottom
-        return self.matrix[i][j]
+        return self._meet(self.first.eval(lam), self.second.eval(mu))
+
+    def _meet(self, a: int, b: int) -> int:
+        # equal values and the top meet without the table; a 1 x 1 grid, whose
+        # constructor reads no meet, holds no others, so any host will do
+        lat = self.first.lattice
+        return a if a == b or b == lat.top else b if a == lat.top else lat.meet2(a, b)
 
     def __repr__(self):
         return f"ComplexSpectralFamily(xs={self.xs}, ys={self.ys})"
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.xs, self.ys, self.matrix, self.lattice)
-                == (other.xs, other.ys, other.matrix, other.lattice))
+    __eq__ = _eq_by("first", "second")
 
 
 def product_family(e1: SpectralFamily, e2: SpectralFamily) -> ComplexSpectralFamily:
-    """The family (lam, mu) -> E1(lam) & E2(mu); always satisfies the meet law."""
+    """The family (lam, mu) -> E1(lam) & E2(mu): its margins are E1 and E2."""
     if e1.lattice is not e2.lattice and e1.lattice != e2.lattice:
         raise InputError("components live in different lattices")
-    lat = e1.lattice
-    matrix = [[lat.meet2(v1, v2) for v2 in e2.values] for v1 in e1.values]
-    return ComplexSpectralFamily(lat, e1.thresholds, e2.thresholds, matrix)
+    e1.lattice._tables()  # fails on a non-lattice host, as the product's meets would
+    e = ComplexSpectralFamily.__new__(ComplexSpectralFamily)
+    e.first, e.second = e1, e2
+    return e
 
 
 def decompose(e: ComplexSpectralFamily):
-    """Split into the unique pair of one-parameter families.
+    """Split into the unique pair of one-parameter families: its margins.
 
     The first component is the map at the top of the second grid and vice
     versa; the meet law makes E(lam, mu) == E1(lam) & E2(mu) everywhere.
     """
-    lat = e.lattice
-    e1 = SpectralFamily(lat, [(x, row[-1]) for x, row in zip(e.xs, e.matrix)])
-    e2 = SpectralFamily(lat, [(y, e.matrix[-1][j]) for j, y in enumerate(e.ys)])
-    return e1, e2
+    return e.first, e.second
 
 
 def observable_function_complex(e: ComplexSpectralFamily,
                                 space: StoneSpace = None) -> ComplexObservableFunction:
-    """Componentwise least grid lines whose value (for some partner line) lies
-    in the quasipoint; packaged as real + imaginary observable functions."""
-    space = _spectrum(e.lattice, space)
-    rows = [0] * len(e.xs)
-    cols = [0] * len(e.ys)
-    for i, row in enumerate(e.matrix):
-        for j, v in enumerate(row):
-            rows[i] |= space.base[v]
-            cols[j] |= space.base[v]
-    return ComplexObservableFunction(
-        ObservableFunction(space, first_hits(e.xs, rows, space.n_points)[0]),
-        ObservableFunction(space, first_hits(e.ys, cols, space.n_points)[0]))
+    """The margins' observable functions as real + imaginary parts: a filter,
+    being upward closed, holds a cell of a grid line iff it holds its margin cell."""
+    return ComplexObservableFunction(observable_function(e.first, space),
+                                     observable_function(e.second, space))
 
 
 def from_complex_observable_function(g: ComplexObservableFunction) -> ComplexSpectralFamily:

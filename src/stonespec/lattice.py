@@ -8,6 +8,7 @@ values are immutable after construction.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, NoOrthocomplementError
@@ -38,6 +39,19 @@ def label_masks(index, sets):
         yield m
 
 
+def _eq_by(*fields):
+    """The ``__eq__`` of a value class: its ``fields`` (dotted paths allowed)
+    compared in order, with an object of the same class only.  A class that
+    sets it in its body is unhashable, as with a hand-written ``__eq__``."""
+    key = attrgetter(*fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return key(self) == key(other)
+    return __eq__
+
+
 class Record:
     """A record declared like a dataclass, without the start-up cost of
     :mod:`dataclasses`: a subclass's annotated names are its positional fields,
@@ -45,12 +59,15 @@ class Record:
     equality follow the fields, and ``class R(Record, frozen=True)`` records
     are immutable and hashable."""
 
+    __hash__ = None  # __eq__ is set per subclass, after its class is made
+
     def __init_subclass__(cls, frozen=False):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+        cls.__eq__ = _eq_by(*cls._fields)
         if frozen:
             cls.__setattr__ = cls.__delattr__ = Record._frozen
-            cls.__hash__ = lambda self: hash(self._values())
+            cls.__hash__ = lambda self: hash(tuple(getattr(self, f) for f in self._fields))
 
     def __init__(self, *args):
         fields = self._fields
@@ -60,14 +77,6 @@ class Record:
         for f in fields[len(args):]:
             d = self._defaults[f]
             self.__dict__[f] = d.copy() if type(d) is list else d
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -207,7 +216,6 @@ class Lattice:
         self._join = None
         self._table_failures = None
         self._stone = None
-        self._atoms = None
 
     # -- identity ---------------------------------------------------------
 
@@ -224,16 +232,7 @@ class Lattice:
         except KeyError:
             raise InputError(f"unknown element {e!r}") from None
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Lattice):
-            return NotImplemented
-        return (self.names == other.names and self.up == other.up
-                and self.ortho == other.ortho and self.flags == other.flags
-                and self.payload == other.payload)
-
-    __hash__ = None
+    __eq__ = _eq_by("names", "up", "ortho", "flags", "payload")
 
     def __repr__(self):
         return f"Lattice({self.n} elements, bottom={self.names[self.bottom] if self.bottom is not None else '?'})"
@@ -331,14 +330,12 @@ class Lattice:
 
     def atoms(self) -> tuple:
         """Minimal nonzero elements, in id order."""
-        if self._atoms is None:
-            if self.bottom is None:
-                raise InputError("lattice has no bottom")
-            b = self.bottom
-            self._atoms = tuple(
-                a for a in range(self.n)
-                if a != b and self.down[a] == (1 << a) | (1 << b))
-        return self._atoms
+        if self.bottom is None:
+            raise InputError("lattice has no bottom")
+        b = self.bottom
+        return tuple(
+            a for a in range(self.n)
+            if a != b and self.down[a] == (1 << a) | (1 << b))
 
     # -- structural checks ---------------------------------------------------
 

@@ -15,7 +15,7 @@ from itertools import product
 from .errors import InputError
 from .family import (ObservableFunction, SpectralFamily, _as_fraction, _step_sum,
                      level_sets, observable_function, point_values)
-from .lattice import Lattice, bits
+from .lattice import Lattice, _eq_by, bits
 from .stone import StoneSpace, stone_space
 from .topology import (TopSpace, _family_of_levels, _family_payloads, _first_nonconstant,
                        _points, all_topologies, induced_function)
@@ -96,10 +96,7 @@ class FieldOfSets(TopSpace):
     def __repr__(self):
         return f"FieldOfSets({len(self.ground)} points, {len(self.atoms)} atoms)"
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ground, self.atoms) == (other.ground, other.atoms)
+    __eq__ = _eq_by("ground", "atoms")
 
 
 def all_fields(ground) -> list:
@@ -132,10 +129,7 @@ class MeasurableFunction:
         pairs = ", ".join(f"{p}: {v}" for p, v in zip(self.field.ground, self.values))
         return "MeasurableFunction{" + pairs + "}"
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.values) == (other.field, other.values)
+    __eq__ = _eq_by("field", "values")
 
     def sup_norm(self) -> Fraction:
         return max(abs(v) for v in self.values)
@@ -223,10 +217,7 @@ class SetIdeal:
     def __repr__(self):
         return f"SetIdeal({self.field.set_name(self.mask)})"
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.mask) == (other.field, other.mask)
+    __eq__ = _eq_by("field", "mask")
 
 
 def _require_member(field: FieldOfSets, mask) -> None:

@@ -15,7 +15,7 @@ from .errors import InputError, UnsupportedStructureError
 from .family import (ComplexObservableFunction, ObservableFunction,
                      SpectralFamily, first_hits, level_sets, observable_function,
                      point_values)
-from .lattice import MAX_ELEMENTS, Lattice, Record, bits, label_masks
+from .lattice import MAX_ELEMENTS, Lattice, Record, _eq_by, bits, label_masks
 from .stone import SCAN_CAP, StoneSpace, stone_space, unions
 
 
@@ -170,10 +170,7 @@ class TopSpace:
     def __repr__(self):
         return f"TopSpace({len(self.points)} points, {len(self.opens)} opens)"
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.points, self.opens) == (other.points, other.opens)
+    __eq__ = _eq_by("points", "opens")
 
 
 # --- continuity and the induced families -------------------------------------

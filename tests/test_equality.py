@@ -30,6 +30,13 @@ def family(jumps=((0, "x"), (1, "1")), lattice=None):
     return SpectralFamily(lattice or boolean_lattice(2), jumps)
 
 
+def host(names=("0", "x", "y", "1"), order=((0, 1), (0, 2), (1, 3), (2, 3)),
+         ortho=(3, 2, 1, 0), flags=("distributive", "orthomodular")):
+    """boolean(2) built from its order by element ids rather than from its
+    sets, so without a payload."""
+    return Lattice(names, order, ortho=ortho, flags=flags)
+
+
 def grid(xs=(0, 1), ys=(0, 2), matrix=(("0", "x"), ("y", "1")), lattice=None):
     return ComplexSpectralFamily(lattice or boolean_lattice(2), xs, ys, matrix)
 
@@ -57,11 +64,17 @@ CASES = {
         family(jumps=((0, "x"), (2, "1"))),
         family(jumps=((0, "y"), (1, "1"))),
         family(lattice=square())]),
-    ComplexSpectralFamily: (("xs", "ys", "matrix", "lattice"), grid, [
+    # a changed matrix or lattice changes both margins; SpectralFamily's
+    # entry covers those fields
+    ComplexSpectralFamily: (("first", "second"), grid, [
         grid(xs=(0, 3)),
-        grid(ys=(0, 3)),
-        grid(matrix=(("0", "y"), ("x", "1"))),
-        grid(lattice=square())]),
+        grid(ys=(0, 3))]),
+    Lattice: (("names", "up", "ortho", "flags", "payload"), host, [
+        host(names=("0", "x", "z", "1")),
+        host(order=((0, 1), (1, 2), (2, 3))),
+        host(ortho=(3, 1, 2, 0)),
+        host(flags=()),
+        boolean_lattice(2)]),
 }
 CLASSES = list(CASES)
 IDS = [cls.__name__ for cls in CLASSES]

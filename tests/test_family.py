@@ -3,6 +3,7 @@ two-parameter families and step-sum integration."""
 
 import random
 import re
+import time
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
@@ -21,6 +22,7 @@ from stonespec import (ComplexSpectralFamily, InputError, InvalidFamilyError,
                        spectrum_of, stone_space)
 from stonespec import family as fam
 from stonespec.lattice import bits
+from test_kernels import oracle_observable_function_complex
 
 HALF = Fraction(1, 2)
 
@@ -105,8 +107,9 @@ class TestConstructorAgainstOracle:
                     got = (type(exc), str(exc))
                 assert got == want, jumps
                 outcomes.add(want[0] if isinstance(want[0], type) else "ok")
-        assert outcomes == {"ok", InputError, InvalidFamilyError, ValueError,
-                            ZeroDivisionError, TypeError}
+        # "x", "1/0" and None are input errors too, not bare ValueError,
+        # ZeroDivisionError and TypeError from Fraction
+        assert outcomes == {"ok", InputError, InvalidFamilyError}
 
 
 def oracle_canonical(lattice, thresholds, values):
@@ -207,30 +210,46 @@ class TestEval:
         assert SpectralFamily(b2, [(0, 1), (1, 3)]) == SpectralFamily(b2, [(0, "x"), (1, "1")])
 
 
-def float_entry_points():
-    """Each public entry point that takes a rational, called with 0.1."""
-    from stonespec import FieldOfSets, MeasurableFunction, bijection_report
+# a float, two values that are not numbers, decimals whose exact value takes
+# seconds to build and is too long to print, and a decimal with no exact value
+NOT_RATIONAL = (0.1, None, (1, 1), "1e3000000", Decimal("1e3000000"), Decimal("Infinity"))
+
+
+def float_entry_points(x):
+    """Each public entry point that takes a rational, called with ``x``."""
+    from stonespec import (FieldOfSets, MeasurableFunction, TopSpace, bijection_report,
+                           is_continuous)
     from stonespec.family import point_values
 
     b2 = boolean_lattice(2)
     space = stone_space(b2)
     e = SpectralFamily(b2, [(0, "x"), (1, "1")])
     field = FieldOfSets.from_partition(("1", "2"), [["1"], ["2"]])
+    point = TopSpace(("1",), [0, 1])
     return {
-        "point_values": lambda: point_values(("a",), [0.1]),
-        "ObservableFunction": lambda: ObservableFunction(space, [0, 0.1]),
-        "ObservableFunction.scale": lambda: observable_function(e, space).scale(0.1),
-        "family.scale": lambda: fam.scale(0.1, e),
-        "MeasurableFunction": lambda: MeasurableFunction(field, [0, 0.1]),
-        "SpectralFamily.eval": lambda: e.eval(0.1),
-        "bijection_report": lambda: bijection_report(field, [0, 0.1]),
+        "point_values": lambda: point_values(("a",), [x]),
+        "ObservableFunction": lambda: ObservableFunction(space, [0, x]),
+        "ObservableFunction.scale": lambda: observable_function(e, space).scale(x),
+        "family.scale": lambda: fam.scale(x, e),
+        "MeasurableFunction": lambda: MeasurableFunction(field, [0, x]),
+        "SpectralFamily": lambda: SpectralFamily(b2, [(x, "1")]),
+        "SpectralFamily.eval": lambda: e.eval(x),
+        "ComplexSpectralFamily.xs": lambda: ComplexSpectralFamily(b2, [x], [0], [["1"]]),
+        "ComplexSpectralFamily.ys": lambda: ComplexSpectralFamily(b2, [0], [x], [["1"]]),
+        "is_continuous": lambda: is_continuous(point, [x]),
+        "bijection_report": lambda: bijection_report(field, [0, x]),
     }
 
 
-@pytest.mark.parametrize("name", sorted(float_entry_points()))
+@pytest.mark.parametrize("name", sorted(float_entry_points(0.1)))
 def test_floats_rejected_at_every_entry_point(name):
-    with pytest.raises(InputError, match="got float 0.1"):
-        float_entry_points()[name]()
+    for x in NOT_RATIONAL:
+        call = float_entry_points(x)[name]
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=re.escape(
+                f"exact rationals required, got {type(x).__name__} {x!r}")):
+            call()
+        assert time.perf_counter() - start < 0.5, x
 
 
 class TestObservableFunction:
@@ -470,10 +489,12 @@ class TestSpectralize:
             SpectralFamily(boolean_lattice(2), [(0, "x"), (1, "y")])
 
 
-def oracle_decompositions(e, candidates):
-    """Brute force: all component pairs whose product equals the family."""
+def oracle_decompositions(xs, ys, matrix, candidates):
+    """Brute force: all component pairs whose product takes the matrix's
+    value at every grid point."""
+    want = [v for row in matrix for v in row]
     return [(f1, f2) for f1 in candidates for f2 in candidates
-            if product_family(f1, f2) == e]
+            if [product_family(f1, f2).eval(x, y) for x in xs for y in ys] == want]
 
 
 def oracle_meet_law_failure(lattice, matrix):
@@ -507,11 +528,13 @@ GRID_SHAPES = [(r, c) for r in (1, 2, 3) for c in (1, 2, 3) if r * c <= 6]
 class TestGeneratingPairs:
     """The constructor reads the meet law on the generating pairs and the
     canonical grid from the margins; on every matrix of the small grids it
-    must agree with the all-pairs scan and with ``oracle_kept_lines``."""
+    must agree with the all-pairs scan and with ``oracle_kept_lines``, and
+    the function of its margins with the row and column scan."""
 
     @pytest.mark.parametrize("lattice", [boolean_lattice(2), mo_lattice(2), chain_lattice(3),
                                          boolean_lattice(3)], ids=["B2", "MO2", "C3", "B3"])
     def test_every_matrix_against_the_all_pairs_scan(self, lattice):
+        space = stone_space(lattice)
         failed = valid = 0
         for rows, cols in GRID_SHAPES:
             xs = tuple(Fraction(i) for i in range(rows))
@@ -541,6 +564,8 @@ class TestGeneratingPairs:
                 assert e.xs == tuple(xs[i] for i in keep_r)
                 assert e.ys == tuple(ys[j] for j in keep_c)
                 assert e.matrix == tuple(tuple(matrix[i][j] for j in keep_c) for i in keep_r)
+                g = observable_function_complex(e, space)
+                assert (g.re.values, g.im.values) == oracle_observable_function_complex(e, space)
                 valid += 1
         assert failed and valid
 
@@ -549,7 +574,12 @@ class TestGeneratingPairs:
         host = Lattice(["0", "a", "b", "c", "d", "1"],
                        [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
                         ("b", "d"), ("c", "1"), ("d", "1")])
-        assert ComplexSpectralFamily(host, (0,), (0,), [["1"]]).matrix == ((host.top,),)
+        e = ComplexSpectralFamily(host, (0,), (0,), [["1"]])
+        assert e.matrix == ((host.top,),)
+        assert [e.eval(x, y) for x in (-1, 0) for y in (-1, 0)] == [host.bottom] * 3 + [host.top]
+        # a product needs the meet table whatever its components, as before
+        with pytest.raises(InputError, match="not a lattice"):
+            product_family(*decompose(e))
         for rows, cols in ((1, 2), (2, 1), (2, 2)):
             for flat in product(range(host.n), repeat=rows * cols):
                 matrix = [flat[i * cols:(i + 1) * cols] for i in range(rows)]
@@ -607,9 +637,9 @@ class TestComplexFamilies:
         mo2 = mo_lattice(2)
         e1 = SpectralFamily(mo2, [(0, "a"), (1, "1")])
         e2 = SpectralFamily(mo2, [(HALF, "a"), (2, "1")])
-        e = product_family(e1, e2)
-        d1, d2 = decompose(e)
-        assert (d1, d2) == (e1, e2)
+        p = product_family(e1, e2)
+        e = ComplexSpectralFamily(mo2, p.xs, p.ys, p.matrix)
+        assert decompose(e) == (e1, e2)
 
     def test_exhaustive_decomposition_uniqueness_on_boolean2(self):
         b2 = boolean_lattice(2)
@@ -619,8 +649,9 @@ class TestComplexFamilies:
                 matrix = [[b2.meet2(v12, v21), v12], [v21, b2.top]]
                 e = ComplexSpectralFamily(b2, (0, 1), (0, 1), matrix)
                 e1, e2 = decompose(e)
-                assert product_family(e1, e2) == e
-                assert oracle_decompositions(e, candidates) == [(e1, e2)]
+                assert (e1, e2) == (SpectralFamily(b2, [(0, v12), (1, b2.top)]),
+                                    SpectralFamily(b2, [(0, v21), (1, b2.top)]))
+                assert oracle_decompositions((0, 1), (0, 1), matrix, candidates) == [(e1, e2)]
 
     def test_component_functions(self):
         mo2 = mo_lattice(2)
@@ -630,6 +661,7 @@ class TestComplexFamilies:
         g = observable_function_complex(e, space)
         assert g.re == observable_function(e1, space)
         assert g.im == observable_function(e1, space)
+        assert (g.re.values, g.im.values) == oracle_observable_function_complex(e, space)
         assert g.value(space.points.index(mo2.up[mo2.eid("a")])) == (0, 0)
 
     def test_all_top_components(self):

@@ -78,11 +78,12 @@ def oracle_riemann_stieltjes_on_points(field, e, grid):
 
 def oracle_observable_function_complex(e, space):
     re, im = [], []
+    m = e.matrix  # computed on each access
     for members in space.points:
         re.append(next(x for i, x in enumerate(e.xs)
-                       if any(members >> e.matrix[i][j] & 1 for j in range(len(e.ys)))))
+                       if any(members >> m[i][j] & 1 for j in range(len(e.ys)))))
         im.append(next(y for j, y in enumerate(e.ys)
-                       if any(members >> e.matrix[i][j] & 1 for i in range(len(e.xs)))))
+                       if any(members >> m[i][j] & 1 for i in range(len(e.xs)))))
     return tuple(re), tuple(im)
 
 
