@@ -11,15 +11,14 @@ Run:  python3 demos/03_observable_functions.py
 
 from stonespec import (SpectralFamily, boolean_lattice, chain_lattice,
                        from_observable_function, mo_lattice,
-                       observable_function, spectrum_of, stone_space)
+                       observable_function, spectrum_of)
 from stonespec import family as fam
 
 mo2 = mo_lattice(2)
-space = stone_space(mo2)
 e = SpectralFamily(mo2, [(0, "a"), (1, "1")])
 print("== a family on MO(2) and its observable function ==")
 print("family:", e)
-for name, value in observable_function(e, space).as_dict().items():
+for name, value in observable_function(e).as_dict().items():
     print(f"  f_E({name}) = {value}")
 print("spectrum:", spectrum_of(e))
 
@@ -39,12 +38,11 @@ print("inverse transform recovers E:", from_observable_function(g) == ex)
 print()
 print("== chains: the transform is NOT injective ==")
 c3 = chain_lattice(3)
-s3 = stone_space(c3)
 e1 = SpectralFamily(c3, [(0, "m1"), (1, "1")])
 e2 = SpectralFamily(c3, [(0, "m1"), (2, "1")])
 print("two distinct families:", e1, "and", e2)
 print("observable functions:",
-      observable_function(e1, s3).as_dict(), "and",
-      observable_function(e2, s3).as_dict())
+      observable_function(e1).as_dict(), "and",
+      observable_function(e2).as_dict())
 print("the spectrum has one point and there is no orthocomplement to split them;")
 print("on orthocomplemented lattices (boolean, MO) distinct families never collide.")

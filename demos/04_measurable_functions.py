@@ -47,6 +47,6 @@ print("threshold grid reproduces phi exactly:", exact == phi)
 
 print()
 print("== the same sum on quasipoints reconstructs f_E ==")
-g = observable_function(e6, six.stone())
-integral = riemann_stieltjes(e6, e6.thresholds, six.stone())
+g = observable_function(e6)
+integral = riemann_stieltjes(e6, e6.thresholds)
 print("f_E == integral on every quasipoint:", integral == g)

@@ -44,5 +44,5 @@ e = SpectralFamily(lat, [(0, lat.set_ids[q.reduced.mask_of(["2"])]),
 lift = lift_spectral_family(q, e)
 print("lift:", lift)
 print("its level-set classes reproduce the family:",
-      gamma_transform(lift, q) == observable_function(e, q.stone()))
+      gamma_transform(lift, q) == observable_function(e))
 print("the deleted point takes the top threshold by convention:", lift("1"))

@@ -102,7 +102,7 @@ def suite_injectivity(res: SuiteResult, max_size: int, seed: int) -> None:
         names = [space.point_name(k) for k in range(space.n_points)]
         seen = {}
         for e in fam.enumerate_families(lat, grid):
-            key = fam.observable_function(e, space).values
+            key = fam.observable_function(e).values
             other = seen.setdefault(key, e)
             res.check(other is e or other == e,
                       "{}: {!r} and {!r} share the observable function {}",
@@ -129,17 +129,14 @@ def _random_family(rng: random.Random, lat: Lattice) -> fam.SpectralFamily:
 
 
 def suite_continuity(res: SuiteResult, max_size: int, seed: int) -> None:
-    """Preimages of value-separating open intervals under f_E are open in the
-    Stone topology, for seeded random families."""
+    """Preimages of value-separating open intervals under f_E, for seeded
+    random families, are the paper's open sets Q_E(b) minus Q_E(a)."""
     rng = random.Random(seed)
     lattices = [mo_lattice(_clamp(max_size, 3)), boolean_lattice(_clamp(max_size, 4))]
-    spaces = [stone_space(lat) for lat in lattices]
     res.notes.append(f"seed {seed}, 200 random families")
     for i in range(200):
-        lat = lattices[i % 2]
-        space = spaces[i % 2]
-        e = _random_family(rng, lat)
-        g = fam.observable_function(e, space).values
+        e = _random_family(rng, lattices[i % 2])
+        g = fam.observable_function(e).values
         # the values between the j-th and the k-th cut are the j-th to the
         # (k-1)-th distinct ones: a difference of two level masks
         levels = fam.level_sets(g)
@@ -147,9 +144,13 @@ def suite_continuity(res: SuiteResult, max_size: int, seed: int) -> None:
         cuts = [distinct[0] - 1] + [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
         cuts.append(distinct[-1] + 1)
         masks = [0] + [m for _, m in levels]
+        # no cut is a value of f_E, so {f_E < c} = {f_E <= c} = Q_E(c)
+        base = stone_space(e.lattice).base
+        below = [base[e.eval(c)] for c in cuts]
         for j, k in combinations(range(len(cuts)), 2):
-            res.check(space.is_open(masks[j] ^ masks[k]),
-                      "{!r}: preimage of ({}, {}) is not open", e, cuts[j], cuts[k])
+            res.check(masks[j] ^ masks[k] == below[k] & ~below[j],
+                      "{!r}: preimage of ({}, {}) is not Q_E(b) minus Q_E(a)",
+                      e, cuts[j], cuts[k])
 
 
 # --- complex (two-parameter) families -------------------------------------------
@@ -178,7 +179,7 @@ def suite_complex(res: SuiteResult, max_size: int, seed: int) -> None:
             res.check(len(matches) == 1,
                       "{} decompositions found for matrix {}", len(matches), matrix)
             # each part against the least row (column) with a cell in the quasipoint
-            g = fam.observable_function_complex(e, space)
+            g = fam.observable_function_complex(e)
             scans = [tuple(next(t for t, line in zip(grid, lines) if any(m >> v & 1 for v in line))
                            for m in space.points) for lines in (matrix, list(zip(*matrix)))]
             res.check([g.re.values, g.im.values] == scans,
@@ -210,11 +211,9 @@ def suite_spectral_theorem(res: SuiteResult, max_size: int, seed: int) -> None:
             res.check(err <= eps, "|phi - s| = {} > {} for {!r}", err, eps, phi)
         exact = mea.riemann_stieltjes_on_points(f6, e, sorted(set(phi.values)))
         res.check(exact == phi, "threshold grid is not exact for {!r}", phi)
-    b3 = boolean_lattice(3)
-    s3 = stone_space(b3)
-    for e in fam.enumerate_families(b3, GRID3):
-        g = fam.observable_function(e, s3)
-        integral = fam.riemann_stieltjes(e, e.thresholds, s3)
+    for e in fam.enumerate_families(boolean_lattice(3), GRID3):
+        g = fam.observable_function(e)
+        integral = fam.riemann_stieltjes(e, e.thresholds)
         res.check(integral == g, "quasipoint step sum differs from f_E for {!r}", e)
 
 
@@ -322,7 +321,7 @@ def suite_quotient(res: SuiteResult, max_size: int, seed: int) -> None:
     functions = []
     for values in mea.atom_grid_values(f, GRID3):
         phi = mea.MeasurableFunction(f, values)
-        full = fam.observable_function(mea.spectral_family_of(phi), space)
+        full = fam.observable_function(mea.spectral_family_of(phi))
         functions.append((values, [v + 1 for v in values], phi, full))
     for ideal in ideals:
         q = mea.quotient(f, ideal)
@@ -372,7 +371,7 @@ def suite_quotient(res: SuiteResult, max_size: int, seed: int) -> None:
                             for t in PROBES)
             res.check(lifted_ok, "ideal {!r}: lifted family has wrong classes", ideal)
             res.check(mea.gamma_transform(phi, q) ==
-                      fam.observable_function(e, q.stone()),
+                      fam.observable_function(e),
                       "ideal {!r}: lift-then-transform differs from f_E", ideal)
 
 

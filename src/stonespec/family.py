@@ -230,8 +230,7 @@ def first_hits(thresholds, masks, n: int) -> tuple:
 
     One pass over the (threshold, mask) pairs in increasing threshold order:
     a point is settled by the first mask that contains it.  Returns the list
-    of thresholds, None where no mask contains the point, and the bitmask of
-    those missed points.
+    of thresholds, None where no mask contains the point.
     """
     out = [None] * n
     todo = (1 << n) - 1
@@ -242,7 +241,7 @@ def first_hits(thresholds, masks, n: int) -> tuple:
             low = hit & -hit
             out[low.bit_length() - 1] = t
             hit ^= low
-    return out, todo
+    return out
 
 
 def level_sets(keys) -> list:
@@ -268,28 +267,18 @@ def level_sets(keys) -> list:
     return out
 
 
-def observable_function(family: SpectralFamily, space: StoneSpace = None) -> ObservableFunction:
-    """f_E: each quasipoint maps to the least threshold whose value it contains.
+def observable_function(family: SpectralFamily) -> ObservableFunction:
+    """f_E on the spectrum of the family's lattice: each quasipoint maps to
+    the least threshold whose value it contains.
 
     The infimum over all reals collapses to a minimum over the jump list
     because membership of the values in a filter is upward closed along the
-    family and the last value is the top.
+    family and the last value, the top, lies in every filter.
     """
-    space = _spectrum(family.lattice, space)
-    values, missed = first_hits(family.thresholds,
-                                [space.base[v] for v in family.values], space.n_points)
-    if missed:  # unreachable: the top value lies in every filter
-        raise InvalidFamilyError("family is not bounded above")
+    space = stone_space(family.lattice)
+    values = first_hits(family.thresholds, [space.base[v] for v in family.values],
+                        space.n_points)
     return ObservableFunction._of(space, values)
-
-
-def _spectrum(lattice: Lattice, space) -> StoneSpace:
-    """The lattice's spectrum, or ``space`` once it is known to be one."""
-    if space is None:
-        return stone_space(lattice)
-    if space.lattice is not lattice and space.lattice != lattice:
-        raise InputError("spectrum was enumerated on a different lattice")
-    return space
 
 
 def _require_boolean(lattice: Lattice) -> None:
@@ -495,12 +484,11 @@ def decompose(e: ComplexSpectralFamily):
     return e.first, e.second
 
 
-def observable_function_complex(e: ComplexSpectralFamily,
-                                space: StoneSpace = None) -> ComplexObservableFunction:
+def observable_function_complex(e: ComplexSpectralFamily) -> ComplexObservableFunction:
     """The margins' observable functions as real + imaginary parts: a filter,
     being upward closed, holds a cell of a grid line iff it holds its margin cell."""
-    return ComplexObservableFunction(observable_function(e.first, space),
-                                     observable_function(e.second, space))
+    return ComplexObservableFunction(observable_function(e.first),
+                                     observable_function(e.second))
 
 
 def from_complex_observable_function(g: ComplexObservableFunction) -> ComplexSpectralFamily:
@@ -513,7 +501,7 @@ def from_complex_observable_function(g: ComplexObservableFunction) -> ComplexSpe
 # --- step-function integration ----------------------------------------------
 
 
-def riemann_stieltjes(family: SpectralFamily, grid, space: StoneSpace = None) -> ObservableFunction:
+def riemann_stieltjes(family: SpectralFamily, grid) -> ObservableFunction:
     """Step sum of the indicator increments of Q_(E at t) along a grid.
 
     Each quasipoint receives the grid tag at which the family first enters it,
@@ -521,7 +509,7 @@ def riemann_stieltjes(family: SpectralFamily, grid, space: StoneSpace = None) ->
     being summed.  The result is within the largest grid gap of f_E, and
     equals f_E exactly whenever the grid contains every threshold.
     """
-    space = _spectrum(family.lattice, space)
+    space = stone_space(family.lattice)
     return ObservableFunction(space, _step_sum(family, grid, space.base, space.n_points))
 
 
@@ -530,7 +518,8 @@ def _step_sum(family: SpectralFamily, grid, masks, n: int) -> list:
     covers its thresholds, on n points: each point's least grid tag whose
     value contains it, where ``masks[e]`` is the points element e contains.
     The values grow, so that is the least grid point at or above the
-    threshold that first reaches the point.
+    threshold that first reaches the point, which the top, the last value,
+    reaches for every point.
     """
     grid = [_as_fraction(t) for t in grid]
     if any(not a < b for a, b in zip(grid, grid[1:])):
@@ -538,9 +527,7 @@ def _step_sum(family: SpectralFamily, grid, masks, n: int) -> list:
     lo, hi = family.bounds()
     if not grid or grid[0] > lo or grid[-1] < hi:
         raise InputError("grid does not cover the family's support")
-    hits, missed = first_hits(family.thresholds, [masks[v] for v in family.values], n)
-    if missed:
-        raise InputError("grid does not cover the family's support")
+    hits = first_hits(family.thresholds, [masks[v] for v in family.values], n)
     return [grid[bisect_left(grid, t)] for t in hits]
 
 

@@ -302,7 +302,7 @@ def gamma_transform(phi: MeasurableFunction, q: QuotientAlgebra) -> ObservableFu
     quasipoints over the quotient; independent of the representative."""
     if q.field != phi.field:
         raise InputError("quotient belongs to a different field")
-    return _restrict(observable_function(spectral_family_of(phi), phi.field.stone()), q)
+    return _restrict(observable_function(spectral_family_of(phi)), q)
 
 
 def _restrict(full: ObservableFunction, q: QuotientAlgebra) -> ObservableFunction:

@@ -88,9 +88,6 @@ class StoneSpace:
         """Smallest closed superset: the points of x, every set being closed."""
         return x & self.all_points
 
-    def is_open(self, x: int) -> bool:
-        return x & ~self.all_points == 0
-
     def opens(self) -> frozenset:
         """Every open set of the spectrum: all sets of points, at most
         ``MAX_ELEMENTS`` of them."""
@@ -136,7 +133,9 @@ def is_completely_distributive(lattice: Lattice):
     The spectrum is discrete, so the closure is the union itself and this is
     the join law of ``base`` under ``|``: checked on pairs, with the subset
     scan only for the first failing family as element names; returns
-    (bool, witness), capped at ``SCAN_CAP`` elements.
+    (bool, witness), capped at ``SCAN_CAP`` elements.  That law sees only
+    the atoms, so on a finite lattice it is not complete distributivity,
+    which there is distributivity: the pentagon N5 passes it.
     """
     if lattice.n > SCAN_CAP:
         raise InputError(f"complete-distributivity scan capped at {SCAN_CAP} elements")

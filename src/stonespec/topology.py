@@ -266,7 +266,7 @@ def induced_function(space: TopSpace, family: SpectralFamily) -> tuple:
     """The least threshold whose value contains each point (total, since the
     last value of a bounded family is the whole space)."""
     masks = _family_payloads(space, family)
-    return tuple(first_hits(family.thresholds, masks, len(space.points))[0])
+    return tuple(first_hits(family.thresholds, masks, len(space.points)))
 
 
 # --- quasipoints over points ---------------------------------------------------
@@ -305,27 +305,17 @@ def pt_structure(space: TopSpace) -> PtStructure:
     for m in q_x:
         q_pt |= m
     pt = None
-    if space.is_discrete:
-        pt = {}
-        for i, mask in enumerate(q_x):
-            for k in bits(mask):
-                if k in pt:
-                    raise InputError("fibres overlap on a Hausdorff space")
-                pt[k] = i
+    if space.is_discrete:  # each quasipoint then lies over exactly one point
+        pt = {k: i for i, mask in enumerate(q_x) for k in bits(mask)}
     return PtStructure(space, st, tuple(q_x), q_pt, pt)
 
 
 def identification_check(p: PtStructure) -> bool:
     """A set is open iff its fibre preimage is open in the subspace of
-    quasipoints over points."""
-    subspace_opens = {o & p.q_pt for o in p.stone.opens()}
-    for x in range(p.space.full + 1):
-        pre = 0
-        for i in bits(x):
-            pre |= p.q_x[i]
-        if (x in p.space.opens) != (pre in subspace_opens):
-            return False
-    return True
+    quasipoints over points.  Every preimage lies inside that subspace, and
+    the spectrum is discrete, so every preimage is open: the check holds iff
+    every set of points is open, i.e. the space is discrete."""
+    return p.space.is_discrete
 
 
 def covers_spectrum(p: PtStructure) -> bool:
@@ -351,12 +341,11 @@ def cpt_membership(p: PtStructure, g: ObservableFunction) -> bool:
 def f_star(space: TopSpace, re_values, im_values=None):
     """Send a point function to the observable function of its level-set
     family; complex inputs go componentwise."""
-    st = stone_space(space.lattice())
-    fr = observable_function(spectral_family_of_continuous(space, re_values), st)
+    fr = observable_function(spectral_family_of_continuous(space, re_values))
     if im_values is None:
         return fr
     return ComplexObservableFunction(
-        fr, observable_function(spectral_family_of_continuous(space, im_values), st))
+        fr, observable_function(spectral_family_of_continuous(space, im_values)))
 
 
 # --- the completely increasing calculus ----------------------------------------

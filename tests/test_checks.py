@@ -16,7 +16,7 @@ from stonespec import measurable as mea
 from stonespec import topology as top
 from stonespec.checks import GRID3, SuiteResult, run_suite
 from stonespec.family import ComplexObservableFunction, ObservableFunction, level_sets
-from stonespec.stone import StoneSpace
+from stonespec.stone import stone_space
 
 
 class Unprintable:
@@ -120,14 +120,19 @@ def oracle_random_family(rng, lat):
     return SpectralFamily(lat, list(zip(thresholds[-len(chain):], chain)))
 
 
-def oracle_interval_preimages(values):
-    """Each separating interval's preimage by two comparisons per point."""
+def oracle_cuts(values):
+    """One point below the values, one between each two neighbours and one above."""
     distinct = sorted(set(values))
     cuts = [distinct[0] - 1]
     cuts += [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
     cuts.append(distinct[-1] + 1)
+    return cuts
+
+
+def oracle_interval_preimages(values):
+    """Each separating interval's preimage by two comparisons per point."""
     out = []
-    for lo, hi in combinations(cuts, 2):
+    for lo, hi in combinations(oracle_cuts(values), 2):
         mask = 0
         for k, v in enumerate(values):
             if lo < v < hi:
@@ -139,17 +144,24 @@ def oracle_interval_preimages(values):
 class TestIntegerForms:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_continuity_draws_and_preimages_match_the_comparison_scan(self, seed):
-        draws, opens = [], []
-        with recorded(checks, "_random_family", draws), recorded(StoneSpace, "is_open", opens):
+        draws, levels = [], []
+        with recorded(checks, "_random_family", draws), recorded(fam, "level_sets", levels):
             res = run_suite("continuity", 4, seed)
-        assert res.failures == [] and len(draws) == 200
+        assert res.failures == [] and len(draws) == len(levels) == 200
         rng = random.Random(seed)
         lattices = [mo_lattice(3), boolean_lattice(4)]
-        want = []
-        for i, (_, e) in enumerate(draws):
+        got, want, from_base = [], [], []
+        for i, ((_, e), (_, lv)) in enumerate(zip(draws, levels)):
             assert e == oracle_random_family(rng, lattices[i % 2])  # same draws, same order
-            want += oracle_interval_preimages(fam.observable_function(e).values)
-        assert [mask for (_, mask), _ in opens] == want and res.cases == len(want)
+            masks = [0] + [m for _, m in lv]
+            got += [masks[j] ^ masks[k] for j, k in combinations(range(len(masks)), 2)]
+            values = fam.observable_function(e).values
+            want += oracle_interval_preimages(values)
+            # Q_E(b) minus Q_E(a), read through E itself
+            base = stone_space(e.lattice).base
+            from_base += [base[e.eval(hi)] & ~base[e.eval(lo)]
+                          for lo, hi in combinations(oracle_cuts(values), 2)]
+        assert got == want == from_base and res.cases == len(want)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_spectral_theorem_grids_are_lo_plus_k_eps(self, seed):

@@ -340,7 +340,7 @@ class TestGamma:
         phi = MeasurableFunction(f, {"1": 0, "2": 1})
         q = quotient(f, SetIdeal(f, 0))
         assert gamma_transform(phi, q) == \
-            observable_function(spectral_family_of(phi), f.stone())
+            observable_function(spectral_family_of(phi))
 
     def test_representative_independence(self):
         f = pot("1", "2", "3")
@@ -400,7 +400,7 @@ class TestGamma:
                 phi = MeasurableFunction(f, list(values))
                 want = tuple(phi(label) for (label,) in generators)
                 assert gamma_transform(phi, q).values == want
-                full = observable_function(spectral_family_of(phi), f.stone())
+                full = observable_function(spectral_family_of(phi))
                 assert _restrict(full, q).values == want
 
 
@@ -439,7 +439,7 @@ class TestLift:
             q = quotient(f, ideal)
             for e in enumerate_families(q.lattice(), (0, HALF, 1)):
                 assert gamma_transform(lift_spectral_family(q, e), q) == \
-                    observable_function(e, q.stone())
+                    observable_function(e)
 
 
 class TestPointIntegration:
@@ -466,5 +466,5 @@ class TestPointIntegration:
         with pytest.raises(InputError) as on_points:
             riemann_stieltjes_on_points(f, e, grid)
         with pytest.raises(InputError) as on_quasipoints:
-            riemann_stieltjes(e, grid, f.stone())
+            riemann_stieltjes(e, grid)
         assert str(on_points.value) == str(on_quasipoints.value)

