@@ -340,12 +340,11 @@ def suite_quotient(res: SuiteResult, max_size: int, seed: int) -> None:
         # quotient quasipoints biject with the embedded ones, member-compatibly
         res.check(len(embedded) == q.stone().n_points,
                   "ideal {!r}: embedding is not a bijection", ideal)
-        for j, k in enumerate(embedded):
+        for reduced_point, k in zip(q.stone().points, embedded):
             for m in f.members():
                 in_original = bool(space.points[k] >> f.element_of(m) & 1)
                 rm = q.class_of(m)
-                in_quotient = bool(
-                    q.stone().points[j] >> q.reduced.element_of(rm) & 1)
+                in_quotient = bool(reduced_point >> q.reduced.element_of(rm) & 1)
                 res.check(in_original == in_quotient,
                           "ideal {!r}: membership mismatch for {}", ideal, f.set_name(m))
         # kernel law and representative independence over the value grid
@@ -548,7 +547,10 @@ def suite(name: str):
 
 
 def run_suite(name: str, max_size: int = 4, seed: int = 0) -> SuiteResult:
-    """Run the suite ``name`` into a result named after it."""
-    res = SuiteResult(name)
-    suite(name)(res, max_size, seed)
+    """Run the suite ``name`` into a result named after it, a raise reported."""
+    res, run = SuiteResult(name), suite(name)  # an unknown name still raises
+    try:
+        run(res, max_size, seed)
+    except Exception as err:
+        res.check(False, "raised {}: {}", type(err).__name__, err)
     return res

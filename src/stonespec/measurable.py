@@ -262,7 +262,6 @@ class QuotientAlgebra:
         self._shift = {p: i for i, p in enumerate(keep_points)}
         self.reduced = FieldOfSets(ground, [_moved(a, self._shift) for a in field.atoms
                                             if a & self.survivors])
-        self._unshift = keep_points
         self._embedded = None
 
     def class_of(self, mask: int) -> int:
@@ -279,16 +278,12 @@ class QuotientAlgebra:
 
     def embedded_point_indices(self) -> tuple:
         """Indices, into the original Stone space, of the quasipoints containing
-        the ideal's dual filter, ordered to match the reduced Stone space: those
-        of the surviving atoms, the only atoms the reduced space holds."""
+        the ideal's dual filter: those of the atoms inside the survivors, in the
+        reduced space's order (both list points by atom mask; ``_moved`` keeps it)."""
         if self._embedded is None:
-            space = self.field.stone()
-            lat = self.field.lattice()
-            # order by the generating atom, matching the reduced enumeration
-            by_atom = {lat.payload[a]: k for k, a in enumerate(space.atoms)}
-            reduced = self.stone()
-            self._embedded = tuple(by_atom[_moved(reduced.lattice.payload[a], self._unshift)]
-                                   for a in reduced.atoms)
+            payload = self.field.lattice().payload
+            self._embedded = tuple(k for k, a in enumerate(self.field.stone().atoms)
+                                   if payload[a] & ~self.survivors == 0)
         return self._embedded
 
 
@@ -319,15 +314,10 @@ def lift_spectral_family(q: QuotientAlgebra, family: SpectralFamily) -> Measurab
     top threshold, a canonical choice that keeps the level sets bounded.
     Any two lifts differ by a function vanishing outside the ideal.
     """
-    reduced_phi = function_of(q.reduced, family)
+    reduced = iter(function_of(q.reduced, family).values)  # in survivor order
     top_t = family.thresholds[-1]
-    values = []
-    for p in range(len(q.field.ground)):
-        if q.survivors >> p & 1:
-            values.append(reduced_phi.values[q._shift[p]])
-        else:
-            values.append(top_t)
-    return MeasurableFunction(q.field, values)
+    return MeasurableFunction(q.field, [next(reduced) if q.survivors >> p & 1 else top_t
+                                        for p in range(len(q.field.ground))])
 
 
 def riemann_stieltjes_on_points(field: FieldOfSets, family: SpectralFamily,

@@ -119,12 +119,9 @@ def dual_ideal_intersection_law(lattice: Lattice, a) -> bool:
         raise InputError("no quasipoint contains the bottom element")
     space = stone_space(lattice)
     acc = (1 << lattice.n) - 1
-    hit = False
-    for members in space.points:
-        if members >> ia & 1:
-            acc &= members
-            hit = True
-    return hit and acc == lattice.up[ia]
+    for k in bits(space.base[ia]):
+        acc &= space.points[k]
+    return acc == lattice.up[ia]
 
 
 def is_completely_distributive(lattice: Lattice):

@@ -380,23 +380,19 @@ def completely_increasing_check(lat: Lattice, r: dict):
 def star_condition_check(space: TopSpace, g: ObservableFunction):
     """For every point x and quasipoint over x (in the regular-open lattice):
     the infimum of r_g over the regular open neighbourhoods of x equals the
-    infimum over the quasipoint.  Returns (bool, witness)."""
+    infimum over the quasipoint.  Returns (bool, witness).  Each such
+    neighbourhood contains V_x = int(cl(U_x)), itself one, so the first is
+    r_g(V_x), the maximum of g over ``base[V_x]``, the quasipoints over x; the
+    second is g there, at the atom: g must be constant on ``base[V_x]``."""
     lat = space.r_lattice()
     st = stone_space(lat)
-    r = r_function(space, g)
-    for p in range(len(space.points)):
-        # nonempty: the whole space is a regular open neighbourhood of p
-        prx = [e for e in range(lat.n)
-               if e != lat.bottom and lat.payload[e] >> p & 1]
-        inf_nbhd = min(r[e] for e in prx)
-        prx_mask = 0
-        for e in prx:
-            prx_mask |= 1 << e
-        for k, members in enumerate(st.points):
-            if members & prx_mask != prx_mask:
-                continue
-            inf_qp = min(r[e] for e in bits(members) if e != lat.bottom)
-            if inf_nbhd != inf_qp:
+    if g.space.points != st.points:
+        raise InputError("function lives on a different spectrum")
+    for p, u in enumerate(space._nbhd):
+        below = st.base[lat.set_ids[space.interior(space.closure(u))]]
+        inf_nbhd = max(g.values[k] for k in bits(below))
+        for k in bits(below):
+            if g.values[k] != inf_nbhd:
                 return False, (space.points[p], st.point_name(k))
     return True, None
 

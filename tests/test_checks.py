@@ -1,7 +1,9 @@
-"""The suite result record: lazily rendered failure messages; the witness
-search inside the correspondence sweep; the suites' integer forms against
-the ``Fraction`` arithmetic they replace, on the suites' own inputs."""
+"""The suite result record: lazily rendered failure messages; a raising
+suite reported as a failure; the witness search inside the correspondence
+sweep; the suites' integer forms against the ``Fraction`` arithmetic they
+replace, on the suites' own inputs."""
 
+import io
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -9,12 +11,13 @@ from unittest import mock
 
 import pytest
 
-from stonespec import SpectralFamily, boolean_lattice, mo_lattice
+from stonespec import InputError, SpectralFamily, boolean_lattice, mo_lattice
 from stonespec import checks
 from stonespec import family as fam
 from stonespec import measurable as mea
 from stonespec import topology as top
 from stonespec.checks import GRID3, SuiteResult, run_suite
+from stonespec.cli import main
 from stonespec.family import ComplexObservableFunction, ObservableFunction, level_sets
 from stonespec.stone import stone_space
 
@@ -47,6 +50,24 @@ class TestCheck:
         assert res.failures[1] == "t: (Fraction(0, 1), Fraction(1, 2)) failed to induce a family"
         assert res.cases == 3
         assert res.lines()[-1] == "[render] 3 failures / 3 cases"
+
+
+class TestRaisingSuite:
+    def test_check_all_reports_the_raise_and_the_total(self, monkeypatch):
+        def boom(res, max_size, seed):
+            res.check(True, "counted before the raise")
+            raise RuntimeError("kernel fault")
+        monkeypatch.setitem(checks.SUITES, "counterexamples", boom)
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["check", "all", "--max-size", "1"], out=out, err=err)
+        lines = out.getvalue().splitlines()
+        assert "  FAIL: raised RuntimeError: kernel fault" in lines
+        assert "[counterexamples] 1 failures / 2 cases" in lines
+        assert lines[-1].startswith("TOTAL: ") and code == 1 and err.getvalue() == ""
+
+    def test_unknown_suite_still_raises(self):
+        with pytest.raises(InputError, match="^unknown suite 'nope'"):
+            run_suite("nope")
 
 
 def oracle_regular_not_strongly_regular(n_max):

@@ -8,7 +8,9 @@ fixture, byte for byte.  ``tests/goldens/help.txt`` records, the same way,
 ``--help`` of the program and of every subcommand and three usage errors,
 at a fixed width of 80 columns, and ``tests/goldens/check_all_n<N>_seed<S>.txt``
 records ``check all --max-size N --seed S`` for N = 1..4 and S = 0, 1, and
-for N = 4 and S = 2: every suite's notes, failures and case counts.  After an intended output change,
+for N = 4 and S = 2: every suite's notes, failures and case counts.
+``tests/goldens/demo_<name>.txt`` records the stdout of ``demos/<name>.py``,
+run with ``PYTHONPATH=src``, byte for byte.  After an intended output change,
 regenerate the files and review the diff:
 
     PYTHONPATH=src python tests/test_goldens.py
@@ -16,6 +18,8 @@ regenerate the files and review the diff:
 
 import io
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -25,9 +29,11 @@ from stonespec.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "..", "fixtures")
+DEMOS = os.path.join(HERE, "..", "demos")
 GOLDENS = os.path.join(HERE, "goldens")
 EPS = ("1", "1/3", "1/4", "3/10")
 FIXTURE_NAMES = sorted(name for name in os.listdir(FIXTURES) if name.endswith(".lat"))
+DEMO_NAMES = sorted(name[:-len(".py")] for name in os.listdir(DEMOS) if name.endswith(".py"))
 SUBCOMMANDS = ("validate", "quasipoints", "observable", "spectrum", "decompose",
                "quotient", "lift", "integrate", "check", "emit")
 HELP_CALLS = ([["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
@@ -94,6 +100,13 @@ def render_check_all(name):
     return transcript(argv, " ".join(argv))
 
 
+def render_demo(name):
+    """The stdout of one demo, run in its own interpreter on the source tree."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"), PYTHONIOENCODING="utf-8")
+    return subprocess.run([sys.executable, os.path.join(DEMOS, name + ".py")], env=env,
+                          capture_output=True, encoding="utf-8", check=True).stdout
+
+
 def golden_path(name, suffix=".txt"):
     return os.path.join(GOLDENS, name[:-len(".lat")] + suffix)
 
@@ -131,9 +144,16 @@ def test_check_all_matches_golden(name):
     assert render_check_all(name) == want
 
 
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_demo_output_matches_golden(name):
+    with open(os.path.join(GOLDENS, f"demo_{name}.txt"), encoding="utf-8") as handle:
+        want = handle.read()
+    assert render_demo(name) == want
+
+
 def test_every_fixture_has_a_golden():
     assert sorted(os.listdir(GOLDENS)) == sorted(
-        ["help.txt"] + list(CHECK_ALL)
+        ["help.txt"] + list(CHECK_ALL) + [f"demo_{name}.txt" for name in DEMO_NAMES]
         + [name[:-len(".lat")] + suffix
            for name in FIXTURE_NAMES for suffix in (".txt", ".emit.txt")])
 
@@ -158,3 +178,7 @@ if __name__ == "__main__":
     for check_name in CHECK_ALL:
         with open(os.path.join(GOLDENS, check_name), "w", encoding="utf-8") as handle:
             handle.write(render_check_all(check_name))
+    for demo_name in DEMO_NAMES:
+        with open(os.path.join(GOLDENS, f"demo_{demo_name}.txt"), "w",
+                  encoding="utf-8") as handle:
+            handle.write(render_demo(demo_name))

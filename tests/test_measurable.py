@@ -270,7 +270,33 @@ class TestIdeals:
                     assert sub in members
 
 
+def oracle_embedded_point_indices(q):
+    """The embedded quasipoints by a lookup of each reduced atom, moved back
+    to the original points, among the original atoms."""
+    lat = q.field.lattice()
+    by_atom = {lat.payload[a]: k for k, a in enumerate(q.field.stone().atoms)}
+    keep = [p for p in range(len(q.field.ground)) if q.survivors >> p & 1]
+    reduced = q.stone()
+    out = []
+    for a in reduced.atoms:
+        mask = 0
+        for i in bits(reduced.lattice.payload[a]):
+            mask |= 1 << keep[i]
+        out.append(by_atom[mask])
+    return tuple(out)
+
+
 class TestQuotient:
+    def test_embedded_indices_match_the_lookup(self):
+        count = 0
+        for n in range(1, 6):
+            for f in all_fields(tuple(str(i) for i in range(n))):
+                for ideal in ideals_of(f):
+                    q = quotient(f, ideal)
+                    assert q.embedded_point_indices() == oracle_embedded_point_indices(q)
+                    count += 1
+        assert count == 503
+
     def test_trivial_ideal_is_identity(self):
         f = pot("1", "2", "3")
         q = quotient(f, SetIdeal(f, 0))

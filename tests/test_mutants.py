@@ -2,10 +2,10 @@
 
 A mutant is a small deliberate fault in one kernel, installed by
 monkeypatching.  A suite kills it by reporting failures that the unmutated
-run does not report, or by raising; a raise counts as a kill but is listed
-in ``RAISES``, because a suite should report rather than crash.  Every
-mutant must be killed, so each kernel in the table is one whose breakage
-the suites can see.
+run does not report; ``run_suite`` reports an exception a suite raises as
+a failing case, so no suite may raise out of it.  Every mutant must be
+killed, so each kernel in the table is one whose breakage the suites can
+see.
 """
 
 import sys
@@ -18,7 +18,8 @@ from stonespec import checks
 from stonespec import topology as top
 from stonespec.checks import run_suite
 from stonespec.family import first_hits
-from stonespec.lattice import Lattice
+from stonespec.lattice import Lattice, bits
+from stonespec.stone import stone_space
 from stonespec.topology import TopSpace
 
 
@@ -36,6 +37,13 @@ def last_hits(thresholds, masks, n):
     return first_hits(thresholds[::-1], masks[::-1], n)
 
 
+def min_r_function(space, g):
+    """``r_function`` taking the minimum of g over each ``base[U]``."""
+    lat = space.r_lattice()
+    base = stone_space(lat).base
+    return {e: min(g.values[k] for k in bits(base[e])) for e in range(lat.n) if e != lat.bottom}
+
+
 MUTANTS = {
     "first_hits keeps the last hit": lambda: rebound("first_hits", last_hits),
     "decompose swaps the margins": lambda: rebound("decompose", lambda e: (e.second, e.first)),
@@ -43,21 +51,15 @@ MUTANTS = {
         Lattice, "atoms", lambda self, atoms=Lattice.atoms: atoms(self)[1:])],
     "TopSpace.closure is the identity": lambda: [mock.patch.object(
         TopSpace, "closure", lambda self, x: x)],
-}
-
-# (mutant, suite) pairs killed by an exception rather than a report
-RAISES = {
-    ("Lattice.atoms drops one atom", "increasing-calculus"),
-    ("Lattice.atoms drops one atom", "point-isomorphism"),
-    ("Lattice.atoms drops one atom", "counterexamples"),
-    ("TopSpace.closure is the identity", "increasing-calculus"),
+    "r_function takes the minimum": lambda: [mock.patch.object(
+        top, "r_function", min_r_function)],
 }
 
 
 def outcomes(patches=()) -> dict:
-    """Each suite's failures at size 3 and seed 0, or the exception it
-    raised, under ``patches`` and with an empty topology cache, so that no
-    space built under a mutant outlives it."""
+    """Each suite's failures at size 3 and seed 0, or the exception that
+    escaped ``run_suite``, under ``patches`` and with an empty topology cache,
+    so that no space built under a mutant outlives it."""
     out = {}
     with ExitStack() as stack:
         stack.enter_context(mock.patch.dict(top._TOPOLOGY_CACHE, clear=True))
@@ -72,15 +74,20 @@ def outcomes(patches=()) -> dict:
 
 
 @pytest.fixture(scope="module")
-def kills() -> dict:
-    """For each mutant, the suites that kill it: "failed" or "raised"."""
-    clean = outcomes()
-    table = {}
+def runs() -> dict:
+    """The unmutated outcomes under ``None`` and each mutant's under its label."""
+    table = {None: outcomes()}
     for label, patches in MUTANTS.items():
-        got = outcomes(patches())
-        table[label] = {name: "raised" if isinstance(r, Exception) else "failed"
-                        for name, r in got.items() if r != clean[name]}
+        table[label] = outcomes(patches())
     return table
+
+
+@pytest.fixture(scope="module")
+def kills(runs) -> dict:
+    """For each mutant, the suites that kill it: "failed" or "raised"."""
+    return {label: {name: "raised" if isinstance(r, Exception) else "failed"
+                    for name, r in got.items() if r != runs[None][name]}
+            for label, got in runs.items() if label is not None}
 
 
 def test_every_mutant_is_killed(kills):
@@ -91,9 +98,18 @@ def test_continuity_reports_the_last_hit_mutant(kills):
     assert kills["first_hits keeps the last hit"]["continuity"] == "failed"
 
 
-def test_raising_kills_are_the_listed_ones(kills):
-    assert {(label, name) for label, killed in kills.items()
-            for name, how in killed.items() if how == "raised"} == RAISES
+def test_no_suite_raises_under_any_mutant(runs):
+    assert [(label, name) for label, got in runs.items()
+            for name, r in got.items() if isinstance(r, Exception)] == []
+
+
+def test_increasing_calculus_reports_the_minimum_mutant(kills):
+    assert kills["r_function takes the minimum"] == {"increasing-calculus": "failed"}
+
+
+def test_quotient_reports_an_embedding_that_is_not_a_bijection(runs):
+    failures = runs["Lattice.atoms drops one atom"]["quotient"]
+    assert any(f.endswith(": embedding is not a bijection") for f in failures)
 
 
 def test_a_kernel_imported_by_name_is_mutated_there_too(kills):

@@ -335,7 +335,28 @@ class TestCompleteDistributivity:
             is_completely_distributive(boolean_lattice(5))  # 32 elements > 20
 
 
+def oracle_intersection_law(lattice, a):
+    """The intersection law by a scan of every quasipoint's members."""
+    ia = lattice.eid(a)
+    acc, hit = (1 << lattice.n) - 1, False
+    for members in stone_space(lattice).points:
+        if members >> ia & 1:
+            acc &= members
+            hit = True
+    return hit and acc == lattice.up[ia]
+
+
 class TestIntersectionLaw:
+    def test_matches_the_scan(self):
+        verdicts = {True: 0, False: 0}
+        for lat in spectrum_lattices():
+            for a in range(lat.n):
+                if a != lat.bottom:
+                    got = dual_ideal_intersection_law(lat, a)
+                    assert got == oracle_intersection_law(lat, a), (lat.names, a)
+                    verdicts[got] += 1
+        assert verdicts[True] and verdicts[False], verdicts
+
     def test_boolean_all_elements(self):
         for n in (2, 3, 4):
             lat = boolean_lattice(n)

@@ -593,7 +593,43 @@ class TestCptAndFStar:
                 assert f_star(d, re, im) == ComplexObservableFunction(real[re], real[im])
 
 
+def oracle_star_condition_check(space, g):
+    """The infimum condition by a scan: for each point, the regular open
+    neighbourhoods, then every quasipoint containing all of them."""
+    lat = space.r_lattice()
+    st = stone_space(lat)
+    r = r_function(space, g)
+    for p in range(len(space.points)):
+        prx = [e for e in range(lat.n) if e != lat.bottom and lat.payload[e] >> p & 1]
+        inf_nbhd = min(r[e] for e in prx)
+        prx_mask = sum(1 << e for e in prx)
+        for k, members in enumerate(st.points):
+            if members & prx_mask == prx_mask:
+                inf_qp = min(r[e] for e in bits(members) if e != lat.bottom)
+                if inf_nbhd != inf_qp:
+                    return False, (space.points[p], st.point_name(k))
+    return True, None
+
+
 class TestIncreasingCalculus:
+    def test_star_condition_matches_the_scan(self):
+        verdicts = {True: 0, False: 0}
+        for n in (1, 2, 3, 4):
+            for t in all_topologies(n):
+                st = stone_space(t.r_lattice())
+                for values in product((0, 1, 2), repeat=st.n_points):
+                    g = ObservableFunction(st, values)
+                    got = star_condition_check(t, g)
+                    assert got == oracle_star_condition_check(t, g), (t, values)
+                    verdicts[got[0]] += 1
+        assert verdicts[True] and verdicts[False], verdicts
+
+    def test_star_condition_rejects_another_spectrum(self):
+        d = TopSpace.discrete(("1", "2"))
+        g = ObservableFunction(stone_space(boolean_lattice(3)), [0, 1, 2])
+        with pytest.raises(InputError, match="^function lives on a different spectrum$"):
+            star_condition_check(d, g)
+
     def test_r_of_constant(self):
         d = TopSpace.discrete(("1", "2", "3"))
         st = stone_space(d.r_lattice())
