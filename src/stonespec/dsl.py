@@ -33,7 +33,6 @@ _RESERVED = "{},;:<#"
 _WS = re.compile(r"\s*")  # \s matches exactly the characters str.isspace accepts
 _TOKEN = re.compile(f"[^{_RESERVED}\\s]*")  # a maximal run of non-reserved, non-space text
 _BRACE = re.compile("[{}]")
-_SPLIT = {sep: re.compile("[{}" + sep + "]") for sep in ",;:"}  # braces and one separator
 
 
 class Diagnostic(Record, frozen=True):
@@ -132,13 +131,14 @@ class _Scanner:
     def body(self) -> tuple:
         """Consume text up to the matching close brace (the open brace has
         been consumed); returns (raw, start_index, balanced)."""
-        start = self.i
+        start = pos = self.i
         depth = 1
-        for m in _BRACE.finditer(self.text, start):
-            depth += 1 if m[0] == "{" else -1
+        while (j := self.text.find("}", pos)) >= 0:
+            depth += self.text.count("{", pos, j) - 1  # the opens since the last close
+            pos = j + 1
             if depth == 0:
-                self.i = m.end()
-                return self.text[start:m.start()], start, True
+                self.i = pos
+                return self.text[start:j], start, True
         self.i = self.n
         return self.text[start:], start, False
 
@@ -154,23 +154,26 @@ class _RawBlock(Record):
     kind: str
     name: str
     host: str | None      # host name, when the link argument is a name
-    host_set: list | None  # point labels, when the link argument is a set
+    host_set: tuple | None  # point labels, when the link argument is a set
     clauses: list         # (text, absolute index)
     at: int
 
 
 def _split_top(text: str, sep: str):
     """Yield the parts between separators at brace depth zero, with offsets."""
-    depth = start = 0
-    for m in _SPLIT[sep].finditer(text):
-        if m[0] == "{":
-            depth += 1
-        elif m[0] == "}":
-            depth -= 1
-        elif depth == 0:
-            yield text[start:m.start()], start
-            start = m.end()
+    depth = start = pos = 0
+    while (j := text.find(sep, pos)) >= 0:
+        depth += text.count("{", pos, j) - text.count("}", pos, j)
+        pos = j + 1
+        if depth == 0:
+            yield text[start:j], start
+            start = pos
     yield text[start:], start
+
+
+def _items(text: str) -> tuple:
+    """The stripped nonempty parts of a comma list at brace depth zero."""
+    return tuple(t.strip() for t, _ in _split_top(text, ",") if t.strip())
 
 
 def _scan(sc: _Scanner, diag):
@@ -202,7 +205,7 @@ def _scan(sc: _Scanner, diag):
                 if not ok:
                     diag("malformed-header", "unterminated point set", raw_at)
                     continue
-                host_set = [t.strip() for t, _ in _split_top(raw, ",") if t.strip()]
+                host_set = _items(raw)
             else:
                 host, _ = sc.token()
                 if not host:
@@ -236,7 +239,7 @@ def _parse_setlit(text: str):
     if not (text.startswith("{") and text.endswith("}")):
         return None
     inner = text[1:-1]
-    return tuple(t.strip() for t, _ in _split_top(inner, ",") if t.strip())
+    return _items(inner)
 
 
 class _Rejected(Exception):
@@ -364,7 +367,7 @@ class _Builder:
         if "elements" not in cm:
             self.reject("malformed-clause", "lattice block needs an 'elements' clause", rb.at)
         payload, _ = cm["elements"]
-        names = [t.strip() for t, _ in _split_top(payload, ",") if t.strip()]
+        names = _items(payload)
         order = self.pairs(cm, "order", "<")
         ortho = dict(self.pairs(cm, "ortho", "<->")) if "ortho" in cm else None
         return self.construct(rb, "bad-lattice", lambda: Lattice(names, order, ortho=ortho))

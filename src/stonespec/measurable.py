@@ -53,13 +53,10 @@ class FieldOfSets(TopSpace):
     def _of_nbhds(self, points: tuple, nbhd) -> "FieldOfSets":
         """The topology's build for U_x that partition the points (a topology
         is a field iff it is closed under complement); the U_x are the atoms."""
-        blocks = {}
-        for i, u in enumerate(nbhd):
-            blocks[u] = blocks.get(u, 0) | 1 << i
-        if any(u != block for u, block in blocks.items()):
+        if _first_nonconstant(nbhd, nbhd) >= 0:  # some U_y inside U_x is smaller
             raise InputError("not closed under complement")
         # first seen at its lowest point, so in order of lowest point
-        self.ground, self.atoms = points, tuple(blocks)
+        self.ground, self.atoms = points, tuple(dict.fromkeys(nbhd))
         return super()._of_nbhds(points, nbhd)
 
     # the inherited from_sets: a partition given as iterables of point labels
@@ -115,7 +112,7 @@ class MeasurableFunction:
 
     def __init__(self, field: FieldOfSets, values):
         values = point_values(field.ground, values)
-        i = _first_nonconstant(field, values)
+        i = _first_nonconstant(field._nbhd, values)
         if i >= 0:
             raise InputError("function is not measurable: not constant on atom "
                              + field.set_name(field._nbhd[i]))

@@ -9,7 +9,8 @@ discrete spaces; everything else works for arbitrary finite topologies.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .errors import InputError, UnsupportedStructureError
 from .family import (ComplexObservableFunction, ObservableFunction,
@@ -176,13 +177,13 @@ class TopSpace:
 # --- continuity and the induced families -------------------------------------
 
 
-def _first_nonconstant(space: TopSpace, keys) -> int:
-    """The first point whose minimal open neighbourhood ``keys`` is not
-    constant on, or -1.  Only key equality is read, so values and their
-    ranks in a grid agree."""
-    for i, u in enumerate(space._nbhd):
-        k = keys[i]
-        for j in bits(u ^ 1 << i):
+def _first_nonconstant(blocks, keys) -> int:
+    """The index of the first of the masks ``blocks`` that ``keys`` is not
+    constant on, or -1: continuity, measurability, fields, fibres and the
+    infimum condition.  Only key equality is read, so values and ranks agree."""
+    for i, u in enumerate(blocks):
+        k = keys[(u & -u).bit_length() - 1]
+        for j in bits(u & (u - 1)):
             if keys[j] != k:
                 return i
     return -1
@@ -198,7 +199,7 @@ def is_continuous(space: TopSpace, values) -> bool:
     Equivalently, every fibre is open: a fibre is the preimage of an open
     interval that isolates its value, and every preimage is a union of fibres.
     """
-    return _first_nonconstant(space, point_values(space.points, values)) < 0
+    return _first_nonconstant(space._nbhd, point_values(space.points, values)) < 0
 
 
 def _family_of_levels(space: TopSpace, levels, values) -> SpectralFamily:
@@ -275,10 +276,10 @@ def induced_function(space: TopSpace, family: SpectralFamily) -> tuple:
 class PtStructure(Record):
     """Quasipoints sorted by the points they sit over.
 
-    ``q_x[i]`` is the bitmask (over Stone-space point indices) of quasipoints
-    over the i-th point: those whose members all have the point in their
-    closure.  ``pt`` is the fibre map when the space is Hausdorff (discrete);
-    otherwise fibres may overlap and no function is claimed.
+    ``q_x[i]`` is ``base[U_x]``, the quasipoints over the i-th point x: x lies
+    in the closure of an atom A, a least nonempty open, iff U_x meets A iff A
+    lies in U_x.  ``pt`` is the fibre map when the space is Hausdorff
+    (discrete); otherwise fibres may overlap and no function is claimed.
     """
 
     space: TopSpace
@@ -297,17 +298,12 @@ class PtStructure(Record):
 def pt_structure(space: TopSpace) -> PtStructure:
     lat = space.lattice()
     st = stone_space(lat)
-    q_x = [0] * len(space.points)
-    for k, a in enumerate(st.atoms):
-        for p in bits(space.closure(lat.payload[a])):
-            q_x[p] |= 1 << k
-    q_pt = 0
-    for m in q_x:
-        q_pt |= m
+    q_x = tuple(st.base[lat.set_ids[u]] for u in space._nbhd)
+    q_pt = reduce(or_, q_x)
     pt = None
     if space.is_discrete:  # each quasipoint then lies over exactly one point
         pt = {k: i for i, mask in enumerate(q_x) for k in bits(mask)}
-    return PtStructure(space, st, tuple(q_x), q_pt, pt)
+    return PtStructure(space, st, q_x, q_pt, pt)
 
 
 def identification_check(p: PtStructure) -> bool:
@@ -331,11 +327,7 @@ def cpt_membership(p: PtStructure, g: ObservableFunction) -> bool:
             "fibre membership needs a Hausdorff (finite: discrete) space")
     if g.space.points != p.stone.points:
         raise InputError("function lives on a different spectrum")
-    for mask in p.q_x:
-        vals = {g.values[k] for k in bits(mask)}
-        if len(vals) > 1:
-            return False
-    return True
+    return _first_nonconstant(p.q_x, g.values) < 0
 
 
 def f_star(space: TopSpace, re_values, im_values=None):
@@ -358,13 +350,8 @@ def r_function(space: TopSpace, g: ObservableFunction) -> dict:
     st = stone_space(lat)
     if g.space.points != st.points:
         raise InputError("function lives on a different spectrum")
-    out = {}
-    for e in range(lat.n):
-        if e == lat.bottom:
-            continue
-        mask = st.base[e]
-        out[e] = max(g.values[k] for k in bits(mask))
-    return out
+    return {e: max(g.values[k] for k in bits(st.base[e]))
+            for e in range(lat.n) if e != lat.bottom}
 
 
 def completely_increasing_check(lat: Lattice, r: dict):
@@ -388,13 +375,13 @@ def star_condition_check(space: TopSpace, g: ObservableFunction):
     st = stone_space(lat)
     if g.space.points != st.points:
         raise InputError("function lives on a different spectrum")
-    for p, u in enumerate(space._nbhd):
-        below = st.base[lat.set_ids[space.interior(space.closure(u))]]
-        inf_nbhd = max(g.values[k] for k in bits(below))
-        for k in bits(below):
-            if g.values[k] != inf_nbhd:
-                return False, (space.points[p], st.point_name(k))
-    return True, None
+    blocks = [st.base[lat.set_ids[space.interior(space.closure(u))]] for u in space._nbhd]
+    p = _first_nonconstant(blocks, g.values)
+    if p < 0:
+        return True, None
+    inf_nbhd = max(g.values[k] for k in bits(blocks[p]))
+    k = next(k for k in bits(blocks[p]) if g.values[k] != inf_nbhd)
+    return False, (space.points[p], st.point_name(k))
 
 
 # --- exhaustive topology generation --------------------------------------------

@@ -608,6 +608,39 @@ def oracle_split_top(text: str, sep: str):
     return parts
 
 
+_REGEX_SPLIT = {sep: re.compile("[{}" + sep + "]") for sep in ",;:"}
+
+
+def regex_split_top(text: str, sep: str):
+    """The parts between separators at brace depth zero, by a pattern that
+    stops at every brace and separator."""
+    parts = []
+    depth = start = 0
+    for m in _REGEX_SPLIT[sep].finditer(text):
+        if m[0] == "{":
+            depth += 1
+        elif m[0] == "}":
+            depth -= 1
+        elif depth == 0:
+            parts.append((text[start:m.start()], start))
+            start = m.end()
+    parts.append((text[start:], start))
+    return parts
+
+
+def regex_body(sc):
+    """``_Scanner.body`` by a pattern that stops at every brace."""
+    start = sc.i
+    depth = 1
+    for m in re.finditer("[{}]", sc.text[start:]):
+        depth += 1 if m[0] == "{" else -1
+        if depth == 0:
+            sc.i = start + m.end()
+            return sc.text[start:start + m.start()], start, True
+    sc.i = sc.n
+    return sc.text[start:], start, False
+
+
 def parse_outcome(text):
     """What a parse shows: the ok flag, every diagnostic and every block."""
     result = dsl.parse(text)
@@ -644,3 +677,13 @@ class TestPatternScanner:
     @given(st.text(st.sampled_from("{},;: a\n"), max_size=30))
     def test_split_top_matches_the_character_loop(self, sep, text):
         assert list(dsl._split_top(text, sep)) == oracle_split_top(text, sep)
+
+    @settings(max_examples=500)
+    @given(st.text(st.sampled_from("{},;: a"), max_size=14), st.integers(0, 14))
+    def test_find_and_count_match_the_pattern_stepping(self, text, start):
+        # the depth is a running sum of the braces between separators or closes
+        for sep in ",;:":
+            assert list(dsl._split_top(text, sep)) == regex_split_top(text, sep)
+        got, want = dsl._Scanner(text), dsl._Scanner(text)
+        got.i = want.i = min(start, len(text))
+        assert (got.body(), got.i) == (regex_body(want), want.i)

@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 
 from stonespec import (FieldOfSets, InputError, Lattice, MeasurableFunction, SetIdeal,
-                       TopSpace, all_fields, bijection_report, function_of,
+                       TopSpace, all_fields, all_topologies, bijection_report, function_of,
                        gamma_transform, ideals_of, is_continuous, lift_spectral_family,
                        observable_function, quotient, riemann_stieltjes,
                        riemann_stieltjes_on_points, spectral_family_of,
@@ -99,6 +99,18 @@ class TestFieldOfSets:
             FieldOfSets(("p", "q"), atoms)
 
 
+def oracle_field_atoms(nbhd):
+    """The atoms of the field whose U_x are ``nbhd``, in order of lowest point,
+    or None if the U_x do not partition the points: each U_x must be the set
+    of the points that have it as their U_x."""
+    blocks = {}
+    for i, u in enumerate(nbhd):
+        blocks[u] = blocks.get(u, 0) | 1 << i
+    if any(u != block for u, block in blocks.items()):
+        return None
+    return tuple(blocks)
+
+
 class TestFieldIsATopology:
     """A field of sets is the topology of its members, so measurable
     functions are the continuous ones; the general topology code is the
@@ -134,6 +146,20 @@ class TestFieldIsATopology:
                 assert measurable == on_atoms == is_continuous(space, values)
                 cases += 1
         assert cases == 3 * 1 + 9 * 2 + 27 * 5 + 81 * 15
+
+    def test_fields_among_all_topologies_match_the_block_scan(self):
+        fields = 0
+        for n in (1, 2, 3, 4, 5):
+            for t in all_topologies(n):
+                want = oracle_field_atoms(t._nbhd)
+                try:
+                    got = FieldOfSets.__new__(FieldOfSets)._of_nbhds(t.points, t._nbhd).atoms
+                except InputError as e:
+                    assert str(e) == "not closed under complement"
+                    got = None
+                assert got == want
+                fields += got is not None
+        assert fields == 1 + 2 + 5 + 15 + 52
 
     def test_discrete_is_the_power_set_and_generated_needs_complements(self):
         for ground in (("p",), ("p", "q"), tuple("abcdef")):

@@ -9,6 +9,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from stonespec import (ComplexObservableFunction, FieldOfSets, InputError, ObservableFunction,
                        SpectralFamily, TopSpace, UnsupportedStructureError,
@@ -134,6 +136,22 @@ def oracle_identification_check(p):
         if (x in p.space.opens) != (pre in subspace_opens):
             return False
     return True
+
+
+def oracle_first_nonconstant(blocks, keys):
+    """The first block on whose members ``keys`` takes more than one value, or -1."""
+    return next((i for i, u in enumerate(blocks) if len({keys[j] for j in bits(u)}) > 1), -1)
+
+
+def oracle_pt_structure(space):
+    """The quasipoints over each point, by the closure of each quasipoint's atom."""
+    lat = space.lattice()
+    st = stone_space(lat)
+    q_x = [0] * len(space.points)
+    for k, a in enumerate(st.atoms):
+        for p in bits(space.closure(lat.payload[a])):
+            q_x[p] |= 1 << k
+    return tuple(q_x)
 
 
 def small_spaces():
@@ -353,7 +371,7 @@ class TestClosedFormsAgainstOracles:
             for t in all_topologies(n):
                 for ranks in product(range(len(GRID3)), repeat=n):
                     values = tuple(GRID3[k] for k in ranks)
-                    assert (_first_nonconstant(t, ranks) < 0) == is_continuous(t, values)
+                    assert (_first_nonconstant(t._nbhd, ranks) < 0) == is_continuous(t, values)
                     got = _family_of_levels(t, level_sets(ranks), values)
                     want = spectral_family_of_continuous(t, values)
                     assert type(got) is type(want)
@@ -362,6 +380,11 @@ class TestClosedFormsAgainstOracles:
                     assert all(type(x) is Fraction for x in got.thresholds)
                     cases += 1
         assert cases == 29577
+
+    @given(hs.lists(hs.integers(0, 255), max_size=6), hs.lists(hs.integers(0, 2), min_size=8,
+                                                                 max_size=8))
+    def test_constancy_kernel_matches_the_key_sets(self, blocks, keys):
+        assert _first_nonconstant(blocks, keys) == oracle_first_nonconstant(blocks, keys)
 
     def test_open_fibres_iff_constant_on_nbhds(self):
         # the sweep's continuity test: every fibre of the function is open
@@ -372,7 +395,7 @@ class TestClosedFormsAgainstOracles:
                 for values, _, fibres in grid_fns:
                     ranks = [GRID3.index(v) for v in values]
                     got = t.opens.issuperset(fibres)
-                    assert got == (_first_nonconstant(t, ranks) < 0)
+                    assert got == (_first_nonconstant(t._nbhd, ranks) < 0)
                     verdicts[got] += 1
         assert sum(verdicts.values()) == 29577 and verdicts[True] == 2379
 
@@ -518,6 +541,12 @@ class TestPtStructure:
         # the unique quasipoint (filter of {1}) lies over both points
         assert p.q_x == (1, 1)
         assert covers_spectrum(p)
+
+    def test_fibres_match_the_closures_of_the_atoms(self):
+        # q_x is read as base[U_x]; the oracle takes the closure of every atom
+        spaces = [t for n in (1, 2, 3, 4, 5) for t in all_topologies(n)]
+        assert len(spaces) == 7331
+        assert all(pt_structure(t).q_x == oracle_pt_structure(t) for t in spaces)
 
     def test_every_finite_space_is_covered(self):
         for n in (1, 2, 3):
