@@ -240,12 +240,8 @@ def suite_correspondence(res: SuiteResult, max_size: int, seed: int) -> None:
                 dom = t.interior(levels[-1][1])
                 res.check(dom == t.full,
                           "{!r}: the family of {} does not cover the space", t, values)
-                cont = t.opens.issuperset(fibres)  # see top.is_continuous
-                if found is None or cont:
+                if t.opens.issuperset(fibres):  # see top.is_continuous
                     e = top._family_of_levels(t, levels, values)
-                    if found is None and top.classify_family(t, e) == "regular":
-                        found = t, e
-                if cont:
                     sr, witness = top.is_strongly_regular(t, e)
                     res.check(sr, "{!r}: continuous {} gave a family "
                                   "that is not strongly regular at {}", t, values, witness)
@@ -275,6 +271,8 @@ def suite_correspondence(res: SuiteResult, max_size: int, seed: int) -> None:
                     sp = fam.spectrum_of(e).spectrum
                     res.check(tuple(sorted(set(induced))) == sp,
                               "{!r}: spectrum of {!r} differs from the image closure", t, e)
+                elif found is None and all(t.is_regular_open(m) for m in masks):
+                    found = t, e
     # a two-point discrete space: the indicator of a clopen piece jumps at 1
     disc = top.TopSpace.discrete(("1", "2"))
     e = top.spectral_family_of_continuous(disc, (Fraction(1), Fraction(0)))

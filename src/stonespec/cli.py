@@ -18,7 +18,7 @@ from . import checks, dsl
 from . import family as fam
 from . import measurable as mea
 from .errors import InputError, InvalidFamilyError, UnsupportedStructureError
-from .lattice import bits
+from .lattice import _require_same, bits
 from .stone import stone_space
 
 
@@ -142,8 +142,7 @@ def cmd_lift(args, file, out, f_info, i_info, fm_info) -> int:
     field = f_info.obj
     q = mea.quotient(field, i_info.obj)
     lat = field.lattice()
-    if fm_info.obj.lattice is not lat and fm_info.obj.lattice != lat:
-        raise InputError("the family must live in the named field")
+    _require_same(fm_info.obj.lattice, lat, "the family must live in the named field")
     reduced_lat = q.lattice()
     jumps = [(t, reduced_lat.set_ids[q.class_of(lat.payload[v])])
              for t, v in zip(fm_info.obj.thresholds, fm_info.obj.values)]

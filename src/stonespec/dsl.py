@@ -176,52 +176,51 @@ def _items(text: str) -> tuple:
     return tuple(t.strip() for t, _ in _split_top(text, ",") if t.strip())
 
 
-def _scan(sc: _Scanner, diag):
-    """Split the text into raw blocks; malformed headers go to ``diag``."""
+class _Rejected(Exception):
+    """Raised by ``_Builder.reject``: the scan or the build abandons the
+    block, whose diagnostics are already recorded."""
+
+
+def _raw_block(sc: _Scanner, reject) -> _RawBlock:
+    """The next block's header and clauses; a malformed header goes to ``reject``."""
+    kind, at = sc.token()
+    if kind not in KINDS:
+        reject("unknown-block", f"unknown block kind {kind or sc.peek()!r}", at,
+               "expected one of: " + ", ".join(KINDS))
+    name, name_at = sc.token()
+    if not name:
+        reject("malformed-header", f"{kind} block is missing a name", name_at)
+    host = host_set = None
+    if sc.peek() not in "{":  # at the end of the text peek() is "", which is in it
+        link, link_at = sc.token()
+        if link not in ("on", "in"):
+            reject("malformed-header", "expected 'on', 'in' or '{' after the name", link_at)
+        if sc.expect("{"):
+            raw, raw_at, ok = sc.body()
+            if not ok:
+                reject("malformed-header", "unterminated point set", raw_at)
+            host_set = _items(raw)
+        else:
+            host, _ = sc.token()
+            if not host:
+                reject("malformed-header", f"missing host name after '{link}'", link_at)
+    if not sc.expect("{"):
+        reject("malformed-header", f"expected '{{' to open the {kind} body", sc.i)
+    raw, raw_at, ok = sc.body()
+    if not ok:
+        reject("malformed-header", f"unterminated {kind} block", at)
+    clauses = [(t, raw_at + off) for t, off in _split_top(raw, ";") if t.strip()]
+    return _RawBlock(kind, name, host, host_set, clauses, at)
+
+
+def _scan(sc: _Scanner, reject):
+    """Split the text into raw blocks, resuming past the block of each header fault."""
     blocks = []
     while sc.peek():
-        kind, at = sc.token()
-        if kind not in KINDS:
-            diag("unknown-block", f"unknown block kind {kind or sc.peek()!r}", at,
-                 "expected one of: " + ", ".join(KINDS))
+        try:
+            blocks.append(_raw_block(sc, reject))
+        except _Rejected:  # an unterminated body or point set has read to the end
             sc.skip_to_close()
-            continue
-        name, name_at = sc.token()
-        if not name:
-            diag("malformed-header", f"{kind} block is missing a name", name_at)
-            sc.skip_to_close()
-            continue
-        link = host = None
-        host_set = None
-        if sc.peek() not in "{":
-            link, link_at = sc.token()
-            if link not in ("on", "in"):
-                diag("malformed-header", f"expected 'on', 'in' or '{{' after the name", link_at)
-                sc.skip_to_close()
-                continue
-            if sc.peek() == "{":
-                sc.expect("{")
-                raw, raw_at, ok = sc.body()
-                if not ok:
-                    diag("malformed-header", "unterminated point set", raw_at)
-                    continue
-                host_set = _items(raw)
-            else:
-                host, _ = sc.token()
-                if not host:
-                    diag("malformed-header", f"missing host name after '{link}'", link_at)
-                    sc.skip_to_close()
-                    continue
-        if not sc.expect("{"):
-            diag("malformed-header", f"expected '{{' to open the {kind} body", sc.i)
-            sc.skip_to_close()
-            continue
-        raw, raw_at, ok = sc.body()
-        if not ok:
-            diag("malformed-header", f"unterminated {kind} block", at)
-            continue
-        clauses = [(t, raw_at + off) for t, off in _split_top(raw, ";") if t.strip()]
-        blocks.append(_RawBlock(kind, name, host, host_set, clauses, at))
     return blocks
 
 
@@ -242,11 +241,6 @@ def _parse_setlit(text: str):
     return _items(inner)
 
 
-class _Rejected(Exception):
-    """Raised by ``_Builder.reject``: ``parse`` skips the block, whose
-    diagnostics are already recorded."""
-
-
 class _Builder:
     def __init__(self, scanner_text: str):
         self.sc = _Scanner(scanner_text)
@@ -257,9 +251,9 @@ class _Builder:
         line, col = self.sc.linecol(at)
         self.diags.append(Diagnostic("error", line, col, code, msg, suggestion))
 
-    def reject(self, code, msg, at):
-        """Record a diagnostic and abandon the block being built."""
-        self.diag(code, msg, at)
+    def reject(self, code, msg, at, suggestion=None):
+        """Record a diagnostic and abandon the block being scanned or built."""
+        self.diag(code, msg, at, suggestion)
         raise _Rejected
 
     def construct(self, rb: _RawBlock, code, make, error=InputError):
@@ -302,10 +296,9 @@ class _Builder:
         out = {}
         ok = True
         for text, at in rb.clauses:
-            head, _ = _strip_at((text, at))
             parts = list(_split_top(text, ":"))
             if len(parts) != 2:
-                self.diag("malformed-clause", f"expected 'key: payload' in {head!r}", at)
+                self.diag("malformed-clause", f"expected 'key: payload' in {text.strip()!r}", at)
                 ok = False
                 continue
             (key, key_at), (payload, payload_at) = parts
@@ -441,6 +434,8 @@ class _Builder:
             if len(key_parts) != 2:
                 self.reject("malformed-clause", "grid keys are pairs 'x,y'", key_at)
             x, y = (self.rational(k, key_at, f"in {key.strip()!r}") for k, _ in key_parts)
+            if (x, y) in entries:  # the same cell by exact value, however written
+                self.reject("malformed-clause", f"duplicate entry at {x},{y}", _strip_at((key, key_at))[1])
             entries[(x, y)] = self._resolve_value(info, v_text, v_at)
         xs = sorted({x for x, _ in entries})
         ys = sorted({y for _, y in entries})
@@ -459,9 +454,11 @@ class _Builder:
         ground = info.obj.points
         values = {}
         for p_text, p_at, v_text, v_at in self.entries(rb, "point: value"):
-            p = p_text.strip()
+            p, p_pos = _strip_at((p_text, p_at))
             if p not in info.obj._index:
                 self.reject("unknown-element", f"unknown point {p!r}", p_at)
+            if p in values:
+                self.reject("malformed-clause", f"duplicate value for point {p!r}", p_pos)
             values[p] = self.rational(v_text, v_at)
         missing = [p for p in ground if p not in values]
         if missing:
@@ -480,7 +477,7 @@ class _Builder:
 def parse(text: str) -> ParseResult:
     """Parse an instance file; returns either a resolved file or diagnostics."""
     builder = _Builder(text)
-    raw_blocks = _scan(builder.sc, builder.diag)
+    raw_blocks = _scan(builder.sc, builder.reject)
     host_kinds = ("lattice", "topology", "field")
     build_order = ([i for i, rb in enumerate(raw_blocks) if rb.kind in host_kinds]
                    + [i for i, rb in enumerate(raw_blocks) if rb.kind not in host_kinds])

@@ -9,15 +9,17 @@ jumps so equality of families is plain equality of representations.
 
 from __future__ import annotations
 
+import operator
 import sys
 from bisect import bisect_left, bisect_right
 from decimal import Decimal
 from fractions import Fraction
+from functools import partialmethod
 from itertools import combinations
 from math import lcm
 
 from .errors import InputError, InvalidFamilyError, UnsupportedStructureError
-from .lattice import Lattice, Record, _eq_by, bits
+from .lattice import Lattice, Record, _eq_by, _require_same, bits
 from .stone import StoneSpace, stone_space
 
 
@@ -158,22 +160,18 @@ class ObservableFunction:
         return self.values[k]
 
     def _same_space(self, other):
-        if self.space is not other.space and self.space.points != other.space.points:
-            raise InputError("observable functions live on different spectra")
+        _require_same(self.space.points, other.space.points,
+                      "observable functions live on different spectra")
 
     __eq__ = _eq_by("values", "space.points")
 
-    def __add__(self, other):
+    def _pointwise(self, op, other) -> "ObservableFunction":
         self._same_space(other)
-        return self._of(self.space, [a + b for a, b in zip(self.values, other.values)])
+        return self._of(self.space, list(map(op, self.values, other.values)))
 
-    def __sub__(self, other):
-        self._same_space(other)
-        return self._of(self.space, [a - b for a, b in zip(self.values, other.values)])
-
-    def __mul__(self, other):
-        self._same_space(other)
-        return self._of(self.space, [a * b for a, b in zip(self.values, other.values)])
+    __add__ = partialmethod(_pointwise, operator.add)
+    __sub__ = partialmethod(_pointwise, operator.sub)
+    __mul__ = partialmethod(_pointwise, operator.mul)
 
     def scale(self, alpha) -> "ObservableFunction":
         alpha = _as_fraction(alpha)
@@ -467,8 +465,7 @@ class ComplexSpectralFamily:
 
 def product_family(e1: SpectralFamily, e2: SpectralFamily) -> ComplexSpectralFamily:
     """The family (lam, mu) -> E1(lam) & E2(mu): its margins are E1 and E2."""
-    if e1.lattice is not e2.lattice and e1.lattice != e2.lattice:
-        raise InputError("components live in different lattices")
+    _require_same(e1.lattice, e2.lattice, "components live in different lattices")
     e1.lattice._tables()  # fails on a non-lattice host, as the product's meets would
     e = ComplexSpectralFamily.__new__(ComplexSpectralFamily)
     e.first, e.second = e1, e2

@@ -52,6 +52,13 @@ def _eq_by(*fields):
     return __eq__
 
 
+def _require_same(a, b, message: str) -> None:
+    """Raise ``InputError(message)`` unless ``a`` and ``b`` are one object or
+    equal: the guard that two values share a lattice, a spectrum or a field."""
+    if a is not b and a != b:
+        raise InputError(message)
+
+
 class Record:
     """A record declared like a dataclass, without the start-up cost of
     :mod:`dataclasses`: a subclass's annotated names are its positional fields,

@@ -15,10 +15,10 @@ from itertools import product
 from .errors import InputError
 from .family import (ObservableFunction, SpectralFamily, _as_fraction, _step_sum,
                      level_sets, observable_function, point_values)
-from .lattice import Lattice, _eq_by, bits
+from .lattice import Lattice, _eq_by, _require_same, bits
 from .stone import StoneSpace, stone_space
 from .topology import (TopSpace, _family_of_levels, _family_payloads, _first_nonconstant,
-                       _points, all_topologies, induced_function)
+                       _min_nbhds, _points, all_topologies, induced_function)
 
 
 class FieldOfSets(TopSpace):
@@ -44,11 +44,7 @@ class FieldOfSets(TopSpace):
             kept.append(a)
         if union != (1 << len(ground)) - 1:
             raise InputError("atoms do not cover the ground set")
-        nbhd = [0] * len(ground)
-        for a in kept:
-            for p in bits(a):
-                nbhd[p] = a
-        self._of_nbhds(ground, nbhd)
+        self._of_nbhds(ground, _min_nbhds(kept, len(ground)))  # each point's atom
 
     def _of_nbhds(self, points: tuple, nbhd) -> "FieldOfSets":
         """The topology's build for U_x that partition the points (a topology
@@ -147,12 +143,9 @@ def function_of(field: FieldOfSets, family: SpectralFamily) -> MeasurableFunctio
 def atom_grid_values(field: FieldOfSets, grid):
     """Yield the point values of every function that is constant on the
     field's atoms with values from ``grid``, in product order over the atoms."""
+    which = {a: i for i, a in enumerate(field.atoms)}
     for assignment in product(grid, repeat=len(field.atoms)):
-        values = [None] * len(field.ground)
-        for a, v in zip(field.atoms, assignment):
-            for p in bits(a):
-                values[p] = v
-        yield values
+        yield [assignment[which[u]] for u in field._nbhd]  # U_x is x's atom
 
 
 def bijection_report(field: FieldOfSets, grid):
@@ -249,8 +242,7 @@ class QuotientAlgebra:
     """
 
     def __init__(self, field: FieldOfSets, ideal: SetIdeal):
-        if ideal.field != field:
-            raise InputError("ideal belongs to a different field")
+        _require_same(ideal.field, field, "ideal belongs to a different field")
         self.field = field
         self.ideal = ideal
         self.survivors = field.full ^ ideal.mask
@@ -292,8 +284,7 @@ def quotient(field: FieldOfSets, ideal: SetIdeal) -> QuotientAlgebra:
 def gamma_transform(phi: MeasurableFunction, q: QuotientAlgebra) -> ObservableFunction:
     """Observable function of the level-set family of phi, restricted to the
     quasipoints over the quotient; independent of the representative."""
-    if q.field != phi.field:
-        raise InputError("quotient belongs to a different field")
+    _require_same(q.field, phi.field, "quotient belongs to a different field")
     return _restrict(observable_function(spectral_family_of(phi)), q)
 
 

@@ -16,7 +16,7 @@ from .errors import InputError, UnsupportedStructureError
 from .family import (ComplexObservableFunction, ObservableFunction,
                      SpectralFamily, first_hits, level_sets, observable_function,
                      point_values)
-from .lattice import MAX_ELEMENTS, Lattice, Record, _eq_by, bits, label_masks
+from .lattice import MAX_ELEMENTS, Lattice, Record, _eq_by, _require_same, bits, label_masks
 from .stone import SCAN_CAP, StoneSpace, stone_space, unions
 
 
@@ -227,8 +227,7 @@ def spectral_family_of_continuous(space: TopSpace, values):
 
 def _family_payloads(space: TopSpace, family: SpectralFamily) -> list:
     lat = space.lattice()
-    if family.lattice is not lat and family.lattice != lat:
-        raise InputError("family does not live in this space's open-set lattice")
+    _require_same(family.lattice, lat, "family does not live in this space's open-set lattice")
     return [lat.payload[v] for v in family.values]
 
 
@@ -243,8 +242,8 @@ def is_strongly_regular(space: TopSpace, family: SpectralFamily):
     i = _first_unclosed(space, _family_payloads(space, family))
     if i < 0:
         return True, None
-    ts = family.thresholds
-    return False, (ts[i], (ts[i] + ts[i + 1]) / 2 if i + 1 < len(ts) else ts[i] + 1)
+    ts = family.thresholds  # i is not the last: that value, the whole space, is closed
+    return False, (ts[i], (ts[i] + ts[i + 1]) / 2)
 
 
 def _first_unclosed(space: TopSpace, masks) -> int:
@@ -255,9 +254,9 @@ def _first_unclosed(space: TopSpace, masks) -> int:
 
 def classify_family(space: TopSpace, family: SpectralFamily) -> str:
     """"strongly-regular", "regular" (all values regular open) or "neither"."""
-    if is_strongly_regular(space, family)[0]:
-        return "strongly-regular"
     masks = _family_payloads(space, family)
+    if _first_unclosed(space, masks) < 0:
+        return "strongly-regular"
     if all(space.is_regular_open(m) for m in masks):
         return "regular"
     return "neither"
@@ -325,8 +324,7 @@ def cpt_membership(p: PtStructure, g: ObservableFunction) -> bool:
     if not p.space.is_discrete:
         raise UnsupportedStructureError(
             "fibre membership needs a Hausdorff (finite: discrete) space")
-    if g.space.points != p.stone.points:
-        raise InputError("function lives on a different spectrum")
+    _require_same(g.space.points, p.stone.points, "function lives on a different spectrum")
     return _first_nonconstant(p.q_x, g.values) < 0
 
 
@@ -348,8 +346,7 @@ def r_function(space: TopSpace, g: ObservableFunction) -> dict:
     over the quasipoints containing U, for every nonzero regular open U."""
     lat = space.r_lattice()
     st = stone_space(lat)
-    if g.space.points != st.points:
-        raise InputError("function lives on a different spectrum")
+    _require_same(g.space.points, st.points, "function lives on a different spectrum")
     return {e: max(g.values[k] for k in bits(st.base[e]))
             for e in range(lat.n) if e != lat.bottom}
 
@@ -373,8 +370,7 @@ def star_condition_check(space: TopSpace, g: ObservableFunction):
     second is g there, at the atom: g must be constant on ``base[V_x]``."""
     lat = space.r_lattice()
     st = stone_space(lat)
-    if g.space.points != st.points:
-        raise InputError("function lives on a different spectrum")
+    _require_same(g.space.points, st.points, "function lives on a different spectrum")
     blocks = [st.base[lat.set_ids[space.interior(space.closure(u))]] for u in space._nbhd]
     p = _first_nonconstant(blocks, g.values)
     if p < 0:

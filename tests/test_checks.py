@@ -72,7 +72,8 @@ class TestRaisingSuite:
 
 def oracle_regular_not_strongly_regular(n_max):
     """The first regular family that is not strongly regular, in sweep order,
-    found by a second pass over the sweep's spaces and grid functions."""
+    found by the function-side scan the sweep once ran: the level-set family
+    of every grid function on every space."""
     for n in range(1, n_max + 1):
         grid_fns = [(ranks, tuple(GRID3[k] for k in ranks))
                     for ranks in product(range(len(GRID3)), repeat=n)]
@@ -84,7 +85,7 @@ def oracle_regular_not_strongly_regular(n_max):
     return None
 
 
-@pytest.mark.parametrize("max_size", [2, 3])
+@pytest.mark.parametrize("max_size", [1, 2, 3, 4])
 def test_sweep_reports_the_first_witness(max_size):
     found = oracle_regular_not_strongly_regular(max_size)
     notes = run_suite("continuous-correspondence", max_size).notes

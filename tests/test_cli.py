@@ -443,15 +443,16 @@ class TestInputRobustness:
         assert done.stdout.startswith("sp = {20000}; resolvent = (-inf, 20000) u (20000, ")
 
     def test_a_long_function_block_reads_labels_through_one_index(self, tmp_path):
-        # every point, then 56,000 entries on the last hundred: a scan of
-        # the 4,096 labels per entry takes several seconds
-        keys = list(range(1, 4097)) + [4096 - k % 100 for k in range(56000)]
-        entries = " ; ".join(f"{p}: {p % 7}" for p in keys)
+        # 28 blocks of every point, 114,688 entries (a point may appear once
+        # per block): a scan of the 4,096 labels per entry takes seconds
+        entries = " ; ".join(f"{p}: {p % 7}" for p in range(1, 4097))
         path = tmp_path / "function.lat"
-        path.write_text(self.TOPOLOGY + f"function g on T {{ {entries} ; }}\n")
+        path.write_text(self.TOPOLOGY + "".join(
+            f"function g{k} on T {{ {entries} ; }}\n" for k in range(28)))
         done = run_bounded("validate", str(path), cpu_s=2)
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout == "topology T: ok\nfunction g: ok\n"
+        assert done.stdout == "topology T: ok\n" + "".join(
+            f"function g{k}: ok\n" for k in range(28))
 
     def test_validate_still_reports_an_invalid_lattice(self, tmp_path):
         path = tmp_path / "bad.lat"

@@ -180,6 +180,24 @@ class TestDiagnostics:
                        "malformed-clause")
         assert d.message == "grid is not complete; missing entry at 0,1"
 
+    @pytest.mark.parametrize("host", ["field S on {1, 2} { atoms: {1}, {2} ; }",
+                                      "topology S on {1, 2} { opens: {}, {1}, {1, 2} ; }"])
+    def test_a_repeated_point_is_a_malformed_clause(self, host):
+        d = first_diag(host + "\nfunction f on S { 1: 0 ; 1: 5 ; 2: 1 ; }", "malformed-clause")
+        assert str(d) == "2:26: error: duplicate value for point '1' [malformed-clause]"
+
+    @pytest.mark.parametrize("again", ["0,0", "0, 0", "0.0,0/3", "0/2 ,0"])
+    def test_a_repeated_grid_cell_is_a_malformed_clause(self, again):
+        # cells are compared by their exact values, however the key is written
+        d = first_diag(MO2_TEXT + f"family2 G in MO2 {{ 0,0: a ; {again}: 1 ; }}",
+                       "malformed-clause")
+        assert (d.line, d.column, d.message) == (7, 29, "duplicate entry at 0,0")
+
+    def test_cells_with_distinct_values_are_not_repeats(self):
+        file = parse_ok(MO2_TEXT + "family2 G in MO2 { 0,0: a ; 0,1/2: a ; "
+                                   "1/2,0: a ; 0.5,0.50: 1 ; }")
+        assert file.find("G").obj.xs == (0, Fraction(1, 2))
+
     def test_a_field_past_six_atoms_is_over_the_open_set_cap(self):
         points = ", ".join(f"p{i}" for i in range(7))
         atoms = ", ".join(f"{{p{i}}}" for i in range(7))
@@ -687,3 +705,103 @@ class TestPatternScanner:
         got, want = dsl._Scanner(text), dsl._Scanner(text)
         got.i = want.i = min(start, len(text))
         assert (got.body(), got.i) == (regex_body(want), want.i)
+
+
+# --- the scanner that reported each header fault in place, kept as the oracle ------
+
+
+def oracle_scan(sc, diag):
+    """Split the text into raw blocks; malformed headers go to ``diag``,
+    each branch recovering on its own."""
+    blocks = []
+    while sc.peek():
+        kind, at = sc.token()
+        if kind not in dsl.KINDS:
+            diag("unknown-block", f"unknown block kind {kind or sc.peek()!r}", at,
+                 "expected one of: " + ", ".join(dsl.KINDS))
+            sc.skip_to_close()
+            continue
+        name, name_at = sc.token()
+        if not name:
+            diag("malformed-header", f"{kind} block is missing a name", name_at)
+            sc.skip_to_close()
+            continue
+        link = host = None
+        host_set = None
+        if sc.peek() not in "{":
+            link, link_at = sc.token()
+            if link not in ("on", "in"):
+                diag("malformed-header", f"expected 'on', 'in' or '{{' after the name", link_at)
+                sc.skip_to_close()
+                continue
+            if sc.peek() == "{":
+                sc.expect("{")
+                raw, raw_at, ok = sc.body()
+                if not ok:
+                    diag("malformed-header", "unterminated point set", raw_at)
+                    continue
+                host_set = dsl._items(raw)
+            else:
+                host, _ = sc.token()
+                if not host:
+                    diag("malformed-header", f"missing host name after '{link}'", link_at)
+                    sc.skip_to_close()
+                    continue
+        if not sc.expect("{"):
+            diag("malformed-header", f"expected '{{' to open the {kind} body", sc.i)
+            sc.skip_to_close()
+            continue
+        raw, raw_at, ok = sc.body()
+        if not ok:
+            diag("malformed-header", f"unterminated {kind} block", at)
+            continue
+        clauses = [(t, raw_at + off) for t, off in dsl._split_top(raw, ";") if t.strip()]
+        blocks.append(dsl._RawBlock(kind, name, host, host_set, clauses, at))
+    return blocks
+
+
+def oracle_scan_outcome(text):
+    """``parse_outcome`` with the header faults reported by ``oracle_scan``."""
+    def scan(sc, reject):
+        return oracle_scan(sc, reject.__self__.diag)  # the builder's own diag
+    with mock.patch.object(dsl, "_scan", scan):
+        return parse_outcome(text)
+
+
+HEADER_FAULTS = [
+    # (text, its first diagnostic); each also runs with a valid block after it and
+    # before it, where the recovery shows
+    ("lattic L { elements: 0 ; }",
+     "1:1: error: unknown block kind 'lattic' [unknown-block] (hint: expected one of: "
+     + ", ".join(dsl.KINDS) + ")"),
+    ("{ elements: 0 ; }", "1:1: error: unknown block kind '{' [unknown-block] "
+     "(hint: expected one of: " + ", ".join(dsl.KINDS) + ")"),
+    ("lattice { elements: 0 ; }",
+     "1:9: error: lattice block is missing a name [malformed-header]"),
+    ("family E of L { 0: 1 ; }",
+     "1:10: error: expected 'on', 'in' or '{' after the name [malformed-header]"),
+    ("topology T on {p, q", "1:16: error: unterminated point set [malformed-header]"),
+    ("family E in ; { 0: 1 ; }",
+     "1:10: error: missing host name after 'in' [malformed-header]"),
+    ("family E in L 0: 1 ; }",
+     "1:15: error: expected '{' to open the family body [malformed-header]"),
+    ("lattice L { elements: 0 ;",
+     "1:1: error: unterminated lattice block [malformed-header]"),
+    ("lattice L", "1:10: error: expected '{' to open the lattice body [malformed-header]"),
+]
+
+
+class TestHeaderFaultsThroughReject:
+    @pytest.mark.parametrize("fault, first", HEADER_FAULTS)
+    def test_each_header_fault_as_the_in_place_scanner_reported_it(self, fault, first):
+        ok, diagnostics, _ = parse_outcome(fault)
+        assert not ok and diagnostics[0] == first
+        for text in (fault, fault + "\nlattice M { elements: 0 ; }",
+                     "lattice M { elements: 0 ; }\n" + fault):
+            assert parse_outcome(text) == oracle_scan_outcome(text)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(texts(), mutated_fixtures()))
+    def test_parse_matches_the_in_place_scanner(self, text):
+        assert parse_outcome(text) == oracle_scan_outcome(text)

@@ -3,14 +3,21 @@
 Each class compares a fixed tuple of its fields, cheap ones first, and only
 with an object of its own class.  Lattices and fields of sets compare by
 value: objects built on equal but distinct hosts are equal.  None of the
-classes is hashable.
+classes is hashable.  Every guard that two objects share a lattice, a
+spectrum or a field accepts an equal one built separately.
 """
+
+import io
 
 import pytest
 
 from stonespec import (ComplexObservableFunction, ComplexSpectralFamily, FieldOfSets,
-                       Lattice, MeasurableFunction, ObservableFunction, SetIdeal,
-                       SpectralFamily, TopSpace, boolean_lattice, stone_space)
+                       InputError, Lattice, MeasurableFunction, ObservableFunction,
+                       SetIdeal, SpectralFamily, TopSpace, boolean_lattice, cpt_membership,
+                       gamma_transform, induced_function, product_family, pt_structure,
+                       quotient, r_function, star_condition_check, stone_space)
+from stonespec.cli import cmd_lift
+from stonespec.dsl import BlockInfo
 
 
 def square():
@@ -131,3 +138,75 @@ def test_never_equal_to_another_type(cls):
 def test_unhashable(cls):
     with pytest.raises(TypeError):
         hash(CASES[cls][1]())
+
+
+# --- the guards that two objects share a lattice, a spectrum or a field ------------
+
+
+def two_points():
+    return TopSpace.discrete(("1", "2"))
+
+
+def on(space):
+    """A constant function on a Stone space."""
+    return ObservableFunction(space, [0] * space.n_points)
+
+
+def top_family(lat):
+    return SpectralFamily(lat, [(0, lat.top)])
+
+
+def discrete_field():
+    return FieldOfSets.discrete(("p", "q", "r"))
+
+
+def lift(f):
+    """``lift`` with its field and ideal on a discrete field and the family in ``f``."""
+    home = discrete_field()
+    return cmd_lift(None, None, io.StringIO(), BlockInfo("field", "F", None, home),
+                    BlockInfo("ideal", "I", "F", SetIdeal(home, 0b001)),
+                    BlockInfo("family", "E", "G", top_family(f.lattice())))
+
+
+def guard(name, message, use, equal, foreign):
+    """A guard's row: its ``message``, a call ``use`` that reads its argument
+    against a fresh home, and makers of an equal argument built separately
+    and of a foreign one."""
+    return pytest.param(message, use, equal, foreign, id=name)
+
+
+SPECTRUM = "function lives on a different spectrum"
+GUARDS = [
+    guard("family_payloads", "family does not live in this space's open-set lattice",
+          lambda lat: induced_function(two_points(), top_family(lat)),
+          lambda: two_points().lattice(), lambda: boolean_lattice(2)),
+    guard("cpt_membership", SPECTRUM,
+          lambda st: cpt_membership(pt_structure(two_points()), on(st)),
+          lambda: stone_space(two_points().lattice()), lambda: stone_space(boolean_lattice(3))),
+    guard("r_function", SPECTRUM, lambda st: r_function(two_points(), on(st)),
+          lambda: stone_space(two_points().r_lattice()), lambda: stone_space(boolean_lattice(3))),
+    guard("star_condition_check", SPECTRUM,
+          lambda st: star_condition_check(two_points(), on(st)),
+          lambda: stone_space(two_points().r_lattice()), lambda: stone_space(boolean_lattice(3))),
+    guard("same_space", "observable functions live on different spectra",
+          lambda st: on(stone_space(boolean_lattice(2))) + on(st),
+          lambda: stone_space(boolean_lattice(2)), lambda: stone_space(boolean_lattice(3))),
+    guard("product_family", "components live in different lattices",
+          lambda lat: product_family(top_family(boolean_lattice(2)), top_family(lat)),
+          lambda: boolean_lattice(2), lambda: boolean_lattice(3)),
+    guard("QuotientAlgebra", "ideal belongs to a different field",
+          lambda f: quotient(discrete_field(), SetIdeal(f, 0b001)), discrete_field, field),
+    guard("gamma_transform", "quotient belongs to a different field",
+          lambda f: gamma_transform(MeasurableFunction(discrete_field(), (1, 2, 3)),
+                                    quotient(f, SetIdeal(f, 0b001))),
+          discrete_field, field),
+    guard("cmd_lift", "the family must live in the named field", lift, discrete_field, field),
+]
+
+
+@pytest.mark.parametrize("message, use, equal, foreign", GUARDS)
+def test_each_guard_accepts_an_equal_host_and_names_a_foreign_one(message, use, equal, foreign):
+    use(equal())
+    with pytest.raises(InputError) as err:
+        use(foreign())
+    assert str(err.value) == message

@@ -18,7 +18,7 @@ from stonespec import (FieldOfSets, InputError, Lattice, MeasurableFunction, Set
                        SpectralFamily, enumerate_families)
 from stonespec.checks import GRID3
 from stonespec.lattice import bits
-from stonespec.measurable import _restrict
+from stonespec.measurable import _restrict, atom_grid_values
 from test_kernels import level_mask
 
 HALF = Fraction(1, 2)
@@ -235,7 +235,26 @@ class TestLevelSetFamily:
                     assert level_mask(phi, t) == lat.payload[e.eval(t)]
 
 
+def oracle_atom_grid_values(field, grid):
+    """Each assignment of grid values to the atoms, written onto the points
+    atom by atom."""
+    for assignment in product(grid, repeat=len(field.atoms)):
+        values = [None] * len(field.ground)
+        for a, v in zip(field.atoms, assignment):
+            for p in bits(a):
+                values[p] = v
+        yield values
+
+
 class TestBijection:
+    def test_atom_grid_values_match_the_atom_by_atom_scatter(self):
+        # every field on <= 5 points, including one whose atoms are not in
+        # the order of their lowest points
+        fields = [f for n in range(1, 6) for f in all_fields(tuple("12345"[:n]))]
+        fields.append(FieldOfSets(("a", "b", "c"), [0b110, 0b001]))
+        for f in fields:
+            assert list(atom_grid_values(f, GRID3)) == list(oracle_atom_grid_values(f, GRID3))
+
     def test_trivial_field(self):
         f = FieldOfSets.from_partition(("p", "q"), [["p", "q"]])
         cases, failures = bijection_report(f, (0, HALF, 1))

@@ -435,6 +435,20 @@ class TestClosedFormsAgainstOracles:
                 verdicts[ok] += 1
         assert verdicts[True] and verdicts[False]
 
+    def test_classification_matches_the_two_pass_composition(self):
+        # the unclosed index is never the last: that value, the whole space, is closed
+        verdicts = {"strongly-regular": 0, "regular": 0, "neither": 0}
+        for t in small_spaces():
+            lat = t.lattice()
+            for e in enumerate_families(lat, GRID3):
+                masks = [lat.payload[v] for v in e.values]
+                assert _first_unclosed(t, masks) < len(masks) - 1
+                want = ("strongly-regular" if is_strongly_regular(t, e)[0] else
+                        "regular" if all(t.is_regular_open(m) for m in masks) else "neither")
+                assert classify_family(t, e) == want
+                verdicts[want] += 1
+        assert all(verdicts.values()) and sum(verdicts.values()) == 8553, verdicts
+
     def test_point_values_normalised_to_fraction(self):
         class Sub(Fraction):
             pass
