@@ -28,6 +28,12 @@ from .measurable import FieldOfSets, MeasurableFunction, SetIdeal
 from .topology import TopSpace
 
 KINDS = ("lattice", "topology", "field", "family", "family2", "function", "ideal")
+_HOSTS = ("lattice", "topology", "field")
+# the diagnostic code of each kind's refusal by its constructor; a family2 is
+# refused with an InputError too when its host lacks a meet the grid reads
+_REFUSED = {"lattice": "bad-lattice", "topology": "bad-topology", "field": "bad-field",
+            "family": "invalid-family", "family2": "invalid-family",
+            "function": "bad-function", "ideal": "bad-ideal"}
 
 _RESERVED = "{},;:<#"
 _WS = re.compile(r"\s*")  # \s matches exactly the characters str.isspace accepts
@@ -171,9 +177,18 @@ def _split_top(text: str, sep: str):
     yield text[start:], start
 
 
+def _pieces(text: str, sep: str, at: int):
+    """Yield the parts of ``_split_top(text, sep)`` stripped, each with the
+    absolute offset of its first character when ``text`` starts at ``at``; a
+    blank part's offset is that of the separator or end that closes it."""
+    for part, off in _split_top(text, sep):
+        stripped = part.lstrip()
+        yield stripped.rstrip(), at + off + len(part) - len(stripped)
+
+
 def _items(text: str) -> tuple:
     """The stripped nonempty parts of a comma list at brace depth zero."""
-    return tuple(t.strip() for t, _ in _split_top(text, ",") if t.strip())
+    return tuple(t for t, _ in _pieces(text, ",", 0) if t)
 
 
 class _Rejected(Exception):
@@ -209,6 +224,7 @@ def _raw_block(sc: _Scanner, reject) -> _RawBlock:
     raw, raw_at, ok = sc.body()
     if not ok:
         reject("malformed-header", f"unterminated {kind} block", at)
+    # clauses keep their blanks, so a blank payload lands on the ';' that closes it
     clauses = [(t, raw_at + off) for t, off in _split_top(raw, ";") if t.strip()]
     return _RawBlock(kind, name, host, host_set, clauses, at)
 
@@ -227,18 +243,10 @@ def _scan(sc: _Scanner, reject):
 # --- construction --------------------------------------------------------------
 
 
-def _strip_at(piece):
-    text, at = piece
-    stripped = text.lstrip()
-    return stripped.rstrip(), at + (len(text) - len(stripped))
-
-
 def _parse_setlit(text: str):
-    text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         return None
-    inner = text[1:-1]
-    return _items(inner)
+    return _items(text[1:-1])
 
 
 class _Builder:
@@ -256,25 +264,17 @@ class _Builder:
         self.diag(code, msg, at, suggestion)
         raise _Rejected
 
-    def construct(self, rb: _RawBlock, code, make, error=InputError):
-        """``make()``, with an ``error`` it raises reported as ``code``."""
-        try:
-            return make()
-        except error as e:
-            self.reject(code, str(e), rb.at)
-
     def set_list(self, payload: str, at: int, unique: bool):
         """Yield the set literals of a comma-separated clause payload as they
         are parsed; with ``unique``, a literal written again is read once, and
         a part whose text was read before is not parsed again."""
         seen, texts = set(), set()
-        for part, off in _split_top(payload, ","):
-            text = part.strip()
+        for text, text_at in _pieces(payload, ",", at):
             if not text or text in texts:
                 continue
             lit = _parse_setlit(text)
             if lit is None:
-                self.reject("malformed-clause", f"expected a set literal, got {text!r}", at + off)
+                self.reject("malformed-clause", f"expected a set literal, got {text!r}", text_at)
             if lit in seen:
                 continue
             if unique:
@@ -296,38 +296,36 @@ class _Builder:
         out = {}
         ok = True
         for text, at in rb.clauses:
-            parts = list(_split_top(text, ":"))
-            if len(parts) != 2:
-                self.diag("malformed-clause", f"expected 'key: payload' in {text.strip()!r}", at)
+            parts = list(_pieces(text, ":", at))
+            if len(parts) != 2:  # the first part starts at the clause's first token
+                self.diag("malformed-clause", f"expected 'key: payload' in {text.strip()!r}",
+                          parts[0][1])
                 ok = False
                 continue
-            (key, key_at), (payload, payload_at) = parts
-            key = key.strip()
+            (key, key_at), payload = parts
             if key not in allowed:
-                self.diag("malformed-clause",
-                          f"unknown clause {key!r} in a {rb.kind} block", at + key_at,
-                          "expected one of: " + ", ".join(allowed))
+                self.diag("malformed-clause", f"unknown clause {key!r} in a {rb.kind} block",
+                          key_at, "expected one of: " + ", ".join(allowed))
                 ok = False
                 continue
             if key in out:
-                self.diag("malformed-clause", f"duplicate clause {key!r}", at + key_at)
+                self.diag("malformed-clause", f"duplicate clause {key!r}", key_at)
                 ok = False
                 continue
-            out[key] = (payload, at + payload_at)
+            out[key] = payload
         if not ok:
             raise _Rejected
         return out
 
     def entries(self, rb: _RawBlock, form: str):
-        """Yield each clause split at its colon as (key, key_at, payload,
-        payload_at); a clause without exactly one colon is rejected as not
-        of the ``form``."""
+        """Yield each clause split at its colon as the pieces (key, key_at)
+        and (payload, payload_at); a clause without exactly one colon is
+        rejected as not of the ``form``."""
         for text, at in rb.clauses:
-            parts = list(_split_top(text, ":"))
+            parts = list(_pieces(text, ":", at))
             if len(parts) != 2:
-                self.reject("malformed-clause", f"expected '{form}'", at)
-            (key, key_at), (payload, payload_at) = parts
-            yield key, at + key_at, payload, at + payload_at
+                self.reject("malformed-clause", f"expected '{form}'", parts[0][1])
+            yield parts
 
     def rational(self, text: str, at: int, shown=None):
         """The exact value of a rational token; ``shown`` names it in the
@@ -335,7 +333,7 @@ class _Builder:
         value = parse_rational(text)
         if value is None:
             self.reject("malformed-rational",
-                        f"malformed rational {shown or repr(text.strip())}", at)
+                        f"malformed rational {shown or repr(text)}", at)
         return value
 
     def resolve(self, rb: _RawBlock, kinds):
@@ -363,20 +361,19 @@ class _Builder:
         names = _items(payload)
         order = self.pairs(cm, "order", "<")
         ortho = dict(self.pairs(cm, "ortho", "<->")) if "ortho" in cm else None
-        return self.construct(rb, "bad-lattice", lambda: Lattice(names, order, ortho=ortho))
+        return Lattice(names, order, ortho=ortho)
 
     def pairs(self, cm, key: str, sep: str):
         """The 'a SEP b' pairs of a lattice clause, none when it is absent."""
         out = []
         payload, at = cm.get(key, ("", 0))
-        for part, off in _split_top(payload, ","):
-            part = part.strip()
+        for part, part_at in _pieces(payload, ",", at):
             if not part:
                 continue
             halves = part.split(sep)
             if len(halves) != 2 or sep == "<" and "->" in part:
                 self.reject("malformed-clause",
-                            f"expected 'a {sep} b' in {key} clause, got {part!r}", at + off)
+                            f"expected 'a {sep} b' in {key} clause, got {part!r}", part_at)
             out.append((halves[0].strip(), halves[1].strip()))
         return out
 
@@ -386,17 +383,15 @@ class _Builder:
             rb, ("opens", "generators"),
             "topology block needs exactly one of 'opens' or 'generators'")
         make = TopSpace.generated if key == "generators" else TopSpace.from_sets
-        return self.construct(rb, "bad-topology", lambda: make(points, sets))
+        return make(points, sets)
 
     def build_field(self, rb: _RawBlock):
         points = self.points(rb)
         _, blocks = self.set_clause(rb, ("atoms",), "field block needs an 'atoms' clause")
-        return self.construct(rb, "bad-field",
-                              lambda: FieldOfSets.from_partition(points, blocks))
+        return FieldOfSets.from_partition(points, blocks)
 
     def _resolve_value(self, info: BlockInfo, token_text: str, at):
         lat = info.lattice()
-        token_text = token_text.strip()
         if info.kind == "lattice":
             if token_text in lat.index:
                 return lat.index[token_text]
@@ -415,27 +410,25 @@ class _Builder:
         info = self.resolve(rb, ("lattice", "field", "topology"))
         jumps = []
         last_t = None
-        for t_text, t_at, v_text, v_at in self.entries(rb, "threshold: value"):
-            _, t_pos = _strip_at((t_text, t_at))
-            t = self.rational(t_text, t_pos)
+        for (t_text, t_at), (v_text, v_at) in self.entries(rb, "threshold: value"):
+            t = self.rational(t_text, t_at)
             if last_t is not None and t <= last_t:
                 self.reject("non-monotone-family",
-                            f"non-increasing thresholds: {t} after {last_t}", t_pos)
+                            f"non-increasing thresholds: {t} after {last_t}", t_at)
             last_t = t
             jumps.append((t, self._resolve_value(info, v_text, v_at)))
-        return self.construct(rb, "invalid-family",
-                              lambda: SpectralFamily(info.lattice(), jumps), InvalidFamilyError)
+        return SpectralFamily(info.lattice(), jumps)
 
     def build_family2(self, rb: _RawBlock):
         info = self.resolve(rb, ("lattice", "field", "topology"))
         entries = {}
-        for key, key_at, v_text, v_at in self.entries(rb, "x,y: value"):
-            key_parts = list(_split_top(key, ","))
+        for (key, key_at), (v_text, v_at) in self.entries(rb, "x,y: value"):
+            key_parts = list(_pieces(key, ",", key_at))
             if len(key_parts) != 2:
                 self.reject("malformed-clause", "grid keys are pairs 'x,y'", key_at)
-            x, y = (self.rational(k, key_at, f"in {key.strip()!r}") for k, _ in key_parts)
+            x, y = (self.rational(k, key_at, f"in {key!r}") for k, _ in key_parts)
             if (x, y) in entries:  # the same cell by exact value, however written
-                self.reject("malformed-clause", f"duplicate entry at {x},{y}", _strip_at((key, key_at))[1])
+                self.reject("malformed-clause", f"duplicate entry at {x},{y}", key_at)
             entries[(x, y)] = self._resolve_value(info, v_text, v_at)
         xs = sorted({x for x, _ in entries})
         ys = sorted({y for _, y in entries})
@@ -444,45 +437,37 @@ class _Builder:
             self.reject("malformed-clause",
                         f"grid is not complete; missing entry at {x},{y}", rb.at)
         matrix = [[entries[(x, y)] for y in ys] for x in xs]
-        # the meet law reads the host's meet table, which a non-lattice lacks
-        return self.construct(rb, "invalid-family",
-                              lambda: ComplexSpectralFamily(info.lattice(), xs, ys, matrix),
-                              (InvalidFamilyError, InputError))
+        return ComplexSpectralFamily(info.lattice(), xs, ys, matrix)
 
     def build_function(self, rb: _RawBlock):
         info = self.resolve(rb, ("field", "topology"))
         ground = info.obj.points
         values = {}
-        for p_text, p_at, v_text, v_at in self.entries(rb, "point: value"):
-            p, p_pos = _strip_at((p_text, p_at))
+        for (p, p_at), (v_text, v_at) in self.entries(rb, "point: value"):
             if p not in info.obj._index:
                 self.reject("unknown-element", f"unknown point {p!r}", p_at)
             if p in values:
-                self.reject("malformed-clause", f"duplicate value for point {p!r}", p_pos)
+                self.reject("malformed-clause", f"duplicate value for point {p!r}", p_at)
             values[p] = self.rational(v_text, v_at)
         missing = [p for p in ground if p not in values]
         if missing:
             self.reject("malformed-clause", f"missing value for point {missing[0]!r}", rb.at)
         make = MeasurableFunction if info.kind == "field" else PointFunction
-        return self.construct(rb, "bad-function",
-                              lambda: make(info.obj, tuple(values[p] for p in ground)))
+        return make(info.obj, tuple(values[p] for p in ground))
 
     def build_ideal(self, rb: _RawBlock):
         info = self.resolve(rb, ("field",))
         _, sets = self.set_clause(rb, ("generators",), "ideal block needs a 'generators' clause")
-        return self.construct(rb, "bad-ideal",
-                              lambda: SetIdeal.from_generators(info.obj, sets))
+        return SetIdeal.from_generators(info.obj, sets)
 
 
 def parse(text: str) -> ParseResult:
     """Parse an instance file; returns either a resolved file or diagnostics."""
     builder = _Builder(text)
     raw_blocks = _scan(builder.sc, builder.reject)
-    host_kinds = ("lattice", "topology", "field")
-    build_order = ([i for i, rb in enumerate(raw_blocks) if rb.kind in host_kinds]
-                   + [i for i, rb in enumerate(raw_blocks) if rb.kind not in host_kinds])
     infos = [None] * len(raw_blocks)
-    for i in build_order:
+    # hosts first; the sort is stable, so each group keeps the file's order
+    for i in sorted(range(len(raw_blocks)), key=lambda i: raw_blocks[i].kind not in _HOSTS):
         rb = raw_blocks[i]
         if rb.name in builder.by_name:
             builder.diag("duplicate-name",
@@ -491,6 +476,9 @@ def parse(text: str) -> ParseResult:
         try:
             obj = getattr(builder, f"build_{rb.kind}")(rb)
         except _Rejected:
+            continue
+        except (InputError, InvalidFamilyError) as e:  # the constructor refused the block
+            builder.diag(_REFUSED[rb.kind], str(e), rb.at)
             continue
         info = BlockInfo(rb.kind, rb.name, rb.host, obj)
         builder.by_name[rb.name] = info

@@ -14,11 +14,11 @@ from itertools import product
 
 from .errors import InputError
 from .family import (ObservableFunction, SpectralFamily, _as_fraction, _step_sum,
-                     level_sets, observable_function, point_values)
+                     observable_function, point_values)
 from .lattice import Lattice, _eq_by, _require_same, bits
 from .stone import StoneSpace, stone_space
-from .topology import (TopSpace, _family_of_levels, _family_payloads, _first_nonconstant,
-                       _min_nbhds, _points, all_topologies, induced_function)
+from .topology import (TopSpace, _family_payloads, _first_nonconstant, _min_nbhds, _points,
+                       all_topologies, induced_function, spectral_family_of_continuous)
 
 
 class FieldOfSets(TopSpace):
@@ -131,7 +131,7 @@ class MeasurableFunction:
 def spectral_family_of(phi: MeasurableFunction) -> SpectralFamily:
     """Level sets of phi as a family in the field's lattice: E at t is
     the preimage of (-inf, t]; every level set is a member, hence open."""
-    return _family_of_levels(phi.field, level_sets(phi.values), phi.values)
+    return spectral_family_of_continuous(phi.field, phi.values)
 
 
 def function_of(field: FieldOfSets, family: SpectralFamily) -> MeasurableFunction:

@@ -4,9 +4,13 @@ import io
 import json
 import os
 import resource
+import select
+import signal
 import subprocess
 import sys
 import tempfile
+import time
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -47,6 +51,48 @@ def run_bounded(*argv, cpu_s=1, memory=600 << 20, wall_s=20):
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, "-m", "stonespec", *argv], capture_output=True,
                           text=True, timeout=wall_s, env=env, preexec_fn=limit)
+
+
+def run_forked(argv, cpu_s, memory):
+    """``cli.main(argv)`` in a forked child with its CPU time capped at
+    ``cpu_s`` seconds and its address space at the size it inherits plus
+    ``memory`` bytes, under ``run_bounded``'s wall budget; returns the exit
+    code and what the child wrote to its one pipe for ``out`` and ``err``.
+
+    A child stopped by a limit, by a signal or by the wall budget fails the
+    test; an exception out of ``main`` is written as a traceback and ends
+    the child with status 70, as no subcommand does."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child runs the CLI only, and never returns into the tests
+        code = 70
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "w", encoding="utf-8") as pipe:
+                with open("/proc/self/status", encoding="ascii") as status:
+                    inherited = next(int(line.split()[1]) << 10 for line in status
+                                     if line.startswith("VmSize:"))
+                resource.setrlimit(resource.RLIMIT_CPU, (cpu_s, cpu_s))
+                resource.setrlimit(resource.RLIMIT_AS, (inherited + memory,) * 2)
+                try:
+                    code = main(list(argv), out=pipe, err=pipe)
+                except BaseException:
+                    traceback.print_exc(file=pipe)
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    chunks, deadline = [], time.monotonic() + 20
+    while (left := deadline - time.monotonic()) > 0 and select.select([read_fd], [], [], left)[0]:
+        if not (chunk := os.read(read_fd, 1 << 16)):
+            break
+        chunks.append(chunk)
+    else:  # the wall budget is spent
+        os.kill(pid, signal.SIGKILL)
+    os.close(read_fd)
+    status = os.waitpid(pid, 0)[1]
+    output = b"".join(chunks).decode("utf-8", "replace")
+    assert os.WIFEXITED(status), (argv, f"stopped by signal {os.WTERMSIG(status)}", output)
+    return os.WEXITSTATUS(status), output
 
 
 class TestExitCodes:
@@ -537,17 +583,17 @@ def bounded_work_cases(draw):
     return text, calls
 
 
-@settings(max_examples=4, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(bounded_work_cases())
 def test_every_file_subcommand_does_bounded_work(case):
-    # each call runs in a child process under run_bounded's CPU and memory
-    # limits; a call that needs more is killed and fails the exit-code test
+    # each call runs in a forked child under run_bounded's CPU and memory
+    # allowance; a call that needs more is stopped and fails the test
     text, calls = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "g.lat")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         for argv in calls:
-            done = run_bounded(*[path if a == "FILE" else a for a in argv])
-            assert done.returncode in (0, 1, 2), (argv, done.returncode, done.stderr)
-            assert "Traceback" not in done.stderr, (argv, done.stderr)
+            code, output = run_forked([path if a == "FILE" else a for a in argv], 1, 600 << 20)
+            assert code in (0, 1, 2), (argv, code, output)
+            assert "Traceback" not in output, (argv, output)

@@ -159,10 +159,10 @@ class TestDiagnostics:
 
     def test_order_and_ortho_pairs_name_their_form(self):
         d = first_diag("lattice L { elements: 0, 1 ; order: 0 <-> 1 ; }", "malformed-clause")
-        assert str(d) == "1:36: error: expected 'a < b' in order clause, got '0 <-> 1' " \
+        assert str(d) == "1:37: error: expected 'a < b' in order clause, got '0 <-> 1' " \
                          "[malformed-clause]"
         d = first_diag("lattice L { elements: 0, 1 ; order: 0 < 1 ; ortho: 0 < 1 ; }")
-        assert str(d) == "1:51: error: expected 'a <-> b' in ortho clause, got '0 < 1' " \
+        assert str(d) == "1:52: error: expected 'a <-> b' in ortho clause, got '0 < 1' " \
                          "[malformed-clause]"
 
     def test_family2_over_a_non_lattice_is_a_diagnostic(self):
@@ -237,7 +237,7 @@ class TestComments:
     def test_positions_after_a_comment_are_unchanged(self):
         d = first_diag("lattice L { # {x} ; : ,\n elements: 0, 1 ; order: 0 <-> 1 ; }",
                        "malformed-clause")
-        assert (d.line, d.column) == (2, 25)
+        assert (d.line, d.column) == (2, 26)
 
 
 class TestEmission:
@@ -436,6 +436,21 @@ def mutated_fixtures(draw):
     return _spliced(draw, draw(st.sampled_from(FIXTURE_TEXTS)), draw(st.integers(1, 4)))
 
 
+HEADER_TOKENS = st.one_of(st.sampled_from(["on", "in", "{"]), NAMES)
+
+
+@st.composite
+def header_spliced(draw):
+    """Plausible instance files with a block kind and up to three header
+    tokens spliced in at block starts and at the end, where header faults
+    such as a missing name or host show."""
+    parts = draw(st.lists(blocks(), max_size=4)) + [""]
+    for i in sorted(draw(st.sets(st.integers(0, len(parts) - 1), min_size=1)), reverse=True):
+        head = [draw(st.sampled_from(dsl.KINDS))] + draw(st.lists(HEADER_TOKENS, max_size=3))
+        parts.insert(i, " ".join(head))
+    return "\n".join(parts)
+
+
 FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 
@@ -486,6 +501,59 @@ def non_lattice_family2s(draw):
     cells = " ".join(f"{x},{y}: {draw(st.sampled_from(names))} ;" for x in xs for y in ys)
     return (f"lattice P {{ elements: {', '.join(names)} ; order: {order} ; }}\n"
             f"family2 G in P {{ {cells} }}\n")
+
+
+S_HOST = "topology S on {1, 2} { opens: {}, {1}, {1,2} ; }\n"
+L_HOST = "lattice L { elements: 0, a, 1 ; order: 0 < a, a < 1 ; }\n"
+
+CLAUSE_FAULTS = [
+    # (name, text, the offending token, its line:column, the diagnostic's code)
+    ("unknown-element", L_HOST + "family E in L { 0: zz ; }", "zz", "2:20",
+     "unknown-element"),
+    ("unknown-point", S_HOST + "function f on S { 1: 0 ; z: 5 ; }", "z", "2:26",
+     "unknown-element"),
+    ("unknown-clause", "lattice L { elements: 0 ; bogus: 1 ; }", "bogus", "1:27",
+     "malformed-clause"),
+    ("duplicate-clause", "lattice L { elements: 0 ; elements: 1 ; }", "elements", "1:27",
+     "malformed-clause"),
+    ("keyed-colon", "lattice L { elements 0 ; }", "elements", "1:13", "malformed-clause"),
+    ("entry-colon", L_HOST + "family E in L { 0 a ; }", "0", "2:17", "malformed-clause"),
+    ("pair", "lattice L { elements: 0, 1 ; order: 0 <-> 1 ; }", "0 <-> 1", "1:37",
+     "malformed-clause"),
+    ("set-literal", "topology S on {1} { opens: {}, 1 ; }", "1", "1:32", "malformed-clause"),
+    ("function-rational", S_HOST + "function f on S { 1: x ; 2: 1 ; }", "x", "2:22",
+     "malformed-rational"),
+    ("grid-key", L_HOST + "family2 G in L { 0 0: a ; }", "0 0", "2:18", "malformed-clause"),
+]
+
+
+def text_offset(text, d):
+    """The offset in ``text`` of the line and column of diagnostic ``d``."""
+    return [0, *(m.end() for m in re.finditer("\n", text))][d.line - 1] + d.column - 1
+
+
+class TestPositions:
+    """A clause diagnostic gives the line and column of its offending token."""
+
+    @pytest.mark.parametrize("text, token, where, code", [row[1:] for row in CLAUSE_FAULTS],
+                             ids=[row[0] for row in CLAUSE_FAULTS])
+    def test_each_clause_fault_points_at_its_token(self, text, token, where, code):
+        d = first_diag(text, code)
+        assert f"{d.line}:{d.column}" == where
+        assert text[text_offset(text, d):].startswith(token)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(texts(), mutated_fixtures(), header_spliced(),
+                     st.sampled_from(FIXTURE_TEXTS)))
+    def test_every_diagnostic_points_at_a_token(self, text):
+        # comments are blank; an unterminated point set is placed at its first
+        # character, which may be blank
+        blanked = dsl._Scanner(text).text
+        for d in dsl.parse(text).diagnostics:
+            i = text_offset(text, d)
+            assert (i == len(text) or not blanked[i].isspace()
+                    or d.message == "unterminated point set"), (str(d), text)
 
 
 class TestTotality:
@@ -802,6 +870,6 @@ class TestHeaderFaultsThroughReject:
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(st.one_of(texts(), mutated_fixtures()))
+    @given(st.one_of(texts(), mutated_fixtures(), header_spliced()))
     def test_parse_matches_the_in_place_scanner(self, text):
         assert parse_outcome(text) == oracle_scan_outcome(text)
