@@ -139,11 +139,10 @@ def suite_continuity(res: SuiteResult, max_size: int, seed: int) -> None:
         g = fam.observable_function(e).values
         # the values between the j-th and the k-th cut are the j-th to the
         # (k-1)-th distinct ones: a difference of two level masks
-        levels = fam.level_sets(g)
-        distinct = [g[x] for x, _ in levels]
+        distinct, masks = fam.level_sets(g)
         cuts = [distinct[0] - 1] + [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
         cuts.append(distinct[-1] + 1)
-        masks = [0] + [m for _, m in levels]
+        masks = [0] + masks
         # no cut is a value of f_E, so {f_E < c} = {f_E <= c} = Q_E(c)
         base = stone_space(e.lattice).base
         below = [base[e.eval(c)] for c in cuts]
@@ -237,11 +236,11 @@ def suite_correspondence(res: SuiteResult, max_size: int, seed: int) -> None:
             lat = t.lattice()
             for values, levels, fibres in grid_fns:
                 # the family's last value, if any, is the union of its values
-                dom = t.interior(levels[-1][1])
+                dom = t.interior(levels[1][-1])
                 res.check(dom == t.full,
                           "{!r}: the family of {} does not cover the space", t, values)
                 if t.opens.issuperset(fibres):  # see top.is_continuous
-                    e = top._family_of_levels(t, levels, values)
+                    e = top._family_of_levels(t, *levels)
                     sr, witness = top.is_strongly_regular(t, e)
                     res.check(sr, "{!r}: continuous {} gave a family "
                                   "that is not strongly regular at {}", t, values, witness)
@@ -291,14 +290,11 @@ def suite_correspondence(res: SuiteResult, max_size: int, seed: int) -> None:
 
 def _grid3_functions(n: int) -> list:
     """Every GRID3-valued function on n points as (values, level sets,
-    fibres), none of which depends on a topology.  The level sets are sorted
-    by ranks into GRID3, exact order keys because GRID3 is strictly
-    increasing; the fibres are the differences of consecutive level masks."""
+    fibres), none of which depends on a topology; the fibres are the
+    differences of consecutive level masks."""
     out = []
-    for ranks in product(range(len(GRID3)), repeat=n):
-        values = tuple([GRID3[k] for k in ranks])
-        levels = fam.level_sets(ranks)
-        masks = [m for _, m in levels]
+    for values in product(GRID3, repeat=n):
+        _, masks = levels = fam.level_sets(values)
         out.append((values, levels, [m ^ p for m, p in zip(masks, [0] + masks)]))
     return out
 

@@ -213,7 +213,8 @@ def _raw_block(sc: _Scanner, reject) -> _RawBlock:
         if sc.expect("{"):
             raw, raw_at, ok = sc.body()
             if not ok:
-                reject("malformed-header", "unterminated point set", raw_at)
+                reject("malformed-header", "unterminated point set",
+                       _WS.match(sc.text, raw_at).end())
             host_set = _items(raw)
         else:
             host, _ = sc.token()
@@ -426,7 +427,7 @@ class _Builder:
             key_parts = list(_pieces(key, ",", key_at))
             if len(key_parts) != 2:
                 self.reject("malformed-clause", "grid keys are pairs 'x,y'", key_at)
-            x, y = (self.rational(k, key_at, f"in {key!r}") for k, _ in key_parts)
+            x, y = (self.rational(k, k_at, f"in {key!r}") for k, k_at in key_parts)
             if (x, y) in entries:  # the same cell by exact value, however written
                 self.reject("malformed-clause", f"duplicate entry at {x},{y}", key_at)
             entries[(x, y)] = self._resolve_value(info, v_text, v_at)

@@ -242,27 +242,29 @@ def first_hits(thresholds, masks, n: int) -> tuple:
     return out
 
 
-def level_sets(keys) -> list:
-    """One ``(i, mask)`` per distinct key, in increasing key order: ``i`` is a
-    point with that key and ``mask`` the points whose key is at most it.
+def level_sets(keys) -> tuple:
+    """The sorted distinct keys and, for each, the mask of the points whose key
+    is at most it: ``first_hits(*level_sets(keys), len(keys))`` gives keys back.
 
     One sort and one pass; ties are grouped, so a level set is reported only
     once it is complete.  Keys that are all ``Fraction`` are sorted as the
     integers they become over their common denominator: the same order and
     ties, with integer comparisons instead of ``Fraction.__lt__``.
     """
+    exact = keys
     if keys and all(type(k) is Fraction for k in keys):
         ratios = [k.as_integer_ratio() for k in keys]
         d = lcm(*[q for _, q in ratios])
-        keys = [p * (d // q) for p, q in ratios]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    out = []
+        exact = [p * (d // q) for p, q in ratios]
+    order = sorted(range(len(keys)), key=exact.__getitem__)
+    thresholds, masks = [], []
     mask = 0
     for i, j in zip(order, order[1:] + [None]):
         mask |= 1 << i
-        if j is None or keys[j] != keys[i]:
-            out.append((i, mask))
-    return out
+        if j is None or exact[j] != exact[i]:
+            thresholds.append(keys[i])
+            masks.append(mask)
+    return thresholds, masks
 
 
 def observable_function(family: SpectralFamily) -> ObservableFunction:
@@ -312,11 +314,11 @@ def from_observable_function(g: ObservableFunction) -> SpectralFamily:
     atoms = g.space.atoms
     jumps = []
     e, joined = lattice.bottom, 0
-    for i, mask in level_sets(g.values):
+    for t, mask in zip(*level_sets(g.values)):
         for k in bits(mask ^ joined):
             e = join[e][atoms[k]]
         joined = mask
-        jumps.append((g.values[i], e))
+        jumps.append((t, e))
     return SpectralFamily(lattice, jumps)
 
 

@@ -159,19 +159,26 @@ class Lattice:
         With a ``complement`` map on masks the lattice carries it as ortho and
         is claimed Boolean (flags "distributive" and "orthomodular").
         """
-        masks = tuple(masks)
-        ids = {m: i for i, m in enumerate(masks)}
-        if len(ids) != len(masks):
-            raise InputError("duplicate sets")
         lat = cls.__new__(cls)
         lat._set_names(names)
-        up = []
-        for a in masks:
-            u = 0
-            for j, b in enumerate(masks):
-                if a & ~b == 0:
-                    u |= 1 << j
-            up.append(u)
+        masks = tuple(masks)
+        if len(masks) != lat.n:
+            raise InputError(f"{len(masks)} sets for {lat.n} element names")
+        try:
+            ids = {m: i for i, m in enumerate(masks)}
+            if len(ids) != len(masks):
+                raise InputError("duplicate sets")
+            up = []
+            for a in masks:
+                if a < 0:  # refused with the masks that are not ints
+                    raise TypeError
+                u = 0
+                for j, b in enumerate(masks):
+                    if a & ~b == 0:
+                        u |= 1 << j
+                up.append(u)
+        except TypeError:
+            raise InputError("sets must be non-negative int masks") from None
         if complement is None:
             lat._set_order(up, None, ())
         else:
@@ -495,12 +502,9 @@ def chain_lattice(n: int) -> Lattice:
     """Total order 0 < m1 < ... < 1 with n elements; no orthocomplement."""
     if n < 1:
         raise InputError("chain needs at least one element")
-    if n == 1:
-        names = ["0"]
-    elif n == 2:
-        names = ["0", "1"]
-    else:
-        names = ["0"] + [f"m{i}" for i in range(1, n - 1)] + ["1"]
+    if n > MAX_ELEMENTS:
+        raise InputError(f"{n} elements exceed the cap of {MAX_ELEMENTS}")
+    names = ["0", *(f"m{i}" for i in range(1, n - 1)), "1"][:n]
     order = [(names[i], names[i + 1]) for i in range(n - 1)]
     return Lattice(names, order, flags=("distributive",))
 

@@ -180,7 +180,7 @@ class TopSpace:
 def _first_nonconstant(blocks, keys) -> int:
     """The index of the first of the masks ``blocks`` that ``keys`` is not
     constant on, or -1: continuity, measurability, fields, fibres and the
-    infimum condition.  Only key equality is read, so values and ranks agree."""
+    infimum condition.  Only key equality is read."""
     for i, u in enumerate(blocks):
         k = keys[(u & -u).bit_length() - 1]
         for j in bits(u & (u - 1)):
@@ -202,17 +202,14 @@ def is_continuous(space: TopSpace, values) -> bool:
     return _first_nonconstant(space._nbhd, point_values(space.points, values)) < 0
 
 
-def _family_of_levels(space: TopSpace, levels, values) -> SpectralFamily:
-    """The step family t -> interior({f <= t}) from ``levels = level_sets(keys)``
-    with ``values[i]`` as the thresholds: exact whenever ``keys`` has the order
-    and ties of ``values``, e.g. ranks into an increasing grid.  The level
-    sets increase, so their interiors do, and the last is the whole space,
-    which is open: the family is bounded and monotone by construction."""
+def _family_of_levels(space: TopSpace, thresholds, masks) -> SpectralFamily:
+    """The step family t -> interior({f <= t}) from ``level_sets`` of f's
+    values: the level sets increase to the whole space, which is open, so
+    their interiors do too, and the family is bounded and monotone."""
     lat = space.lattice()
     ids = lat.set_ids
     interior = space.interior
-    return SpectralFamily._canonical(lat, [values[i] for i, _ in levels],
-                                     [ids[interior(mask)] for _, mask in levels])
+    return SpectralFamily._canonical(lat, thresholds, [ids[interior(m)] for m in masks])
 
 
 def spectral_family_of_continuous(space: TopSpace, values):
@@ -221,8 +218,7 @@ def spectral_family_of_continuous(space: TopSpace, values):
     For continuous inputs this is strongly regular and induces the function
     back; for arbitrary inputs it is still a bounded family at finite scale.
     """
-    values = point_values(space.points, values)
-    return _family_of_levels(space, level_sets(values), values)
+    return _family_of_levels(space, *level_sets(point_values(space.points, values)))
 
 
 def _family_payloads(space: TopSpace, family: SpectralFamily) -> list:

@@ -46,8 +46,8 @@ def test_correspondence_sweep_both_directions(checked):
     level_families = 0
     for n in (1, 2, 3, 4):
         for t in all_topologies(n):
-            for ranks in product(range(len(GRID3)), repeat=n):
-                _family_of_levels(t, level_sets(ranks), [GRID3[k] for k in ranks])
+            for values in product(GRID3, repeat=n):
+                _family_of_levels(t, *level_sets(values))
                 level_families += 1
     assert len(checked) == level_families == 29577
     # the suite's own families, at least one enumerated family per topology

@@ -75,11 +75,10 @@ def oracle_regular_not_strongly_regular(n_max):
     found by the function-side scan the sweep once ran: the level-set family
     of every grid function on every space."""
     for n in range(1, n_max + 1):
-        grid_fns = [(ranks, tuple(GRID3[k] for k in ranks))
-                    for ranks in product(range(len(GRID3)), repeat=n)]
+        grid_levels = [level_sets(values) for values in product(GRID3, repeat=n)]
         for t in top.all_topologies(n):
-            for ranks, values in grid_fns:
-                e = top._family_of_levels(t, level_sets(ranks), values)
+            for levels in grid_levels:
+                e = top._family_of_levels(t, *levels)
                 if top.classify_family(t, e) == "regular":
                     return t, e
     return None
@@ -175,7 +174,7 @@ class TestIntegerForms:
         got, want, from_base = [], [], []
         for i, ((_, e), (_, lv)) in enumerate(zip(draws, levels)):
             assert e == oracle_random_family(rng, lattices[i % 2])  # same draws, same order
-            masks = [0] + [m for _, m in lv]
+            masks = [0] + lv[1]
             got += [masks[j] ^ masks[k] for j, k in combinations(range(len(masks)), 2)]
             values = fam.observable_function(e).values
             want += oracle_interval_preimages(values)

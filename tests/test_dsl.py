@@ -524,6 +524,9 @@ CLAUSE_FAULTS = [
     ("function-rational", S_HOST + "function f on S { 1: x ; 2: 1 ; }", "x", "2:22",
      "malformed-rational"),
     ("grid-key", L_HOST + "family2 G in L { 0 0: a ; }", "0 0", "2:18", "malformed-clause"),
+    ("grid-coordinate", L_HOST + "family2 G in L { 0, zz: a ; }", "zz", "2:21",
+     "malformed-rational"),
+    ("point-set", "topology T on { p, q { opens: {} ; }", "p", "1:17", "malformed-header"),
 ]
 
 
@@ -547,13 +550,10 @@ class TestPositions:
     @given(st.one_of(texts(), mutated_fixtures(), header_spliced(),
                      st.sampled_from(FIXTURE_TEXTS)))
     def test_every_diagnostic_points_at_a_token(self, text):
-        # comments are blank; an unterminated point set is placed at its first
-        # character, which may be blank
-        blanked = dsl._Scanner(text).text
+        blanked = dsl._Scanner(text).text  # comments are blank
         for d in dsl.parse(text).diagnostics:
             i = text_offset(text, d)
-            assert (i == len(text) or not blanked[i].isspace()
-                    or d.message == "unterminated point set"), (str(d), text)
+            assert i == len(text) or not blanked[i].isspace(), (str(d), text)
 
 
 class TestTotality:
@@ -806,7 +806,9 @@ def oracle_scan(sc, diag):
                 sc.expect("{")
                 raw, raw_at, ok = sc.body()
                 if not ok:
-                    diag("malformed-header", "unterminated point set", raw_at)
+                    # at its first non-blank character, or at the end
+                    diag("malformed-header", "unterminated point set",
+                         raw_at + len(raw) - len(raw.lstrip()))
                     continue
                 host_set = dsl._items(raw)
             else:

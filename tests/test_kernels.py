@@ -129,11 +129,8 @@ class TestKernels:
             assert first_hits(ts, masks, n) == want
 
     def test_level_sets_group_ties_in_key_order(self):
-        keys = (2, 0, 2, 1, 0)
-        got = level_sets(keys)
-        assert [keys[i] for i, _ in got] == [0, 1, 2]
-        assert [mask for _, mask in got] == [0b10010, 0b11010, 0b11111]
-        assert level_sets(()) == []
+        assert level_sets((2, 0, 2, 1, 0)) == ([0, 1, 2], [0b10010, 0b11010, 0b11111])
+        assert level_sets(()) == ([], [])
 
     def test_level_sets_match_the_threshold_scan(self):
         rng = random.Random(1)
@@ -141,22 +138,21 @@ class TestKernels:
             keys = [rng.randint(-3, 3) for _ in range(rng.randint(1, 7))]
             want = [sum(1 << i for i, k in enumerate(keys) if k <= t)
                     for t in sorted(set(keys))]
-            got = level_sets(keys)
-            assert [mask for _, mask in got] == want
-            assert [keys[i] for i, _ in got] == sorted(set(keys))
+            assert level_sets(keys) == (sorted(set(keys)), want)
 
 
 def oracle_level_sets(keys):
     """``level_sets`` as it was before ``Fraction`` keys were scaled to
     integers: the keys themselves sorted and compared."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    out = []
+    thresholds, masks = [], []
     mask = 0
     for i, j in zip(order, order[1:] + [None]):
         mask |= 1 << i
         if j is None or keys[j] != keys[i]:
-            out.append((i, mask))
-    return out
+            thresholds.append(keys[i])
+            masks.append(mask)
+    return thresholds, masks
 
 
 # mixed denominators, negatives and, from the small range, many ties
@@ -174,9 +170,27 @@ class TestLevelSetKeys:
     def test_mixed_int_and_fraction_keys(self, keys):
         assert level_sets(keys) == oracle_level_sets(keys)
 
-    def test_reported_point_is_the_last_of_its_ties(self):
+    def test_equal_fractions_written_apart_share_one_level(self):
         keys = [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 4), Fraction(-2, 6)]
-        assert level_sets(keys) == [(3, 0b1010), (2, 0b1111)]
+        assert level_sets(keys) == ([Fraction(-1, 3), Fraction(1, 2)], [0b1010, 0b1111])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(fractions, max_size=9), st.lists(st.integers(-3, 3), max_size=9)))
+    def test_first_hits_inverts_level_sets(self, keys):
+        assert first_hits(*level_sets(keys), len(keys)) == keys
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_level_sets_invert_first_hits(self, data):
+        # strictly increasing thresholds, strictly growing masks ending at all points
+        n = data.draw(st.integers(0, 8))
+        k = data.draw(st.integers(min(n, 1), n))
+        ts = sorted(data.draw(st.sets(fractions, min_size=k, max_size=k)))
+        # the first c points of a random order, for k increasing cuts ending at n
+        cuts = sorted(data.draw(st.permutations(range(1, n)))[:k - 1]) + [n] if k else []
+        order = data.draw(st.permutations(range(n)))
+        masks = [sum(1 << p for p in order[:c]) for c in cuts]
+        assert level_sets(first_hits(ts, masks, n)) == (ts, masks)
 
 
 # --- the five first-hit callers ----------------------------------------------------
@@ -300,5 +314,5 @@ class TestLevelSetCallers:
                 assert from_observable_function(g).jumps() == \
                     tuple(oracle_from_observable_function(g, lat))
 
-    # _level_family is checked against its threshold scan in
+    # _family_of_levels is checked against its threshold scan in
     # tests/test_topology.py::TestClosedFormsAgainstOracles

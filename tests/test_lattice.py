@@ -6,6 +6,7 @@ the declared relation) and frozen as literals where small enough.
 
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from stonespec import (InputError, Lattice, NoOrthocomplementError,
                        boolean_lattice, chain_lattice,
                        mo_lattice, product_lattice)
 from stonespec.checks import SuiteResult
-from stonespec.lattice import Violation, bits
+from stonespec.lattice import MAX_ELEMENTS, Violation, bits
 
 
 def oracle_meet(lat, ids):
@@ -251,6 +252,14 @@ class TestFixtures:
         with pytest.raises(InputError):
             boolean_lattice(7)
 
+    def test_chain_stops_at_the_cap_at_once(self):
+        # the cap is checked before any of the n names is built
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=rf"^1000000 elements exceed the cap of {MAX_ELEMENTS}$"):
+            chain_lattice(10**6)
+        assert time.perf_counter() - start < 0.01
+        assert chain_lattice(MAX_ELEMENTS).n == MAX_ELEMENTS
+
     def test_atoms(self):
         assert [boolean_lattice(3).names[a] for a in boolean_lattice(3).atoms()] == \
             ["x", "y", "z"]
@@ -338,6 +347,17 @@ class TestFromSets:
             Lattice.from_sets([0b0, 0b1, 0b1], ["e", "a", "b"])
         with pytest.raises(InputError, match="duplicate element names"):
             Lattice.from_sets([0b0, 0b1], ["e", "e"])
+
+    @pytest.mark.parametrize("masks", [[0, "1"], [0, 1.0], [0, None], [0, [1]], [0, -1], [-2]])
+    def test_rejects_a_mask_that_is_not_a_non_negative_int(self, masks):
+        names = [f"e{i}" for i in range(len(masks))]
+        with pytest.raises(InputError, match="^sets must be non-negative int masks$"):
+            Lattice.from_sets(masks, names)
+
+    @pytest.mark.parametrize("masks, names", [([0, 1], ["e"]), ([0], ["e", "a"])])
+    def test_rejects_names_unlike_the_sets_in_number(self, masks, names):
+        with pytest.raises(InputError, match=f"^{len(masks)} sets for {len(names)} element names$"):
+            Lattice.from_sets(masks, names)
 
     def test_other_lattices_carry_no_set_ids(self):
         assert chain_lattice(3).set_ids is None and mo_lattice(2).set_ids is None

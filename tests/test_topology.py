@@ -359,20 +359,12 @@ class TestClosedFormsAgainstOracles:
                     pairs += 1
         assert pairs == 29577 + 12 * 389
 
-    def test_grid3_strictly_increasing(self):
-        # the sweeps pass ranks into GRID3 as order keys; that is exact only
-        # if ranks and values have the same order and the same ties
-        assert all(type(v) is Fraction for v in GRID3)
-        assert all(a < b for a, b in zip(GRID3, GRID3[1:]))
-
     def test_rank_kernels_match_public_api(self):
         cases = 0
         for n in (1, 2, 3, 4):
             for t in all_topologies(n):
-                for ranks in product(range(len(GRID3)), repeat=n):
-                    values = tuple(GRID3[k] for k in ranks)
-                    assert (_first_nonconstant(t._nbhd, ranks) < 0) == is_continuous(t, values)
-                    got = _family_of_levels(t, level_sets(ranks), values)
+                for values in product(GRID3, repeat=n):
+                    got = _family_of_levels(t, *level_sets(values))
                     want = spectral_family_of_continuous(t, values)
                     assert type(got) is type(want)
                     assert got.thresholds == want.thresholds
@@ -393,9 +385,8 @@ class TestClosedFormsAgainstOracles:
             grid_fns = _grid3_functions(n)
             for t in all_topologies(n):
                 for values, _, fibres in grid_fns:
-                    ranks = [GRID3.index(v) for v in values]
                     got = t.opens.issuperset(fibres)
-                    assert got == (_first_nonconstant(t._nbhd, ranks) < 0)
+                    assert got == (_first_nonconstant(t._nbhd, values) < 0)
                     verdicts[got] += 1
         assert sum(verdicts.values()) == 29577 and verdicts[True] == 2379
 
@@ -406,10 +397,10 @@ class TestClosedFormsAgainstOracles:
                 lat = t.lattice()
                 for values, levels, _ in grid_fns:
                     want = oracle_spectral_family(t, values)
-                    got = _family_of_levels(t, levels, values)
+                    got = _family_of_levels(t, *levels)
                     assert (got.thresholds, got.values) == (want.thresholds, want.values)
                     # the sweep's covering check reads the last level set's interior
-                    assert t.interior(levels[-1][1]) == oracle_domain(lat, want)
+                    assert t.interior(levels[1][-1]) == oracle_domain(lat, want)
 
     def test_last_value_is_the_domain_of_every_enumerated_family(self):
         for t in small_spaces():
