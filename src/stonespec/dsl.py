@@ -557,12 +557,6 @@ def _text_block(d: dict) -> str:
     return "\n".join([head + " {"] + [f"  {k}: {v} ;" for k, v in clauses] + ["}"])
 
 
-def _value_text(host_info: BlockInfo | None, lat: Lattice, v: int) -> str:
-    if host_info is not None and host_info.kind in ("field", "topology"):
-        return host_info.obj.set_name(lat.payload[v])
-    return lat.names[v]
-
-
 def emit_json(b: BlockInfo, file: InstanceFile) -> dict:
     """A JSON-ready dict for one block; rationals appear as exact strings."""
     d = _json_block(b, file)
@@ -593,22 +587,21 @@ def _json_block(b: BlockInfo, file: InstanceFile) -> dict:
         return {"kind": "field", "name": b.name,
                 "points": [str(p) for p in f.ground],
                 "atoms": [f.set_name(a) for a in f.atoms]}
-    host_info = file.find(b.host) if b.host else None
     if b.kind == "family":
         fam = b.obj
         return {"kind": "family", "name": b.name, "in": b.host,
-                "jumps": [[str(t), _value_text(host_info, fam.lattice, v)]
+                "jumps": [[str(t), fam.lattice.names[v]]
                           for t, v in zip(fam.thresholds, fam.values)]}
     if b.kind == "family2":
         fam = b.obj
         return {"kind": "family2", "name": b.name, "in": b.host,
                 "grid_x": [str(x) for x in fam.xs],
                 "grid_y": [str(y) for y in fam.ys],
-                "matrix": [[_value_text(host_info, fam.lattice, v) for v in row]
-                           for row in fam.matrix]}
+                "matrix": [[fam.lattice.names[v] for v in row] for row in fam.matrix]}
     if b.kind == "function":
+        points = file.find(b.host).obj.points
         return {"kind": "function", "name": b.name, "on": b.host,
-                "values": {str(p): str(v) for p, v in zip(host_info.obj.points, b.obj.values)}}
+                "values": {str(p): str(v) for p, v in zip(points, b.obj.values)}}
     if b.kind == "ideal":
         ideal = b.obj
         return {"kind": "ideal", "name": b.name, "in": b.host,

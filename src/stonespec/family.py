@@ -72,10 +72,16 @@ class SpectralFamily:
     __slots__ = ("lattice", "thresholds", "values")
 
     def __init__(self, lattice: Lattice, jumps):
+        if not isinstance(lattice, Lattice):
+            raise InputError(f"a family needs a Lattice host, got {type(lattice).__name__}")
         n = lattice.n
         ts = []
         vs = []
-        for t, v in jumps:
+        for jump in jumps:
+            try:
+                t, v = jump
+            except (TypeError, ValueError):
+                raise InputError(f"jump {jump!r} is not a (threshold, value) pair") from None
             ts.append(t if type(t) is Fraction else _as_fraction(t))
             vs.append(v if type(v) is int and 0 <= v < n else lattice.eid(v))
         if not ts:
@@ -284,42 +290,33 @@ def observable_function(family: SpectralFamily) -> ObservableFunction:
 def _require_boolean(lattice: Lattice) -> None:
     """Reject a lattice that is not a Boolean algebra under its ortho map: a
     distributive lattice whose ortho map complements every element."""
-    reason = getattr(lattice, "_not_boolean", None)
-    if reason is None:
-        o = lattice.ortho
-        if o is None:
-            reason = "no ortho present"
-        elif not lattice.is_distributive()[0]:
-            reason = "not distributive"
-        else:
-            meet, join = lattice._tables()
-            complemented = all(meet[a][o[a]] == lattice.bottom and join[a][o[a]] == lattice.top
-                               for a in range(lattice.n))
-            reason = "" if complemented else "the ortho map does not complement"
-        lattice._not_boolean = reason
-    if reason:
-        raise UnsupportedStructureError(
-            f"the inverse transform needs a finite Boolean algebra ({reason})")
+    o = lattice.ortho
+    if o is None:
+        reason = "no ortho present"
+    elif not lattice.is_distributive()[0]:
+        reason = "not distributive"
+    else:
+        meet, join = lattice._tables()
+        if all(meet[a][o[a]] == lattice.bottom and join[a][o[a]] == lattice.top
+               for a in range(lattice.n)):
+            return
+        reason = "the ortho map does not complement"
+    raise UnsupportedStructureError(
+        f"the inverse transform needs a finite Boolean algebra ({reason})")
 
 
 def from_observable_function(g: ObservableFunction) -> SpectralFamily:
     """The unique family with the given observable function, on a Boolean lattice.
 
-    E at t is the join of the atoms whose quasipoint takes a value <= t.
+    E at t is the element whose quasipoints are those with a value <= t: on
+    a Boolean lattice ``base`` is a bijection from the elements onto the
+    sets of quasipoints, so each level set is read back through its inverse.
     Restricted to Boolean lattices; elsewhere no inverse is attempted.
     """
     lattice = g.space.lattice
     _require_boolean(lattice)
-    _, join = lattice._tables()
-    atoms = g.space.atoms
-    jumps = []
-    e, joined = lattice.bottom, 0
-    for t, mask in zip(*level_sets(g.values)):
-        for k in bits(mask ^ joined):
-            e = join[e][atoms[k]]
-        joined = mask
-        jumps.append((t, e))
-    return SpectralFamily(lattice, jumps)
+    element = {m: e for e, m in enumerate(g.space.base)}
+    return SpectralFamily(lattice, [(t, element[m]) for t, m in zip(*level_sets(g.values))])
 
 
 # --- the transferred C*-style algebra ---------------------------------------
@@ -422,7 +419,10 @@ class ComplexSpectralFamily:
         if any(not a < b for a, b in zip(xs, xs[1:])) or \
            any(not a < b for a, b in zip(ys, ys[1:])):
             raise InvalidFamilyError("grid lines must be strictly increasing")
-        matrix = [[lattice.eid(v) for v in row] for row in matrix]
+        try:
+            matrix = [[lattice.eid(v) for v in row] for row in matrix]
+        except TypeError:
+            raise InputError("value matrix must be rows of values") from None
         if len(matrix) != len(xs) or any(len(row) != len(ys) for row in matrix):
             raise InvalidFamilyError("value matrix does not match the grids")
         r, c = len(xs) - 1, len(ys) - 1
@@ -508,17 +508,16 @@ def riemann_stieltjes(family: SpectralFamily, grid) -> ObservableFunction:
     being summed.  The result is within the largest grid gap of f_E, and
     equals f_E exactly whenever the grid contains every threshold.
     """
-    space = stone_space(family.lattice)
-    return ObservableFunction(space, _step_sum(family, grid, space.base, space.n_points))
+    g = observable_function(family)
+    return ObservableFunction(g.space, _step_sum(family, grid, g.values))
 
 
-def _step_sum(family: SpectralFamily, grid, masks, n: int) -> list:
+def _step_sum(family: SpectralFamily, grid, hits) -> list:
     """The step sum of a family along an exact, strictly increasing grid that
-    covers its thresholds, on n points: each point's least grid tag whose
-    value contains it, where ``masks[e]`` is the points element e contains.
-    The values grow, so that is the least grid point at or above the
-    threshold that first reaches the point, which the top, the last value,
-    reaches for every point.
+    covers its thresholds, given its transform ``hits``, each point's least
+    threshold whose value contains it: each point's least grid tag whose
+    value contains it.  The values grow, so that is the least grid point at
+    or above the point's hit.
     """
     grid = [_as_fraction(t) for t in grid]
     if any(not a < b for a, b in zip(grid, grid[1:])):
@@ -526,7 +525,6 @@ def _step_sum(family: SpectralFamily, grid, masks, n: int) -> list:
     lo, hi = family.bounds()
     if not grid or grid[0] > lo or grid[-1] < hi:
         raise InputError("grid does not cover the family's support")
-    hits = first_hits(family.thresholds, [masks[v] for v in family.values], n)
     return [grid[bisect_left(grid, t)] for t in hits]
 
 

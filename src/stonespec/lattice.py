@@ -131,7 +131,11 @@ class Lattice:
         self._set_names(names)
         n = self.n
         up = [1 << i for i in range(n)]
-        for a, b in order:
+        for pair in order:
+            try:
+                a, b = pair
+            except (TypeError, ValueError):
+                raise InputError(f"order item {pair!r} is not a pair") from None
             up[self.eid(a)] |= 1 << self.eid(b)
         # Warshall: after step k, up[i] has every element reached from i
         # through intermediates among 0..k
@@ -193,6 +197,9 @@ class Lattice:
             raise InputError("a lattice needs at least one element")
         if len(names) > MAX_ELEMENTS:
             raise InputError(f"{len(names)} elements exceed the cap of {MAX_ELEMENTS}")
+        for s in names:
+            if not isinstance(s, str):
+                raise InputError(f"element name {s!r} is not a str")
         if len(set(names)) != len(names):
             raise InputError("duplicate element names")
         self.names = names

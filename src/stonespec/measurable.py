@@ -14,11 +14,11 @@ from itertools import product
 
 from .errors import InputError
 from .family import (ObservableFunction, SpectralFamily, _as_fraction, _step_sum,
-                     observable_function, point_values)
+                     enumerate_families, observable_function, point_values)
 from .lattice import Lattice, _eq_by, _require_same, bits
 from .stone import StoneSpace, stone_space
-from .topology import (TopSpace, _family_payloads, _first_nonconstant, _min_nbhds, _points,
-                       all_topologies, induced_function, spectral_family_of_continuous)
+from .topology import (TopSpace, _first_nonconstant, _min_nbhds, _points, all_topologies,
+                       induced_function, spectral_family_of_continuous)
 
 
 class FieldOfSets(TopSpace):
@@ -154,8 +154,6 @@ def bijection_report(field: FieldOfSets, grid):
     Returns (cases, failures); an empty failure list realizes the bijection
     between measurable functions and bounded spectral families.
     """
-    from .family import enumerate_families
-
     grid = sorted(_as_fraction(g) for g in set(grid))
     failures = []
     cases = 0
@@ -310,8 +308,6 @@ def lift_spectral_family(q: QuotientAlgebra, family: SpectralFamily) -> Measurab
 
 def riemann_stieltjes_on_points(field: FieldOfSets, family: SpectralFamily,
                                 grid) -> MeasurableFunction:
-    """Pointwise step sum along a grid; within the largest gap of the induced
-    function, exact when the grid contains all thresholds."""
-    _family_payloads(field, family)  # rejects a family from another lattice
-    return MeasurableFunction(
-        field, _step_sum(family, grid, field.lattice().payload, len(field.ground)))
+    """Pointwise step sum along a grid: the induced function rounded up to the
+    grid, so within its largest gap, and exact when the grid holds every threshold."""
+    return MeasurableFunction(field, _step_sum(family, grid, induced_function(field, family)))

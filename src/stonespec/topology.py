@@ -25,8 +25,12 @@ MAX_POINTS = 4096
 
 def _points(points) -> tuple:
     """The labels as a tuple: distinct, nonempty and at most ``MAX_POINTS``."""
-    points = tuple(points)
-    if len(set(points)) != len(points):
+    try:
+        points = tuple(points)
+        distinct = len(set(points))
+    except TypeError:
+        raise InputError("point labels must be an iterable of hashable values") from None
+    if distinct != len(points):
         raise InputError("duplicate point labels")
     if not points:
         raise InputError("a space needs at least one point")

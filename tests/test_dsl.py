@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from stonespec import InputError, dsl
 from stonespec.family import ComplexSpectralFamily, SpectralFamily
 from stonespec.lattice import Lattice
-from stonespec.measurable import FieldOfSets, MeasurableFunction, SetIdeal
-from stonespec.topology import TopSpace
+from stonespec.measurable import FieldOfSets, MeasurableFunction, SetIdeal, all_fields
+from stonespec.topology import TopSpace, all_topologies
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -312,6 +312,15 @@ family E in F { 0: {p} ; 1: {p,q} ; }
 """)
         j = dsl.emit_json(file.find("E"), file)
         assert j["jumps"] == [["0", "{p}"], ["1", "{p,q}"]]
+
+    def test_space_lattices_name_each_element_by_its_set(self):
+        # why emit_json writes a value of a family in a topology or a field
+        # as its element name: that name is the set it stands for
+        for n in range(1, 5):
+            points = tuple(str(i) for i in range(1, n + 1))
+            for space in [*all_topologies(n), *all_fields(points)]:
+                for lat in (space.lattice(), space.r_lattice()):
+                    assert lat.names == tuple(map(space.set_name, lat.payload))
 
     def test_dot_contains_cover_edges(self):
         file = parse_ok(MO2_TEXT)

@@ -15,7 +15,8 @@ from stonespec import (ComplexObservableFunction, ComplexSpectralFamily, FieldOf
                        InputError, Lattice, MeasurableFunction, ObservableFunction,
                        SetIdeal, SpectralFamily, TopSpace, boolean_lattice, cpt_membership,
                        gamma_transform, induced_function, product_family, pt_structure,
-                       quotient, r_function, star_condition_check, stone_space)
+                       quotient, r_function, riemann_stieltjes_on_points,
+                       star_condition_check, stone_space)
 from stonespec.cli import cmd_lift
 from stonespec.dsl import BlockInfo
 
@@ -180,6 +181,9 @@ GUARDS = [
     guard("family_payloads", "family does not live in this space's open-set lattice",
           lambda lat: induced_function(two_points(), top_family(lat)),
           lambda: two_points().lattice(), lambda: boolean_lattice(2)),
+    guard("riemann_stieltjes_on_points", "family does not live in this space's open-set lattice",
+          lambda lat: riemann_stieltjes_on_points(discrete_field(), top_family(lat), [0]),
+          lambda: discrete_field().lattice(), lambda: boolean_lattice(3)),
     guard("cpt_membership", SPECTRUM,
           lambda st: cpt_membership(pt_structure(two_points()), on(st)),
           lambda: stone_space(two_points().lattice()), lambda: stone_space(boolean_lattice(3))),

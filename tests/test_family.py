@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stonespec import (ComplexSpectralFamily, InputError, InvalidFamilyError,
-                       Lattice, ObservableFunction, SpectralFamily,
+                       Lattice, ObservableFunction, SpectralFamily, TopSpace,
                        UnsupportedStructureError, boolean_lattice,
                        chain_lattice, decompose, enumerate_families,
                        from_observable_function, mo_lattice,
@@ -310,22 +310,27 @@ class TestInverseTransform:
             for e in enumerate_families(lat, (0, HALF, 1)):
                 assert from_observable_function(observable_function(e)) == e
 
+    @staticmethod
+    def assert_refused(lat, reason):
+        """The inverse and ``star`` both refuse ``lat``, naming ``reason``."""
+        e = SpectralFamily(lat, [(0, lat.top)])
+        message = f"the inverse transform needs a finite Boolean algebra ({reason})"
+        for call in (lambda: from_observable_function(observable_function(e)),
+                     lambda: fam.star(e)):
+            with pytest.raises(UnsupportedStructureError) as err:
+                call()
+            assert str(err.value) == message
+
     def test_non_boolean_rejected(self):
-        mo2 = mo_lattice(2)
-        g = observable_function(SpectralFamily(mo2, [(0, "1")]))
-        with pytest.raises(UnsupportedStructureError):
-            from_observable_function(g)
-        c3 = chain_lattice(3)
-        g2 = observable_function(SpectralFamily(c3, [(0, "1")]))
-        with pytest.raises(UnsupportedStructureError):
-            from_observable_function(g2)
+        self.assert_refused(mo_lattice(2), "not distributive")
+        self.assert_refused(chain_lattice(3), "no ortho present")
+        # a Boolean order without its ortho map
+        self.assert_refused(TopSpace.discrete(("p", "q")).lattice(), "no ortho present")
 
     def test_ortho_that_does_not_complement_rejected(self):
         # distributive with an ortho map, but m <-> m is not a complement
         c3 = Lattice(["0", "m", "1"], [("0", "m"), ("m", "1")], ortho={"0": "1", "m": "m"})
-        g = observable_function(SpectralFamily(c3, [(0, "1")]))
-        with pytest.raises(UnsupportedStructureError):
-            from_observable_function(g)
+        self.assert_refused(c3, "the ortho map does not complement")
 
 
 class TestTransferredAlgebra:

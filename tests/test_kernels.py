@@ -304,8 +304,10 @@ class TestLevelSetCallers:
 
     def test_from_observable_function_on_seeded_functions(self):
         rng = random.Random(0)
-        lattices = [boolean_lattice(n) for n in range(1, 5)]
+        lattices = [boolean_lattice(n) for n in range(1, 7)]
         lattices += [f.lattice() for f in all_fields(("1", "2", "3"))]
+        lattices.append(mo_lattice(1))  # Boolean, but not a lattice of sets
+        lattices += [t.r_lattice() for n in range(1, 5) for t in all_topologies(n)]
         for lat in lattices:
             space = stone_space(lat)
             for _ in range(40):

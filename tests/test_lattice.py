@@ -12,9 +12,9 @@ from fractions import Fraction
 import pytest
 
 from stonespec import dsl
-from stonespec import (InputError, Lattice, NoOrthocomplementError,
-                       boolean_lattice, chain_lattice,
-                       mo_lattice, product_lattice)
+from stonespec import (ComplexSpectralFamily, FieldOfSets, InputError, Lattice,
+                       NoOrthocomplementError, SpectralFamily, TopSpace,
+                       boolean_lattice, chain_lattice, mo_lattice, product_lattice)
 from stonespec.checks import SuiteResult
 from stonespec.lattice import MAX_ELEMENTS, Violation, bits
 
@@ -361,6 +361,57 @@ class TestFromSets:
 
     def test_other_lattices_carry_no_set_ids(self):
         assert chain_lattice(3).set_ids is None and mo_lattice(2).set_ids is None
+
+
+B1 = boolean_lattice(1)
+
+
+class TestLibraryBoundary:
+    """A fault in the arguments of a public constructor is an ``InputError``
+    that names it, not whatever the first operation on it raises."""
+
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: Lattice(["0", "1"], [("0", "1", "x")]),
+                     "order item ('0', '1', 'x') is not a pair", id="order-triple"),
+        pytest.param(lambda: Lattice(["0", "1"], [5]), "order item 5 is not a pair",
+                     id="order-non-iterable"),
+        pytest.param(lambda: Lattice([1, 0], [(1, 0)]), "element name 1 is not a str",
+                     id="int-names"),
+        pytest.param(lambda: Lattice([["a"]], []), "element name ['a'] is not a str",
+                     id="unhashable-names"),
+        pytest.param(lambda: Lattice.from_sets([0, 1], [0, 1]), "element name 0 is not a str",
+                     id="from-sets-int-names"),
+        pytest.param(lambda: SpectralFamily(B1, [5]),
+                     "jump 5 is not a (threshold, value) pair", id="jump-non-iterable"),
+        pytest.param(lambda: SpectralFamily(B1, [(0, "1", "x")]),
+                     "jump (0, '1', 'x') is not a (threshold, value) pair", id="jump-triple"),
+        pytest.param(lambda: SpectralFamily(None, [(0, "1")]),
+                     "a family needs a Lattice host, got NoneType", id="host-none"),
+        pytest.param(lambda: ComplexSpectralFamily(B1, [0], [0], [5]),
+                     "value matrix must be rows of values", id="row-non-iterable"),
+        pytest.param(lambda: TopSpace.from_sets(5, []),
+                     "point labels must be an iterable of hashable values", id="labels-int"),
+        pytest.param(lambda: FieldOfSets([["p"], ["q"]], [1, 2]),
+                     "point labels must be an iterable of hashable values",
+                     id="labels-unhashable"),
+    ])
+    def test_each_fault_is_an_input_error(self, make, message):
+        with pytest.raises(InputError) as err:
+            make()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Lattice(["0", "1"], [("0", "x")]), "unknown element 'x'"),
+        (lambda: Lattice(["a", "a"], []), "duplicate element names"),
+        (lambda: SpectralFamily(B1, [("x", "1")]), "exact rationals required, got str 'x'"),
+        (lambda: SpectralFamily(B1, []), "a bounded family needs at least one jump"),
+        (lambda: ComplexSpectralFamily(B1, [0], [0], [["z"]]), "unknown element 'z'"),
+        (lambda: TopSpace.from_sets(["p", "p"], []), "duplicate point labels"),
+    ])
+    def test_neighbouring_faults_keep_their_messages(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
 
 
 def oracle_is_distributive(lat):
