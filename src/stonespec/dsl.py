@@ -507,7 +507,7 @@ def emit_text(file: InstanceFile) -> str:
     """Canonical text form, rendered from each block's JSON form;
     parse(emit_text(parse(x))) is a fixpoint.  A name the text would not
     read back unchanged raises :class:`InputError`."""
-    return "\n".join(_text_block(_json_block(b, file)) for b in file.blocks)
+    return "\n".join(_text_block(emit_json(b, file)) for b in file.blocks)
 
 
 def _check_writable(d: dict) -> None:
@@ -558,16 +558,8 @@ def _text_block(d: dict) -> str:
 
 
 def emit_json(b: BlockInfo, file: InstanceFile) -> dict:
-    """A JSON-ready dict for one block; rationals appear as exact strings."""
-    d = _json_block(b, file)
-    if b.kind == "lattice":
-        d["bottom"], d["top"] = b.obj.names[b.obj.bottom], b.obj.names[b.obj.top]
-    return d
-
-
-def _json_block(b: BlockInfo, file: InstanceFile) -> dict:
-    """:func:`emit_json` without a lattice's bottom and top, which the text
-    form leaves out and an unvalidated lattice may lack."""
+    """A JSON-ready dict for one block; rationals appear as exact strings,
+    and a lattice's bottom and top are None when it lacks them."""
     if b.kind == "lattice":
         lat = b.obj
         return {
@@ -576,22 +568,18 @@ def _json_block(b: BlockInfo, file: InstanceFile) -> dict:
             "order": [[lat.names[a], lat.names[x]] for a, x in _covers(lat)],
             "ortho": None if lat.ortho is None else
                      [[lat.names[a], lat.names[o]] for a, o in enumerate(lat.ortho) if a <= o],
+            "bottom": None if lat.bottom is None else lat.names[lat.bottom],
+            "top": None if lat.top is None else lat.names[lat.top],
         }
-    if b.kind == "topology":
-        t = b.obj
-        return {"kind": "topology", "name": b.name,
-                "points": [str(p) for p in t.points],
-                "opens": [t.set_name(m) for m in sorted(t.opens)]}
-    if b.kind == "field":
-        f = b.obj
-        return {"kind": "field", "name": b.name,
-                "points": [str(p) for p in f.ground],
-                "atoms": [f.set_name(a) for a in f.atoms]}
+    if b.kind in ("topology", "field"):
+        s = b.obj  # a field is written by its atoms, a topology by its opens
+        key, sets = ("atoms", s.atoms) if b.kind == "field" else ("opens", sorted(s.opens))
+        return {"kind": b.kind, "name": b.name, "points": [str(p) for p in s.points],
+                key: [s.set_name(m) for m in sets]}
     if b.kind == "family":
         fam = b.obj
         return {"kind": "family", "name": b.name, "in": b.host,
-                "jumps": [[str(t), fam.lattice.names[v]]
-                          for t, v in zip(fam.thresholds, fam.values)]}
+                "jumps": [[str(t), fam.lattice.names[v]] for t, v in fam.jumps()]}
     if b.kind == "family2":
         fam = b.obj
         return {"kind": "family2", "name": b.name, "in": b.host,

@@ -19,7 +19,7 @@ from itertools import combinations
 from math import lcm
 
 from .errors import InputError, InvalidFamilyError, UnsupportedStructureError
-from .lattice import Lattice, Record, _eq_by, _require_same, bits
+from .lattice import Lattice, Record, _eq_by, _iter, _require_same, _require_type, bits
 from .stone import StoneSpace, stone_space
 
 
@@ -60,7 +60,8 @@ def point_values(labels, values) -> tuple:
         except KeyError as e:
             raise InputError(f"no value for point {e.args[0]!r}") from None
     # Fractions are immutable, so exact inputs are shared rather than rebuilt
-    values = tuple([v if type(v) is Fraction else _as_fraction(v) for v in values])
+    values = tuple([v if type(v) is Fraction else _as_fraction(v)
+                    for v in _iter(values, "values")])
     if len(values) != len(labels):
         raise InputError("one value per point required")
     return values
@@ -72,12 +73,11 @@ class SpectralFamily:
     __slots__ = ("lattice", "thresholds", "values")
 
     def __init__(self, lattice: Lattice, jumps):
-        if not isinstance(lattice, Lattice):
-            raise InputError(f"a family needs a Lattice host, got {type(lattice).__name__}")
+        _require_type(lattice, Lattice, "a family needs a Lattice host")
         n = lattice.n
         ts = []
         vs = []
-        for jump in jumps:
+        for jump in _iter(jumps, "jumps"):
             try:
                 t, v = jump
             except (TypeError, ValueError):
@@ -134,8 +134,7 @@ class SpectralFamily:
         return self.thresholds[0], self.thresholds[-1]
 
     def __repr__(self):
-        parts = ", ".join(f"{t}: {self.lattice.names[v]}"
-                          for t, v in zip(self.thresholds, self.values))
+        parts = ", ".join(f"{t}: {self.lattice.names[v]}" for t, v in self.jumps())
         return "SpectralFamily{" + parts + "}"
 
     __eq__ = _eq_by("thresholds", "values", "lattice")
@@ -147,7 +146,8 @@ class ObservableFunction:
     __slots__ = ("space", "values")
 
     def __init__(self, space: StoneSpace, values):
-        values = tuple([v if type(v) is Fraction else _as_fraction(v) for v in values])
+        _require_type(space, StoneSpace, "an observable function needs a StoneSpace")
+        values = tuple(map(_as_fraction, _iter(values, "values")))
         if len(values) != space.n_points:
             raise InputError("one value per quasipoint required")
         self.space = space
@@ -412,8 +412,9 @@ class ComplexSpectralFamily:
     __slots__ = ("first", "second")
 
     def __init__(self, lattice: Lattice, xs, ys, matrix):
-        xs = tuple(_as_fraction(x) for x in xs)
-        ys = tuple(_as_fraction(y) for y in ys)
+        _require_type(lattice, Lattice, "a two-parameter family needs a Lattice host")
+        xs = tuple(_as_fraction(x) for x in _iter(xs, "xs"))
+        ys = tuple(_as_fraction(y) for y in _iter(ys, "ys"))
         if not xs or not ys:
             raise InvalidFamilyError("grids must be nonempty")
         if any(not a < b for a, b in zip(xs, xs[1:])) or \
@@ -519,7 +520,7 @@ def _step_sum(family: SpectralFamily, grid, hits) -> list:
     value contains it.  The values grow, so that is the least grid point at
     or above the point's hit.
     """
-    grid = [_as_fraction(t) for t in grid]
+    grid = [_as_fraction(t) for t in _iter(grid, "grid")]
     if any(not a < b for a, b in zip(grid, grid[1:])):
         raise InputError("grid must be strictly increasing")
     lo, hi = family.bounds()
@@ -540,7 +541,7 @@ def enumerate_families(lattice: Lattice, grid) -> list:
     """
     if lattice.bottom is None or lattice.top is None:
         raise InputError("families need a lattice with a bottom and a top")
-    grid = sorted(_as_fraction(t) for t in set(grid))
+    grid = sorted({_as_fraction(t) for t in _iter(grid, "grid")})
     down = lattice.down
     chains = [[lattice.top]]
     frontier = [[lattice.top]]

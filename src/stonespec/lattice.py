@@ -30,13 +30,22 @@ def bits(mask: int):
 def label_masks(index, sets):
     """Yield the bitmask of each set of point labels as it is read, bit
     ``index[p]`` standing for label p."""
-    for s in sets:
+    for s in _iter(sets, "sets"):
         m = 0
-        for p in s:
-            if p not in index:
-                raise InputError(f"unknown point {p!r}")
-            m |= 1 << index[p]
+        for p in _iter(s, "a set of points"):
+            try:
+                m |= 1 << index[p]
+            except (KeyError, TypeError):  # an unhashable label is unknown too
+                raise InputError(f"unknown point {p!r}") from None
         yield m
+
+
+def _iter(x, what: str):
+    """``iter(x)``, so an iterable streams; anything else is an ``InputError``."""
+    try:
+        return iter(x)
+    except TypeError:
+        raise InputError(f"{what} must be iterable, got {type(x).__name__}") from None
 
 
 def _eq_by(*fields):
@@ -50,6 +59,12 @@ def _eq_by(*fields):
             return NotImplemented
         return key(self) == key(other)
     return __eq__
+
+
+def _require_type(x, cls, message: str) -> None:
+    """Raise ``InputError(message)``, naming the type of ``x``, unless it is a ``cls``."""
+    if not isinstance(x, cls):
+        raise InputError(f"{message}, got {type(x).__name__}")
 
 
 def _require_same(a, b, message: str) -> None:
@@ -131,7 +146,7 @@ class Lattice:
         self._set_names(names)
         n = self.n
         up = [1 << i for i in range(n)]
-        for pair in order:
+        for pair in _iter(order, "order"):
             try:
                 a, b = pair
             except (TypeError, ValueError):
@@ -150,7 +165,9 @@ class Lattice:
                     ia, ib = self.eid(a), self.eid(b)
                     omap[ia], omap[ib] = ib, ia
             else:
-                for ia, b in enumerate(ortho):
+                for ia, b in enumerate(_iter(ortho, "ortho")):
+                    if ia == n:
+                        raise InputError(f"ortho map has more than {n} entries")
                     omap[ia] = self.eid(b)
             ortho = omap
         self._set_order(up, ortho, flags)
@@ -165,7 +182,7 @@ class Lattice:
         """
         lat = cls.__new__(cls)
         lat._set_names(names)
-        masks = tuple(masks)
+        masks = tuple(_iter(masks, "sets"))
         if len(masks) != lat.n:
             raise InputError(f"{len(masks)} sets for {lat.n} element names")
         try:
@@ -192,7 +209,7 @@ class Lattice:
         return lat
 
     def _set_names(self, names):
-        names = tuple(names)
+        names = tuple(_iter(names, "element names"))
         if not names:
             raise InputError("a lattice needs at least one element")
         if len(names) > MAX_ELEMENTS:
@@ -227,10 +244,13 @@ class Lattice:
             raise InputError(f"ortho map is not total; missing: {missing}")
         self.ortho = None if ortho is None else tuple(ortho)
 
-        self.flags = frozenset(flags)
-        unknown = self.flags - {"distributive", "orthomodular"}
+        try:
+            self.flags = frozenset(flags)
+            unknown = sorted(self.flags - {"distributive", "orthomodular"})
+        except TypeError:  # not iterable, or flags that do not hash or sort
+            raise InputError("lattice flags must be an iterable of strs") from None
         if unknown:
-            raise InputError(f"unknown lattice flags: {sorted(unknown)}")
+            raise InputError(f"unknown lattice flags: {unknown}")
         self.payload = self.set_ids = None
 
         self._meet = None

@@ -15,7 +15,7 @@ from itertools import product
 from .errors import InputError
 from .family import (ObservableFunction, SpectralFamily, _as_fraction, _step_sum,
                      enumerate_families, observable_function, point_values)
-from .lattice import Lattice, _eq_by, _require_same, bits
+from .lattice import Lattice, _eq_by, _iter, _require_same, _require_type, bits
 from .stone import StoneSpace, stone_space
 from .topology import (TopSpace, _first_nonconstant, _min_nbhds, _points, all_topologies,
                        induced_function, spectral_family_of_continuous)
@@ -33,7 +33,7 @@ class FieldOfSets(TopSpace):
     def __init__(self, ground, atoms):
         ground = _points(ground)
         kept, union = [], 0
-        for a in atoms:  # each checked as it is read, so a fault stops the read
+        for a in _iter(atoms, "atoms"):  # each checked as it is read, so a fault stops the read
             if type(a) is not int:
                 raise InputError(f"atom {a!r} is not an int bitmask")
             if a == 0:
@@ -107,6 +107,7 @@ class MeasurableFunction:
     __slots__ = ("field", "values")
 
     def __init__(self, field: FieldOfSets, values):
+        _require_type(field, FieldOfSets, "a measurable function needs a FieldOfSets")
         values = point_values(field.ground, values)
         i = _first_nonconstant(field._nbhd, values)
         if i >= 0:
@@ -123,9 +124,7 @@ class MeasurableFunction:
         return "MeasurableFunction{" + pairs + "}"
 
     __eq__ = _eq_by("field", "values")
-
-    def sup_norm(self) -> Fraction:
-        return max(abs(v) for v in self.values)
+    sup_norm = ObservableFunction.sup_norm
 
 
 def spectral_family_of(phi: MeasurableFunction) -> SpectralFamily:
@@ -154,7 +153,7 @@ def bijection_report(field: FieldOfSets, grid):
     Returns (cases, failures); an empty failure list realizes the bijection
     between measurable functions and bounded spectral families.
     """
-    grid = sorted(_as_fraction(g) for g in set(grid))
+    grid = sorted({_as_fraction(g) for g in _iter(grid, "grid")})
     failures = []
     cases = 0
     for values in atom_grid_values(field, grid):
@@ -176,6 +175,7 @@ class SetIdeal:
     __slots__ = ("field", "mask")
 
     def __init__(self, field: FieldOfSets, mask: int):
+        _require_type(field, FieldOfSets, "an ideal needs a FieldOfSets")
         _require_member(field, mask)
         if mask == field.full:
             raise InputError("the ground set may not belong to an ideal")
@@ -184,8 +184,9 @@ class SetIdeal:
 
     @classmethod
     def from_generators(cls, field: FieldOfSets, sets) -> "SetIdeal":
+        _require_type(field, FieldOfSets, "an ideal needs a FieldOfSets")
         m = 0
-        for s in sets:
+        for s in _iter(sets, "generators"):
             sm = field.mask_of(s) if hasattr(s, "__iter__") else s
             _require_member(field, sm)
             m |= sm
@@ -223,14 +224,6 @@ def ideals_of(field: FieldOfSets) -> list:
             for combo in range((1 << len(field.atoms)) - 1)]
 
 
-def _moved(mask: int, where) -> int:
-    """``mask`` with each set bit p moved to bit ``where[p]``."""
-    m = 0
-    for p in bits(mask):
-        m |= 1 << where[p]
-    return m
-
-
 class QuotientAlgebra:
     """The field modulo an ideal, realized on the surviving points.
 
@@ -244,18 +237,24 @@ class QuotientAlgebra:
         self.field = field
         self.ideal = ideal
         self.survivors = field.full ^ ideal.mask
-        keep_points = [p for p in range(len(field.ground)) if self.survivors >> p & 1]
-        ground = tuple(field.ground[p] for p in keep_points)
-        self._shift = {p: i for i, p in enumerate(keep_points)}
-        self.reduced = FieldOfSets(ground, [_moved(a, self._shift) for a in field.atoms
-                                            if a & self.survivors])
-        self._embedded = None
+        kept = [a for a in field.atoms if a & self.survivors]
+        self.reduced = FieldOfSets.from_partition(field.labels_of(self.survivors),
+                                                  map(field.labels_of, kept))
+        # both fields list atoms by lowest point, and the labels keep their order
+        self._atom_pairs = tuple(zip(kept, self.reduced.atoms))
+        payload = field.lattice().payload
+        self._embedded = tuple(k for k, a in enumerate(field.stone().atoms)
+                               if payload[a] & ~self.survivors == 0)
 
     def class_of(self, mask: int) -> int:
         """Canonical representative (as a reduced-field mask) of a member."""
         if not self.field.contains(mask):
             raise InputError("not a member of the field")
-        return _moved(mask & self.survivors, self._shift)
+        m = 0
+        for a, r in self._atom_pairs:
+            if a & mask:  # a member holds each atom it meets
+                m |= r
+        return m
 
     def lattice(self) -> Lattice:
         return self.reduced.lattice()
@@ -266,11 +265,7 @@ class QuotientAlgebra:
     def embedded_point_indices(self) -> tuple:
         """Indices, into the original Stone space, of the quasipoints containing
         the ideal's dual filter: those of the atoms inside the survivors, in the
-        reduced space's order (both list points by atom mask; ``_moved`` keeps it)."""
-        if self._embedded is None:
-            payload = self.field.lattice().payload
-            self._embedded = tuple(k for k, a in enumerate(self.field.stone().atoms)
-                                   if payload[a] & ~self.survivors == 0)
+        reduced space's order (both list points by atom mask)."""
         return self._embedded
 
 

@@ -16,7 +16,7 @@ from .errors import InputError, UnsupportedStructureError
 from .family import (ComplexObservableFunction, ObservableFunction,
                      SpectralFamily, first_hits, level_sets, observable_function,
                      point_values)
-from .lattice import MAX_ELEMENTS, Lattice, Record, _eq_by, _require_same, bits, label_masks
+from .lattice import MAX_ELEMENTS, Lattice, Record, _eq_by, _iter, _require_same, bits, label_masks
 from .stone import SCAN_CAP, StoneSpace, stone_space, unions
 
 
@@ -57,7 +57,7 @@ class TopSpace:
         self.points = points = _points(points)
         full = (1 << len(points)) - 1
         seen = set()
-        for o in opens:
+        for o in _iter(opens, "opens"):
             if type(o) is not int:
                 raise InputError(f"open set {o!r} is not an int bitmask")
             seen.add(o)
@@ -155,7 +155,7 @@ class TopSpace:
         return u in self.opens and self.interior(self.closure(u)) == u
 
     def regular_opens(self) -> tuple:
-        return tuple(o for o in self._basis if self.interior(self.closure(o)) == o)
+        return tuple(filter(self.is_regular_open, self._basis))
 
     def lattice(self) -> Lattice:
         """The open sets ordered by inclusion (no orthocomplement)."""

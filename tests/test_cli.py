@@ -12,6 +12,7 @@ import tempfile
 import time
 import traceback
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -53,14 +54,15 @@ def run_bounded(*argv, cpu_s=1, memory=600 << 20, wall_s=20):
                           text=True, timeout=wall_s, env=env, preexec_fn=limit)
 
 
-def run_forked(argv, cpu_s, memory):
-    """``cli.main(argv)`` in a forked child with its CPU time capped at
-    ``cpu_s`` seconds and its address space at the size it inherits plus
-    ``memory`` bytes, under ``run_bounded``'s wall budget; returns the exit
-    code and what the child wrote to its one pipe for ``out`` and ``err``.
+def run_forked(call, cpu_s, memory):
+    """``call(out=pipe, err=pipe)``, such as ``partial(cli.main, argv)``, in a
+    forked child with its CPU time capped at ``cpu_s`` seconds and its
+    address space at the size it inherits plus ``memory`` bytes, under
+    ``run_bounded``'s wall budget; returns the exit code ``call`` returns and
+    what the child wrote to its one pipe.
 
     A child stopped by a limit, by a signal or by the wall budget fails the
-    test; an exception out of ``main`` is written as a traceback and ends
+    test; an exception out of ``call`` is written as a traceback and ends
     the child with status 70, as no subcommand does."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -75,7 +77,7 @@ def run_forked(argv, cpu_s, memory):
                 resource.setrlimit(resource.RLIMIT_CPU, (cpu_s, cpu_s))
                 resource.setrlimit(resource.RLIMIT_AS, (inherited + memory,) * 2)
                 try:
-                    code = main(list(argv), out=pipe, err=pipe)
+                    code = call(out=pipe, err=pipe)
                 except BaseException:
                     traceback.print_exc(file=pipe)
         finally:
@@ -91,7 +93,7 @@ def run_forked(argv, cpu_s, memory):
     os.close(read_fd)
     status = os.waitpid(pid, 0)[1]
     output = b"".join(chunks).decode("utf-8", "replace")
-    assert os.WIFEXITED(status), (argv, f"stopped by signal {os.WTERMSIG(status)}", output)
+    assert os.WIFEXITED(status), (call, f"stopped by signal {os.WTERMSIG(status)}", output)
     return os.WEXITSTATUS(status), output
 
 
@@ -100,6 +102,19 @@ class TestExitCodes:
         code, out, _ = run("validate", fixture("mo2.lat"))
         assert code == 0
         assert "lattice MO2: ok" in out
+
+    def test_validate_checks_lattice_blocks_only(self, monkeypatch):
+        # a topology's or a field's lattice is one by construction, so only
+        # the lattice block of this file is validated again
+        calls = []
+        real = Lattice.validate
+        monkeypatch.setattr(Lattice, "validate", lambda lat: calls.append(lat) or real(lat))
+        code, out, _ = run("validate", fixture("spaces.lat"))
+        assert code == 0 and calls == []
+        assert out.splitlines()[::2] == ["topology sierpinski: ok", "topology disc3: ok",
+                                         "family ET: ok"]
+        code, out, _ = run("validate", fixture("mo2.lat"))
+        assert code == 0 and [lat.n for lat in calls] == [6]
 
     def test_validate_empty_file_is_an_input_error(self, tmp_path):
         empty = tmp_path / "empty.lat"
@@ -594,6 +609,7 @@ def test_every_file_subcommand_does_bounded_work(case):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         for argv in calls:
-            code, output = run_forked([path if a == "FILE" else a for a in argv], 1, 600 << 20)
+            argv = [path if a == "FILE" else a for a in argv]
+            code, output = run_forked(partial(main, argv), 1, 600 << 20)
             assert code in (0, 1, 2), (argv, code, output)
             assert "Traceback" not in output, (argv, output)

@@ -322,6 +322,30 @@ family E in F { 0: {p} ; 1: {p,q} ; }
                 for lat in (space.lattice(), space.r_lattice()):
                     assert lat.names == tuple(map(space.set_name, lat.payload))
 
+    def test_json_of_a_lattice_without_bounds(self):
+        # an unvalidated lattice may lack a bottom and a top; the text form,
+        # rendered from the same dict, leaves both out
+        file = parse_ok("lattice L { elements: a, b ; }")
+        d = dsl.emit_json(file.find("L"), file)
+        assert (d["bottom"], d["top"]) == (None, None)
+        assert dsl.emit_text(file) == "lattice L {\n  elements: a, b ;\n}"
+
+    def test_space_lattices_are_valid_by_construction(self):
+        # what `stonespec validate` relies on when it checks lattice blocks only
+        for n in range(1, 5):
+            for t in all_topologies(n):
+                assert t.lattice().validate().ok and t.r_lattice().validate().ok
+            for f in all_fields(tuple(str(i) for i in range(n))):
+                assert f.lattice().validate().ok
+        spaces = []
+        for path in sorted(glob.glob(os.path.join(FIXTURES, "*.lat"))):
+            with open(path, encoding="utf-8") as handle:
+                spaces += [b.obj for b in parse_ok(handle.read()).blocks
+                           if b.kind in ("topology", "field")]
+        assert len(spaces) >= 3
+        for s in spaces:
+            assert s.lattice().validate().ok and s.r_lattice().validate().ok
+
     def test_dot_contains_cover_edges(self):
         file = parse_ok(MO2_TEXT)
         dot = dsl.emit_dot(file.find("MO2"))

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stonespec import (ComplexSpectralFamily, InputError, InvalidFamilyError,
+from stonespec import (ComplexSpectralFamily, FieldOfSets, InputError, InvalidFamilyError,
                        Lattice, ObservableFunction, SpectralFamily, TopSpace,
-                       UnsupportedStructureError, boolean_lattice,
+                       UnsupportedStructureError, bijection_report, boolean_lattice,
                        chain_lattice, decompose, enumerate_families,
                        from_observable_function, mo_lattice,
                        observable_function, observable_function_complex,
@@ -732,3 +732,12 @@ def test_enumerate_families_needs_a_bottom_and_a_top():
     crown = Lattice(["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
     with pytest.raises(InputError, match="bottom and a top"):
         enumerate_families(crown, (0, 1))
+
+
+def test_a_grid_value_written_twice_is_one_threshold():
+    # the grid is read as exact values before its repeats go: 0 and "0" are one
+    # threshold, where a repeat kept would give a family two equal thresholds
+    b2 = boolean_lattice(2)
+    assert enumerate_families(b2, [0, "0", Fraction(1), "1"]) == enumerate_families(b2, [0, 1])
+    f = FieldOfSets(("p", "q"), [1, 2])
+    assert bijection_report(f, [0, "0", "1/1", 1]) == bijection_report(f, [0, 1])

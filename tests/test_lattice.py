@@ -4,19 +4,26 @@ Expected values are computed by independent oracles (plain order scans over
 the declared relation) and frozen as literals where small enough.
 """
 
+import itertools
 import os
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stonespec import dsl
-from stonespec import (ComplexSpectralFamily, FieldOfSets, InputError, Lattice,
-                       NoOrthocomplementError, SpectralFamily, TopSpace,
-                       boolean_lattice, chain_lattice, mo_lattice, product_lattice)
+from stonespec import (ComplexSpectralFamily, FieldOfSets, InputError, InvalidFamilyError,
+                       Lattice, MeasurableFunction, NoOrthocomplementError, ObservableFunction,
+                       SetIdeal, SpectralFamily, TopSpace, boolean_lattice, chain_lattice,
+                       enumerate_families, mo_lattice, product_lattice, riemann_stieltjes,
+                       riemann_stieltjes_on_points, stone_space)
 from stonespec.checks import SuiteResult
 from stonespec.lattice import MAX_ELEMENTS, Violation, bits
+from test_cli import run_forked
 
 
 def oracle_meet(lat, ids):
@@ -366,6 +373,71 @@ class TestFromSets:
 B1 = boolean_lattice(1)
 
 
+P1 = FieldOfSets(["p"], [1])
+B2 = boolean_lattice(2)
+
+# each constructor and the arguments of one call it accepts
+CONSTRUCTORS = {
+    "Lattice": (lambda names, order, ortho, flags: Lattice(names, order, ortho=ortho,
+                                                           flags=flags),
+                (["0", "1"], [("0", "1")], ["1", "0"], ["distributive"])),
+    "Lattice.from_sets": (lambda masks, names: Lattice.from_sets(masks, names, (1).__xor__),
+                          ([0, 1], ["0", "1"])),
+    "TopSpace": (TopSpace, (["p", "q"], [0, 1, 3])),
+    "FieldOfSets": (FieldOfSets, (["p", "q"], [1, 2])),
+    "SpectralFamily": (SpectralFamily, (B2, [(0, "x"), (1, "1")])),
+    "ComplexSpectralFamily": (ComplexSpectralFamily,
+                              (B2, [0, 1], [0, 1], [["0", "x"], ["y", "1"]])),
+}
+# the opens of a space and the atoms of a field are read as they stream in
+STREAMED = {("TopSpace", 1), ("FieldOfSets", 1)}
+
+
+def refusal_code(name, *args, out, err):
+    """0 if the constructor ``name`` returns on ``args`` and 2 if it refuses
+    them: an ``InputError``, or the ``InvalidFamilyError`` of a family that
+    breaks a family law.  Any other exception reaches ``run_forked``."""
+    try:
+        CONSTRUCTORS[name][0](*args)
+    except (InputError, InvalidFamilyError):
+        return 2
+    return 0
+
+
+# what a hostile caller might pass: huge ints, masks that are not ints,
+# non-iterables, None, foreign lattices, and iterables of them
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(1 << 64, 1 << 4096),
+    st.floats(allow_nan=True), st.decimals(allow_nan=True), st.fractions(),
+    st.text(max_size=3), st.sampled_from(["0", "1", "x", "p", "1/2", "1e99999999"]),
+    st.sampled_from([B2, chain_lattice(3), mo_lattice(1), Lattice(["a", "b"], [])]))
+HOSTILE = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.tuples(inner, inner), st.iterables(inner, max_size=4),
+    st.dictionaries(st.integers() | st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+# long iterables: more items than any cap, each of them valid or not
+LONG = st.sampled_from([range(1 << 16), ["0"] * (1 << 14), [("0", "1")] * (1 << 14),
+                        [(0, "1")] * (1 << 12), [[0, 1]] * (1 << 14)])
+
+
+@st.composite
+def hostile_calls(draw):
+    """A constructor's name and the arguments of its valid call with some of
+    them, or one item of them, swapped for what a hostile caller passes."""
+    name = draw(st.sampled_from(sorted(CONSTRUCTORS)))
+    args = list(CONSTRUCTORS[name][1])
+    for i in draw(st.sets(st.integers(0, len(args) - 1), min_size=1)):
+        bad = HOSTILE | LONG
+        if (name, i) in STREAMED:
+            bad |= st.builds(itertools.count, st.integers(-1, 2))  # endless
+        if isinstance(args[i], list) and draw(st.booleans()):
+            args[i] = list(args[i])
+            args[i][draw(st.integers(0, len(args[i]) - 1))] = draw(bad)
+        else:
+            args[i] = draw(bad)
+    return (name, *args)
+
+
 class TestLibraryBoundary:
     """A fault in the arguments of a public constructor is an ``InputError``
     that names it, not whatever the first operation on it raises."""
@@ -412,6 +484,83 @@ class TestLibraryBoundary:
         with pytest.raises(ValueError) as err:
             make()
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: Lattice(5, []), "element names must be iterable, got int",
+                     id="names"),
+        pytest.param(lambda: Lattice(["0"], 5), "order must be iterable, got int", id="order"),
+        pytest.param(lambda: Lattice(["0"], [], ortho=5), "ortho must be iterable, got int",
+                     id="ortho"),
+        pytest.param(lambda: Lattice(["0", "1"], [("0", "1")], ortho=["1", "0", "0"]),
+                     "ortho map has more than 2 entries", id="ortho-too-long"),
+        pytest.param(lambda: Lattice(["0"], [], flags=5),
+                     "lattice flags must be an iterable of strs", id="flags"),
+        pytest.param(lambda: Lattice(["0"], [], flags=[["x"]]),
+                     "lattice flags must be an iterable of strs", id="flags-unhashable"),
+        pytest.param(lambda: Lattice(["0"], [], flags=["x", 1]),
+                     "lattice flags must be an iterable of strs", id="flags-unordered"),
+        pytest.param(lambda: Lattice.from_sets(5, ["0"]), "sets must be iterable, got int",
+                     id="from-sets-masks"),
+        pytest.param(lambda: Lattice.from_sets([0], 5),
+                     "element names must be iterable, got int", id="from-sets-names"),
+        pytest.param(lambda: SpectralFamily(B1, 5), "jumps must be iterable, got int",
+                     id="jumps"),
+        pytest.param(lambda: riemann_stieltjes(SpectralFamily(B1, [(0, "1")]), 5),
+                     "grid must be iterable, got int", id="riemann-stieltjes-grid"),
+        pytest.param(lambda: riemann_stieltjes_on_points(
+                         P1, SpectralFamily(P1.lattice(), [(0, "{p}")]), 5),
+                     "grid must be iterable, got int", id="riemann-stieltjes-on-points-grid"),
+        pytest.param(lambda: enumerate_families(B1, 5), "grid must be iterable, got int",
+                     id="enumerate-families-grid"),
+        pytest.param(lambda: TopSpace(["p"], 5), "opens must be iterable, got int",
+                     id="opens"),
+        pytest.param(lambda: TopSpace.from_sets(["p"], 5), "sets must be iterable, got int",
+                     id="from-sets-sets"),
+        pytest.param(lambda: TopSpace.generated(["p"], 5), "sets must be iterable, got int",
+                     id="generated-sets"),
+        pytest.param(lambda: TopSpace.from_sets(["p"], [5]),
+                     "a set of points must be iterable, got int", id="from-sets-a-set"),
+        pytest.param(lambda: TopSpace.from_sets(["p"], [[["p"]]]), "unknown point ['p']",
+                     id="from-sets-unhashable-label"),
+        pytest.param(lambda: FieldOfSets(["p"], 5), "atoms must be iterable, got int",
+                     id="atoms"),
+        pytest.param(lambda: ComplexSpectralFamily(B1, 5, [0], [["1"]]),
+                     "xs must be iterable, got int", id="xs"),
+        pytest.param(lambda: ComplexSpectralFamily(B1, [0], 5, [["1"]]),
+                     "ys must be iterable, got int", id="ys"),
+        pytest.param(lambda: ComplexSpectralFamily(None, [0], [0], [["1"]]),
+                     "a two-parameter family needs a Lattice host, got NoneType",
+                     id="two-parameter-host"),
+        pytest.param(lambda: ObservableFunction(stone_space(B1), 5),
+                     "values must be iterable, got int", id="observable-values"),
+        pytest.param(lambda: MeasurableFunction(P1, 5), "values must be iterable, got int",
+                     id="measurable-values"),
+        pytest.param(lambda: ObservableFunction(None, [0]),
+                     "an observable function needs a StoneSpace, got NoneType",
+                     id="observable-space"),
+        pytest.param(lambda: MeasurableFunction(None, [0]),
+                     "a measurable function needs a FieldOfSets, got NoneType",
+                     id="measurable-field"),
+        pytest.param(lambda: SetIdeal(None, 0), "an ideal needs a FieldOfSets, got NoneType",
+                     id="ideal-field"),
+        pytest.param(lambda: SetIdeal.from_generators(None, [["p"]]),
+                     "an ideal needs a FieldOfSets, got NoneType", id="generators-field"),
+        pytest.param(lambda: SetIdeal.from_generators(TopSpace.discrete(["p"]), [["p"]]),
+                     "an ideal needs a FieldOfSets, got TopSpace", id="generators-space"),
+    ])
+    def test_each_unreadable_argument_is_an_input_error(self, make, message):
+        # each row raised TypeError, AttributeError or IndexError before
+        with pytest.raises(InputError) as err:
+            make()
+        assert str(err.value) == message
+
+    @settings(max_examples=60, deadline=None)
+    @given(hostile_calls())
+    def test_hostile_arguments_return_or_refuse_within_the_caps(self, call):
+        # each call runs in a forked child capped at 1 s of CPU and 256 MB
+        # more address space; a raise other than a refusal is a traceback
+        code, output = run_forked(partial(refusal_code, *call), 1, 256 << 20)
+        assert code in (0, 2), (call[0], output)
 
 
 def oracle_is_distributive(lat):

@@ -331,7 +331,29 @@ def oracle_embedded_point_indices(q):
     return tuple(out)
 
 
+def moved_by_bits(q, mask):
+    """``mask`` on the surviving points, each surviving bit p moved to its
+    rank among them: the quotient's relabelling, bit by bit."""
+    keep = [p for p in range(len(q.field.ground)) if q.survivors >> p & 1]
+    return sum(1 << i for i, p in enumerate(keep) if mask >> p & 1)
+
+
 class TestQuotient:
+    @pytest.mark.parametrize("ground", [
+        *(tuple(str(i) for i in range(n)) for n in range(1, 5)), ("c", "a", "b")])
+    def test_classes_match_the_bit_relabelling(self, ground):
+        # every ideal of every field, the non-discrete ones included, on
+        # labels in order and on labels that are not sorted
+        for f in all_fields(ground):
+            for ideal in ideals_of(f):
+                q = quotient(f, ideal)
+                kept = [a for a in f.atoms if a & q.survivors]
+                assert q.reduced == FieldOfSets(f.labels_of(q.survivors),
+                                                [moved_by_bits(q, a) for a in kept])
+                for m in f.members():
+                    assert q.class_of(m) == moved_by_bits(q, m)
+                assert q.embedded_point_indices() == oracle_embedded_point_indices(q)
+
     def test_embedded_indices_match_the_lookup(self):
         count = 0
         for n in range(1, 6):

@@ -224,11 +224,16 @@ def value_tuples(n, rng):
 
 class TestSpaceBasics:
     def test_closure_laws_not_satisfied_raises(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError,
+                           match="^a topology must contain the empty set and the whole space$"):
             TopSpace.from_sets(("1", "2"), [[], ["1", "2"], ["1"]][:2][:1])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^not closed under union: \{1\}, \{2\}$"):
             TopSpace.from_sets(("1", "2", "3"),
                                [[], ["1"], ["2"], ["1", "2", "3"]])  # no {1,2}
+        with pytest.raises(InputError,
+                           match=r"^not closed under intersection: \{1,2\}, \{2,3\}$"):
+            TopSpace.from_sets(("1", "2", "3"),
+                               [[], ["1", "2"], ["2", "3"], ["1", "2", "3"]])  # no {2}
 
     @pytest.mark.parametrize("opens", [[0, 1.7, 3], [0, 1, 3.0], [0, "3", 1, 3], [0, True, 3]])
     def test_open_masks_must_be_ints(self, opens):
