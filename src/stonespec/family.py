@@ -19,7 +19,7 @@ from itertools import combinations
 from math import lcm
 
 from .errors import InputError, InvalidFamilyError, UnsupportedStructureError
-from .lattice import Lattice, Record, _eq_by, _iter, _require_same, _require_type, bits
+from .lattice import Lattice, Record, _capped, _eq_by, _iter, _require_same, _require_type, bits
 from .stone import StoneSpace, stone_space
 
 
@@ -53,7 +53,8 @@ def _as_fraction(x) -> Fraction:
 
 
 def point_values(labels, values) -> tuple:
-    """One exact value per point label, from a sequence or a label -> value dict."""
+    """One exact value per point label, from an iterable, read to at most one
+    past the labels, or from a label -> value dict."""
     if isinstance(values, dict):
         try:
             values = [values[p] for p in labels]
@@ -61,14 +62,17 @@ def point_values(labels, values) -> tuple:
             raise InputError(f"no value for point {e.args[0]!r}") from None
     # Fractions are immutable, so exact inputs are shared rather than rebuilt
     values = tuple([v if type(v) is Fraction else _as_fraction(v)
-                    for v in _iter(values, "values")])
+                    for v in _capped(values, len(labels), "values",
+                                     "one value per point required")])
     if len(values) != len(labels):
         raise InputError("one value per point required")
     return values
 
 
 class SpectralFamily:
-    """A bounded monotone step map from the rationals into a lattice."""
+    """A bounded monotone step map from the rationals into a lattice.
+
+    ``jumps`` has no cap: it is read to its end."""
 
     __slots__ = ("lattice", "thresholds", "values")
 
@@ -147,7 +151,8 @@ class ObservableFunction:
 
     def __init__(self, space: StoneSpace, values):
         _require_type(space, StoneSpace, "an observable function needs a StoneSpace")
-        values = tuple(map(_as_fraction, _iter(values, "values")))
+        values = tuple(map(_as_fraction, _capped(values, space.n_points, "values",
+                                                 "one value per quasipoint required")))
         if len(values) != space.n_points:
             raise InputError("one value per quasipoint required")
         self.space = space
@@ -281,6 +286,7 @@ def observable_function(family: SpectralFamily) -> ObservableFunction:
     because membership of the values in a filter is upward closed along the
     family and the last value, the top, lies in every filter.
     """
+    _require_type(family, SpectralFamily, "the transform needs a SpectralFamily")
     space = stone_space(family.lattice)
     values = first_hits(family.thresholds, [space.base[v] for v in family.values],
                         space.n_points)
@@ -407,6 +413,7 @@ class ComplexSpectralFamily:
     meet of its two margin cells, E(i, j) == E(i, c) & E(r, j); only those
     pairs are checked, and the corner value must be the top.  Only the two
     margins are kept, as canonical families; the rest is read off them.
+    The grids and the matrix have no cap: each is read to its end.
     """
 
     __slots__ = ("first", "second")
@@ -507,7 +514,8 @@ def riemann_stieltjes(family: SpectralFamily, grid) -> ObservableFunction:
     Each quasipoint receives the grid tag at which the family first enters it,
     i.e. the sum  sum_k t_k (chi(t_k) - chi(t_{k-1}))  with tags at the jump
     being summed.  The result is within the largest grid gap of f_E, and
-    equals f_E exactly whenever the grid contains every threshold.
+    equals f_E exactly whenever the grid contains every threshold.  The grid
+    has no cap: it is read to its end.
     """
     g = observable_function(family)
     return ObservableFunction(g.space, _step_sum(family, grid, g.values))
@@ -537,7 +545,8 @@ def enumerate_families(lattice: Lattice, grid) -> list:
 
     Jump value chains are the strictly increasing chains ending at the top and
     avoiding the bottom; each chain of length k is combined with every
-    k-subset of the grid.  Deterministic order.
+    k-subset of the grid.  Deterministic order.  The grid has no cap: it is
+    read to its end.
     """
     if lattice.bottom is None or lattice.top is None:
         raise InputError("families need a lattice with a bottom and a top")

@@ -8,6 +8,7 @@ values are immutable after construction.
 
 from __future__ import annotations
 
+from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -46,6 +47,19 @@ def _iter(x, what: str):
         return iter(x)
     except TypeError:
         raise InputError(f"{what} must be iterable, got {type(x).__name__}") from None
+
+
+def _capped(x, cap: int, what: str, too_many: str):
+    """``_iter(x, what)``, but an ``x`` without a length is read to at most
+    ``cap + 1`` items, and more raise ``InputError(too_many.format(cap))``; a
+    sized ``x`` is left to its caller's count, whose message names it."""
+    items = _iter(x, what)
+    if hasattr(x, "__len__"):
+        return items
+    head = tuple(islice(items, cap + 1))
+    if len(head) > cap:
+        raise InputError(too_many.format(cap))
+    return head
 
 
 def _eq_by(*fields):
@@ -138,7 +152,9 @@ class Lattice:
     claimed properties ("distributive", "orthomodular") checked by
     :meth:`validate`.  Lattices of sets (:meth:`from_sets`) store their masks
     in ``payload`` and map them back to ids through ``set_ids``; both are
-    None on every other lattice.
+    None on every other lattice.  The names are read to at most one past
+    ``MAX_ELEMENTS`` and ``ortho`` to one past the names, but ``order`` and
+    ``flags`` have no cap: each is read to its end.
     """
 
     def __init__(self, names: Sequence[str], order: Iterable[tuple], *,
@@ -182,7 +198,7 @@ class Lattice:
         """
         lat = cls.__new__(cls)
         lat._set_names(names)
-        masks = tuple(_iter(masks, "sets"))
+        masks = tuple(_capped(masks, lat.n, "sets", "more than {0} sets for {0} element names"))
         if len(masks) != lat.n:
             raise InputError(f"{len(masks)} sets for {lat.n} element names")
         try:
@@ -209,7 +225,8 @@ class Lattice:
         return lat
 
     def _set_names(self, names):
-        names = tuple(_iter(names, "element names"))
+        names = tuple(_capped(names, MAX_ELEMENTS, "element names",
+                              "more than {} elements exceed the cap"))
         if not names:
             raise InputError("a lattice needs at least one element")
         if len(names) > MAX_ELEMENTS:

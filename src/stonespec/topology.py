@@ -16,7 +16,8 @@ from .errors import InputError, UnsupportedStructureError
 from .family import (ComplexObservableFunction, ObservableFunction,
                      SpectralFamily, first_hits, level_sets, observable_function,
                      point_values)
-from .lattice import MAX_ELEMENTS, Lattice, Record, _eq_by, _iter, _require_same, bits, label_masks
+from .lattice import (MAX_ELEMENTS, Lattice, Record, _capped, _eq_by, _iter, _require_same,
+                      _require_type, bits, label_masks)
 from .stone import SCAN_CAP, StoneSpace, stone_space, unions
 
 
@@ -26,7 +27,8 @@ MAX_POINTS = 4096
 def _points(points) -> tuple:
     """The labels as a tuple: distinct, nonempty and at most ``MAX_POINTS``."""
     try:
-        points = tuple(points)
+        points = tuple(_capped(points, MAX_POINTS, "point labels",
+                               "more than {} points exceed the cap"))
         distinct = len(set(points))
     except TypeError:
         raise InputError("point labels must be an iterable of hashable values") from None
@@ -105,7 +107,8 @@ class TopSpace:
     def generated(cls, points, sets) -> "TopSpace":
         """The least topology containing the sets: each point's minimal open
         neighbourhood is the intersection of the sets around it, and the opens
-        are the unions of those neighbourhoods, built only up to the cap."""
+        are the unions of those neighbourhoods, built only up to the cap.
+        The sets have no cap: they are read to their end."""
         points = _points(points)
         index = {p: i for i, p in enumerate(points)}
         nbhd = _min_nbhds(label_masks(index, sets), len(points))
@@ -203,6 +206,7 @@ def is_continuous(space: TopSpace, values) -> bool:
     Equivalently, every fibre is open: a fibre is the preimage of an open
     interval that isolates its value, and every preimage is a union of fibres.
     """
+    _require_type(space, TopSpace, "a continuity check needs a TopSpace")
     return _first_nonconstant(space._nbhd, point_values(space.points, values)) < 0
 
 
@@ -222,6 +226,7 @@ def spectral_family_of_continuous(space: TopSpace, values):
     For continuous inputs this is strongly regular and induces the function
     back; for arbitrary inputs it is still a bounded family at finite scale.
     """
+    _require_type(space, TopSpace, "a family of level sets needs a TopSpace")
     return _family_of_levels(space, *level_sets(point_values(space.points, values)))
 
 
@@ -295,6 +300,7 @@ class PtStructure(Record):
 
 
 def pt_structure(space: TopSpace) -> PtStructure:
+    _require_type(space, TopSpace, "a point structure needs a TopSpace")
     lat = space.lattice()
     st = stone_space(lat)
     q_x = tuple(st.base[lat.set_ids[u]] for u in space._nbhd)

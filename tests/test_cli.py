@@ -27,6 +27,7 @@ from test_dsl import instance_files
 from test_stone import oracle_quasipoints
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def run(*argv):
@@ -39,62 +40,59 @@ def fixture(name):
     return os.path.join(FIXTURES, name)
 
 
-def run_bounded(*argv, cpu_s=1, memory=600 << 20, wall_s=20):
-    """The CLI in a child process with its CPU time and address space capped
-    by ``setrlimit``, and a wall-time budget: a call that needs more is
-    killed (a signal, or a ``MemoryError`` traceback) instead of waited for."""
-    def limit():
-        resource.setrlimit(resource.RLIMIT_CPU, (cpu_s, cpu_s))
-        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
-
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, "-m", "stonespec", *argv], capture_output=True,
-                          text=True, timeout=wall_s, env=env, preexec_fn=limit)
-
-
-def run_forked(call, cpu_s, memory):
-    """``call(out=pipe, err=pipe)``, such as ``partial(cli.main, argv)``, in a
-    forked child with its CPU time capped at ``cpu_s`` seconds and its
-    address space at the size it inherits plus ``memory`` bytes, under
-    ``run_bounded``'s wall budget; returns the exit code ``call`` returns and
-    what the child wrote to its one pipe.
-
-    A child stopped by a limit, by a signal or by the wall budget fails the
-    test; an exception out of ``call`` is written as a traceback and ends
-    the child with status 70, as no subcommand does."""
-    read_fd, write_fd = os.pipe()
+def run_forked(call, cpu_s=0.9, memory=580 << 20, wall_s=20):
+    """``call(out=..., err=...)``, such as ``partial(cli.main, argv)``, in a
+    forked child; returns its exit code and what it wrote to ``out`` and to
+    ``err``, as ``run`` does.  The call may spend ``cpu_s`` seconds of CPU
+    and map ``memory`` bytes beyond the address space the child inherits: by
+    default 1 s and 600 MB less what a spawned ``python -m stonespec`` spends
+    before ``main`` (0.08 s and 19 MB with Python 3.11 on a 2-vCPU Linux
+    host).  It must end within ``wall_s`` seconds.  A child stopped by a
+    limit, a signal or the wall budget fails the test; an exception out of
+    ``call`` goes to ``err`` as a traceback, with status 70, as no subcommand
+    exits."""
+    pipes = [os.pipe(), os.pipe()]
     pid = os.fork()
-    if pid == 0:  # the child runs the CLI only, and never returns into the tests
+    if pid == 0:  # the child runs the call only, and never returns into the tests
         code = 70
         try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "w", encoding="utf-8") as pipe:
+            for read_fd, _ in pipes:
+                os.close(read_fd)
+            with open(pipes[0][1], "w", encoding="utf-8") as out, \
+                    open(pipes[1][1], "w", encoding="utf-8") as err:
                 with open("/proc/self/status", encoding="ascii") as status:
                     inherited = next(int(line.split()[1]) << 10 for line in status
                                      if line.startswith("VmSize:"))
-                resource.setrlimit(resource.RLIMIT_CPU, (cpu_s, cpu_s))
                 resource.setrlimit(resource.RLIMIT_AS, (inherited + memory,) * 2)
+                # SIGPROF, whose default action ends the child, after cpu_s s of CPU
+                signal.signal(signal.SIGPROF, signal.SIG_DFL)
+                signal.setitimer(signal.ITIMER_PROF, cpu_s)
                 try:
-                    code = call(out=pipe, err=pipe)
+                    code = call(out=out, err=err)
                 except BaseException:
-                    traceback.print_exc(file=pipe)
+                    traceback.print_exc(file=err)
         finally:
             os._exit(code)
-    os.close(write_fd)
-    chunks, deadline = [], time.monotonic() + 20
-    while (left := deadline - time.monotonic()) > 0 and select.select([read_fd], [], [], left)[0]:
-        if not (chunk := os.read(read_fd, 1 << 16)):
+    chunks = {}
+    for read_fd, write_fd in pipes:
+        os.close(write_fd)
+        chunks[read_fd] = []
+    reading, deadline = set(chunks), time.monotonic() + wall_s
+    while reading:
+        ready = select.select(reading, [], [], max(0, deadline - time.monotonic()))[0]
+        if not ready:  # the wall budget is spent
+            os.kill(pid, signal.SIGKILL)
             break
-        chunks.append(chunk)
-    else:  # the wall budget is spent
-        os.kill(pid, signal.SIGKILL)
-    os.close(read_fd)
+        for fd in ready:
+            chunks[fd].append(chunk := os.read(fd, 1 << 16))
+            if not chunk:
+                reading.discard(fd)
+    for fd in chunks:
+        os.close(fd)
     status = os.waitpid(pid, 0)[1]
-    output = b"".join(chunks).decode("utf-8", "replace")
-    assert os.WIFEXITED(status), (call, f"stopped by signal {os.WTERMSIG(status)}", output)
-    return os.WEXITSTATUS(status), output
+    out, err = (b"".join(c).decode("utf-8", "replace") for c in chunks.values())
+    assert os.WIFEXITED(status), (call, f"stopped by signal {os.WTERMSIG(status)}", out, err)
+    return os.WEXITSTATUS(status), out, err
 
 
 class TestExitCodes:
@@ -160,15 +158,24 @@ class TestStartup:
         # than the package's own code
         probe = ("import sys; before = set(sys.modules); import stonespec.cli; "
                  "print(*sorted(set(sys.modules) - before))")
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              timeout=30, env=dict(os.environ, PYTHONPATH=src), check=True)
+                              timeout=30, env=dict(os.environ, PYTHONPATH=SRC), check=True)
         loaded = set(done.stdout.split())
         assert "stonespec.cli" in loaded
         assert not loaded & {"dataclasses", "inspect"}
         # the package depends on nothing outside the standard library
         tops = {name.partition(".")[0] for name in loaded}
         assert {t for t in tops if t != "stonespec"} <= sys.stdlib_module_names, tops
+
+    def test_python_m_stonespec_exits_with_what_main_returns(self, tmp_path):
+        # the one spawn of the entry point: every other test calls main in process
+        path = tmp_path / "cycle.lat"
+        path.write_text(TestInputRobustness.CYCLE)
+        argv = ["validate", str(path)]
+        done = subprocess.run([sys.executable, "-m", "stonespec", *argv], capture_output=True,
+                              text=True, timeout=30, env=dict(os.environ, PYTHONPATH=SRC))
+        assert (done.returncode, done.stdout, done.stderr) == run(*argv)
+        assert done.returncode == 1 and done.stdout.startswith("lattice L: INVALID")
 
 
 class TestTables:
@@ -310,11 +317,11 @@ class TestInputRobustness:
         path = tmp_path / "cycle.lat"
         path.write_text("lattice L { elements: 0, a, b, 1 ;"
                         " order: 0 < a, a < b, b < a, b < 1 ; }\n")
-        done = run_bounded("quasipoints", str(path), "L")
+        code, out, err = run_forked(partial(main, ["quasipoints", str(path), "L"]))
         # the order is rejected before any quasipoint is looked for
-        assert done.returncode == 2
-        assert done.stdout == ""
-        assert "antisymmetry" in done.stderr
+        assert code == 2
+        assert out == ""
+        assert "antisymmetry" in err
 
     def test_integrate_on_a_one_element_lattice(self, tmp_path):
         path = tmp_path / "one.lat"
@@ -370,10 +377,10 @@ class TestInputRobustness:
 
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
     def test_endless_file_is_read_up_to_the_cap(self):
-        done = run_bounded("validate", "/dev/zero")
-        assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == (f"error: cannot read /dev/zero: longer than "
-                               f"{cli.MAX_INPUT} characters\n")
+        code, out, err = run_forked(partial(main, ["validate", "/dev/zero"]))
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read /dev/zero: longer than "
+                       f"{cli.MAX_INPUT} characters\n")
 
     def test_input_cap_boundary(self, tmp_path, monkeypatch):
         text = "lattice B { elements: 0, 1 ; order: 0 < 1 ; }\n"
@@ -395,10 +402,10 @@ class TestInputRobustness:
         points = ",".join(str(i + 1) for i in range(n))
         path = tmp_path / f"{clause}{n}.lat"
         path.write_text(f"topology T on {{{points}}} {{\n  {clause}: {sets} ;\n}}\n")
-        done = run_bounded("validate", str(path))
-        assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == (f"error: parse failed:\n{path}:1:1: error: more than 64 open "
-                               "sets (the cap) [bad-topology]\n")
+        code, out, err = run_forked(partial(main, ["validate", str(path)]))
+        assert (code, out) == (2, "")
+        assert err == (f"error: parse failed:\n{path}:1:1: error: more than 64 open "
+                       "sets (the cap) [bad-topology]\n")
 
     CHAIN2 = "lattice L { elements: 0, 1 ; order: 0 < 1 ; }\n"
 
@@ -408,19 +415,19 @@ class TestInputRobustness:
         cells = " ; ".join(f"{i},{j}: 1" for i in range(80) for j in range(80))
         path = tmp_path / "grid80.lat"
         path.write_text(self.CHAIN2 + f"family2 G in L {{ {cells} ; }}\n")
-        done = run_bounded("decompose", str(path), "G")
-        assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout == "first:  0: 1\nsecond: 0: 1\n"
+        code, out, err = run_forked(partial(main, ["decompose", str(path), "G"]))
+        assert (code, err) == (0, "")
+        assert out == "first:  0: 1\nsecond: 0: 1\n"
 
     def test_sparse_family2_names_its_first_gap_in_bounded_time(self, tmp_path):
         # 2,000 lines each way but only the diagonal: the grid is not listed
         cells = " ; ".join(f"{i},{i}: 1" for i in range(2000))
         path = tmp_path / "diagonal.lat"
         path.write_text(self.CHAIN2 + f"family2 G in L {{ {cells} ; }}\n")
-        done = run_bounded("validate", str(path))
-        assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == (f"error: parse failed:\n{path}:2:1: error: grid is not "
-                               "complete; missing entry at 0,1 [malformed-clause]\n")
+        code, out, err = run_forked(partial(main, ["validate", str(path)]))
+        assert (code, out) == (2, "")
+        assert err == (f"error: parse failed:\n{path}:2:1: error: grid is not "
+                       "complete; missing entry at 0,1 [malformed-clause]\n")
 
     def test_too_many_points_stop_before_the_neighbourhoods(self, tmp_path):
         # one n-bit neighbourhood per point would take n^2 / 8 bytes; parsing
@@ -428,10 +435,10 @@ class TestInputRobustness:
         points = ",".join(str(i) for i in range(60000))
         path = tmp_path / "points.lat"
         path.write_text(f"topology T on {{{points}}} {{ generators: {{{points}}} ; }}\n")
-        done = run_bounded("validate", str(path), cpu_s=2)
-        assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == (f"error: parse failed:\n{path}:1:1: error: 60000 points "
-                               "exceed the cap of 4096 [bad-topology]\n")
+        code, out, err = run_forked(partial(main, ["validate", str(path)]), cpu_s=1.9)
+        assert (code, out) == (2, "")
+        assert err == (f"error: parse failed:\n{path}:1:1: error: 60000 points "
+                       "exceed the cap of 4096 [bad-topology]\n")
 
     @pytest.mark.parametrize("kind, clause, code", [
         ("field", "atoms: ", "bad-field"),
@@ -445,10 +452,11 @@ class TestInputRobustness:
         sets = ", ".join("{" + str(i) + "}" for i in range(60000))
         path = tmp_path / f"{kind}.lat"
         path.write_text(f"{kind} S on {{{points}}} {{ {clause}{sets} ; }}\n")
-        done = run_bounded("validate", str(path), cpu_s=2, memory=150 << 20)
-        assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == (f"error: parse failed:\n{path}:1:1: error: 60000 points "
-                               f"exceed the cap of 4096 [{code}]\n")
+        got, out, err = run_forked(partial(main, ["validate", str(path)]), cpu_s=1.9,
+                                   memory=130 << 20)
+        assert (got, out) == (2, "")
+        assert err == (f"error: parse failed:\n{path}:1:1: error: 60000 points "
+                       f"exceed the cap of 4096 [{code}]\n")
 
     def test_a_repeated_open_set_is_read_once(self, tmp_path):
         # 300,000 copies of one 4,096-point set literal in 2.4 MB of text: a
@@ -457,10 +465,11 @@ class TestInputRobustness:
         opens = ", ".join(["{4096}"] * 300000)
         path = tmp_path / "repeated.lat"
         path.write_text(f"topology T on {{{points}}} {{ opens: {opens} ; }}\n")
-        done = run_bounded("validate", str(path), cpu_s=5, memory=150 << 20)
-        assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == (f"error: parse failed:\n{path}:1:1: error: a topology must "
-                               "contain the empty set and the whole space [bad-topology]\n")
+        code, out, err = run_forked(partial(main, ["validate", str(path)]), cpu_s=4.9,
+                                    memory=130 << 20)
+        assert (code, out) == (2, "")
+        assert err == (f"error: parse failed:\n{path}:1:1: error: a topology must "
+                       "contain the empty set and the whole space [bad-topology]\n")
 
     POINTS = ",".join(str(i) for i in range(1, 4097))
 
@@ -476,9 +485,10 @@ class TestInputRobustness:
     def test_set_literals_stop_at_the_first_fault(self, tmp_path, kind, clause, sets, why):
         path = tmp_path / f"{kind}.lat"
         path.write_text(f"{kind} S on {{{self.POINTS}}} {{ {clause}: {', '.join(sets)} ; }}\n")
-        done = run_bounded("validate", str(path), cpu_s=3, memory=150 << 20)
-        assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == f"error: parse failed:\n{path}:1:1: error: {why}\n"
+        code, out, err = run_forked(partial(main, ["validate", str(path)]), cpu_s=2.9,
+                                    memory=130 << 20)
+        assert (code, out) == (2, "")
+        assert err == f"error: parse failed:\n{path}:1:1: error: {why}\n"
 
     def test_the_first_fault_in_reading_order_is_reported(self, tmp_path):
         # the unknown point comes after the 65th distinct open, the empty
@@ -499,9 +509,9 @@ class TestInputRobustness:
         jumps = " ; ".join([f"{k}: {{}}" for k in range(20000)] + [f"20000: {{{self.POINTS}}}"])
         path = tmp_path / "family.lat"
         path.write_text(self.TOPOLOGY + f"family E in T {{ {jumps} ; }}\n")
-        done = run_bounded("spectrum", str(path), "E", cpu_s=2)
-        assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout.startswith("sp = {20000}; resolvent = (-inf, 20000) u (20000, ")
+        code, out, err = run_forked(partial(main, ["spectrum", str(path), "E"]), cpu_s=1.9)
+        assert (code, err) == (0, "")
+        assert out.startswith("sp = {20000}; resolvent = (-inf, 20000) u (20000, ")
 
     def test_a_long_function_block_reads_labels_through_one_index(self, tmp_path):
         # 28 blocks of every point, 114,688 entries (a point may appear once
@@ -510,9 +520,9 @@ class TestInputRobustness:
         path = tmp_path / "function.lat"
         path.write_text(self.TOPOLOGY + "".join(
             f"function g{k} on T {{ {entries} ; }}\n" for k in range(28)))
-        done = run_bounded("validate", str(path), cpu_s=2)
-        assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout == "topology T: ok\n" + "".join(
+        code, out, err = run_forked(partial(main, ["validate", str(path)]), cpu_s=1.9)
+        assert (code, err) == (0, "")
+        assert out == "topology T: ok\n" + "".join(
             f"function g{k}: ok\n" for k in range(28))
 
     def test_validate_still_reports_an_invalid_lattice(self, tmp_path):
@@ -601,8 +611,8 @@ def bounded_work_cases(draw):
 @settings(max_examples=40, deadline=None)
 @given(bounded_work_cases())
 def test_every_file_subcommand_does_bounded_work(case):
-    # each call runs in a forked child under run_bounded's CPU and memory
-    # allowance; a call that needs more is stopped and fails the test
+    # each call runs in a forked child under run_forked's default allowances;
+    # a call that needs more is stopped and fails the test
     text, calls = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "g.lat")
@@ -610,6 +620,6 @@ def test_every_file_subcommand_does_bounded_work(case):
             handle.write(text)
         for argv in calls:
             argv = [path if a == "FILE" else a for a in argv]
-            code, output = run_forked(partial(main, argv), 1, 600 << 20)
-            assert code in (0, 1, 2), (argv, code, output)
-            assert "Traceback" not in output, (argv, output)
+            code, out, err = run_forked(partial(main, argv))
+            assert code in (0, 1, 2), (argv, code, out, err)
+            assert "Traceback" not in err, (argv, err)

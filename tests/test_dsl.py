@@ -632,7 +632,7 @@ class TestTotality:
         assert parse_ok(commented) == parse_ok(text)
 
 
-# --- the character-loop scanner, kept as the oracle of the pattern scanner ----------
+# --- the scanner's oracle: loops over characters, header faults reported in place -
 
 
 _ORACLE_RESERVED = set("{},;:<#")
@@ -655,10 +655,6 @@ class OracleScanner:
     def skip_ws(self):
         while self.i < self.n and self.text[self.i].isspace():
             self.i += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.i >= self.n
 
     def token(self) -> tuple:
         self.skip_ws()
@@ -727,93 +723,9 @@ def oracle_split_top(text: str, sep: str):
     return parts
 
 
-_REGEX_SPLIT = {sep: re.compile("[{}" + sep + "]") for sep in ",;:"}
-
-
-def regex_split_top(text: str, sep: str):
-    """The parts between separators at brace depth zero, by a pattern that
-    stops at every brace and separator."""
-    parts = []
-    depth = start = 0
-    for m in _REGEX_SPLIT[sep].finditer(text):
-        if m[0] == "{":
-            depth += 1
-        elif m[0] == "}":
-            depth -= 1
-        elif depth == 0:
-            parts.append((text[start:m.start()], start))
-            start = m.end()
-    parts.append((text[start:], start))
-    return parts
-
-
-def regex_body(sc):
-    """``_Scanner.body`` by a pattern that stops at every brace."""
-    start = sc.i
-    depth = 1
-    for m in re.finditer("[{}]", sc.text[start:]):
-        depth += 1 if m[0] == "{" else -1
-        if depth == 0:
-            sc.i = start + m.end()
-            return sc.text[start:start + m.start()], start, True
-    sc.i = sc.n
-    return sc.text[start:], start, False
-
-
-def parse_outcome(text):
-    """What a parse shows: the ok flag, every diagnostic and every block."""
-    result = dsl.parse(text)
-    blocks = [(b.kind, b.name, b.host, b.obj) for b in result.file.blocks] if result.ok else []
-    return result.ok, [str(d) for d in result.diagnostics], blocks
-
-
-def oracle_parse_outcome(text):
-    with mock.patch.multiple(dsl, _Scanner=OracleScanner, _split_top=oracle_split_top):
-        return parse_outcome(text)
-
-
-class TestPatternScanner:
-    def test_patterns_classify_every_character_as_the_loops_did(self):
-        every = "".join(map(chr, range(sys.maxunicode + 1)))
-        # each pattern deletes the characters it matches and leaves the rest in order
-        assert dsl._WS.sub("", every) == "".join(ch for ch in every if not ch.isspace())
-        assert dsl._TOKEN.sub("", every) == "".join(
-            ch for ch in every if ch in _ORACLE_RESERVED or ch.isspace())
-
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(st.one_of(texts(), mutated_fixtures(), st.text(max_size=60)))
-    @example("lattice a<b { elements: 0 ; }")
-    @example("topology T on {p, q { opens: {} ; }} field F { atoms: {p} ; }")
-    def test_parse_matches_the_character_loop_scanner(self, text):
-        assert parse_outcome(text) == oracle_parse_outcome(text)
-
-    def test_fixtures_match_the_character_loop_scanner(self):
-        for text in FIXTURE_TEXTS:
-            assert parse_outcome(text) == oracle_parse_outcome(text)
-
-    @pytest.mark.parametrize("sep", [",", ";", ":"])
-    @given(st.text(st.sampled_from("{},;: a\n"), max_size=30))
-    def test_split_top_matches_the_character_loop(self, sep, text):
-        assert list(dsl._split_top(text, sep)) == oracle_split_top(text, sep)
-
-    @settings(max_examples=500)
-    @given(st.text(st.sampled_from("{},;: a"), max_size=14), st.integers(0, 14))
-    def test_find_and_count_match_the_pattern_stepping(self, text, start):
-        # the depth is a running sum of the braces between separators or closes
-        for sep in ",;:":
-            assert list(dsl._split_top(text, sep)) == regex_split_top(text, sep)
-        got, want = dsl._Scanner(text), dsl._Scanner(text)
-        got.i = want.i = min(start, len(text))
-        assert (got.body(), got.i) == (regex_body(want), want.i)
-
-
-# --- the scanner that reported each header fault in place, kept as the oracle ------
-
-
 def oracle_scan(sc, diag):
-    """Split the text into raw blocks; malformed headers go to ``diag``,
-    each branch recovering on its own."""
+    """Split the text into raw blocks; each malformed header goes to ``diag``
+    where it is found, and each branch recovers on its own."""
     blocks = []
     while sc.peek():
         kind, at = sc.token()
@@ -827,8 +739,7 @@ def oracle_scan(sc, diag):
             diag("malformed-header", f"{kind} block is missing a name", name_at)
             sc.skip_to_close()
             continue
-        link = host = None
-        host_set = None
+        host = host_set = None
         if sc.peek() not in "{":
             link, link_at = sc.token()
             if link not in ("on", "in"):
@@ -858,16 +769,25 @@ def oracle_scan(sc, diag):
         if not ok:
             diag("malformed-header", f"unterminated {kind} block", at)
             continue
-        clauses = [(t, raw_at + off) for t, off in dsl._split_top(raw, ";") if t.strip()]
+        clauses = [(t, raw_at + off) for t, off in oracle_split_top(raw, ";") if t.strip()]
         blocks.append(dsl._RawBlock(kind, name, host, host_set, clauses, at))
     return blocks
 
 
-def oracle_scan_outcome(text):
-    """``parse_outcome`` with the header faults reported by ``oracle_scan``."""
+def parse_outcome(text):
+    """What a parse shows: the ok flag, every diagnostic and every block."""
+    result = dsl.parse(text)
+    blocks = [(b.kind, b.name, b.host, b.obj) for b in result.file.blocks] if result.ok else []
+    return result.ok, [str(d) for d in result.diagnostics], blocks
+
+
+def oracle_parse_outcome(text):
+    """``parse_outcome`` with the oracle's scanner, splitter and block scan in
+    place of the parser's; header faults go to the builder's own ``diag``."""
     def scan(sc, reject):
-        return oracle_scan(sc, reject.__self__.diag)  # the builder's own diag
-    with mock.patch.object(dsl, "_scan", scan):
+        return oracle_scan(sc, reject.__self__.diag)
+    with mock.patch.multiple(dsl, _Scanner=OracleScanner, _split_top=oracle_split_top,
+                             _scan=scan):
         return parse_outcome(text)
 
 
@@ -894,17 +814,39 @@ HEADER_FAULTS = [
 ]
 
 
-class TestHeaderFaultsThroughReject:
+class TestScannerOracle:
+    def test_patterns_classify_every_character_as_the_loops_did(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        # each pattern deletes the characters it matches and leaves the rest in order
+        assert dsl._WS.sub("", every) == "".join(ch for ch in every if not ch.isspace())
+        assert dsl._TOKEN.sub("", every) == "".join(
+            ch for ch in every if ch in _ORACLE_RESERVED or ch.isspace())
+
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(texts(), mutated_fixtures(), header_spliced(), st.text(max_size=60)))
+    @example("lattice a<b { elements: 0 ; }")
+    @example("topology T on {p, q { opens: {} ; }} field F { atoms: {p} ; }")
+    def test_parse_matches_the_oracle(self, text):
+        assert parse_outcome(text) == oracle_parse_outcome(text)
+
+    def test_fixtures_match_the_oracle(self):
+        for text in FIXTURE_TEXTS:
+            assert parse_outcome(text) == oracle_parse_outcome(text)
+
     @pytest.mark.parametrize("fault, first", HEADER_FAULTS)
-    def test_each_header_fault_as_the_in_place_scanner_reported_it(self, fault, first):
+    def test_each_header_fault_as_the_oracle_reports_it(self, fault, first):
         ok, diagnostics, _ = parse_outcome(fault)
         assert not ok and diagnostics[0] == first
         for text in (fault, fault + "\nlattice M { elements: 0 ; }",
                      "lattice M { elements: 0 ; }\n" + fault):
-            assert parse_outcome(text) == oracle_scan_outcome(text)
+            assert parse_outcome(text) == oracle_parse_outcome(text)
 
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(st.one_of(texts(), mutated_fixtures(), header_spliced()))
-    def test_parse_matches_the_in_place_scanner(self, text):
-        assert parse_outcome(text) == oracle_scan_outcome(text)
+    @settings(max_examples=500)
+    @given(st.text(st.sampled_from("{},;: a\n"), max_size=30), st.integers(0, 30))
+    def test_split_top_and_body_match_the_character_loop_at_any_offset(self, text, start):
+        for sep in ",;:":
+            assert list(dsl._split_top(text, sep)) == oracle_split_top(text, sep)
+        got, want = dsl._Scanner(text), OracleScanner(text)
+        got.i = want.i = min(start, len(text))
+        assert (got.body(), got.i) == (want.body(), want.i)

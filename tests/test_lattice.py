@@ -19,8 +19,9 @@ from stonespec import dsl
 from stonespec import (ComplexSpectralFamily, FieldOfSets, InputError, InvalidFamilyError,
                        Lattice, MeasurableFunction, NoOrthocomplementError, ObservableFunction,
                        SetIdeal, SpectralFamily, TopSpace, boolean_lattice, chain_lattice,
-                       enumerate_families, mo_lattice, product_lattice, riemann_stieltjes,
-                       riemann_stieltjes_on_points, stone_space)
+                       enumerate_families, is_continuous, mo_lattice, observable_function,
+                       product_lattice, pt_structure, quotient, riemann_stieltjes,
+                       riemann_stieltjes_on_points, spectral_family_of_continuous, stone_space)
 from stonespec.checks import SuiteResult
 from stonespec.lattice import MAX_ELEMENTS, Violation, bits
 from test_cli import run_forked
@@ -375,8 +376,10 @@ B1 = boolean_lattice(1)
 
 P1 = FieldOfSets(["p"], [1])
 B2 = boolean_lattice(2)
+S2 = TopSpace(["p", "q"], [0, 1, 3])
+F2 = FieldOfSets(["p", "q"], [1, 2])
 
-# each constructor and the arguments of one call it accepts
+# each constructor or function and the arguments of one call it accepts
 CONSTRUCTORS = {
     "Lattice": (lambda names, order, ortho, flags: Lattice(names, order, ortho=ortho,
                                                            flags=flags),
@@ -388,29 +391,43 @@ CONSTRUCTORS = {
     "SpectralFamily": (SpectralFamily, (B2, [(0, "x"), (1, "1")])),
     "ComplexSpectralFamily": (ComplexSpectralFamily,
                               (B2, [0, 1], [0, 1], [["0", "x"], ["y", "1"]])),
+    "ObservableFunction": (ObservableFunction, (stone_space(B2), [0, 1])),
+    "is_continuous": (is_continuous, (S2, [0, 1])),
+    "spectral_family_of_continuous": (spectral_family_of_continuous, (S2, [0, 1])),
+    "observable_function": (observable_function, (SpectralFamily(B2, [(0, "x"), (1, "1")]),)),
+    "pt_structure": (pt_structure, (S2,)),
+    "quotient": (quotient, (F2, SetIdeal(F2, 1))),
 }
-# the opens of a space and the atoms of a field are read as they stream in
-STREAMED = {("TopSpace", 1), ("FieldOfSets", 1)}
+# the arguments read as they stream in, or to one item past their cap, so
+# that an endless one is refused
+STREAMED = {("Lattice", 0), ("Lattice", 2), ("Lattice.from_sets", 0), ("Lattice.from_sets", 1),
+            ("TopSpace", 0), ("TopSpace", 1), ("FieldOfSets", 0), ("FieldOfSets", 1),
+            ("ObservableFunction", 1), ("is_continuous", 1),
+            ("spectral_family_of_continuous", 1)}
+ENDLESS = st.one_of(st.builds(itertools.count, st.integers(-1, 2)),
+                    st.builds(map, st.just(str), st.builds(itertools.count)))
 
 
 def refusal_code(name, *args, out, err):
-    """0 if the constructor ``name`` returns on ``args`` and 2 if it refuses
-    them: an ``InputError``, or the ``InvalidFamilyError`` of a family that
-    breaks a family law.  Any other exception reaches ``run_forked``."""
+    """0 if the constructor or function ``name`` returns on ``args``, and 2,
+    with the message written to ``out``, if it refuses them: an
+    ``InputError``, or the ``InvalidFamilyError`` of a family that breaks a
+    family law.  Any other exception reaches ``run_forked``."""
     try:
         CONSTRUCTORS[name][0](*args)
-    except (InputError, InvalidFamilyError):
+    except (InputError, InvalidFamilyError) as refusal:
+        print(refusal, file=out)
         return 2
     return 0
 
 
 # what a hostile caller might pass: huge ints, masks that are not ints,
-# non-iterables, None, foreign lattices, and iterables of them
+# non-iterables, None, foreign lattices and spaces, and iterables of them
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(1 << 64, 1 << 4096),
     st.floats(allow_nan=True), st.decimals(allow_nan=True), st.fractions(),
     st.text(max_size=3), st.sampled_from(["0", "1", "x", "p", "1/2", "1e99999999"]),
-    st.sampled_from([B2, chain_lattice(3), mo_lattice(1), Lattice(["a", "b"], [])]))
+    st.sampled_from([B2, chain_lattice(3), mo_lattice(1), Lattice(["a", "b"], []), S2, F2]))
 HOSTILE = st.recursive(SCALARS, lambda inner: st.one_of(
     st.lists(inner, max_size=4), st.tuples(inner, inner), st.iterables(inner, max_size=4),
     st.dictionaries(st.integers() | st.text(max_size=3), inner, max_size=3)),
@@ -422,14 +439,15 @@ LONG = st.sampled_from([range(1 << 16), ["0"] * (1 << 14), [("0", "1")] * (1 << 
 
 @st.composite
 def hostile_calls(draw):
-    """A constructor's name and the arguments of its valid call with some of
-    them, or one item of them, swapped for what a hostile caller passes."""
+    """A constructor's or function's name and the arguments of its valid call
+    with some of them, or one item of them, swapped for what a hostile caller
+    passes."""
     name = draw(st.sampled_from(sorted(CONSTRUCTORS)))
     args = list(CONSTRUCTORS[name][1])
     for i in draw(st.sets(st.integers(0, len(args) - 1), min_size=1)):
         bad = HOSTILE | LONG
         if (name, i) in STREAMED:
-            bad |= st.builds(itertools.count, st.integers(-1, 2))  # endless
+            bad |= ENDLESS
         if isinstance(args[i], list) and draw(st.booleans()):
             args[i] = list(args[i])
             args[i][draw(st.integers(0, len(args[i]) - 1))] = draw(bad)
@@ -439,8 +457,8 @@ def hostile_calls(draw):
 
 
 class TestLibraryBoundary:
-    """A fault in the arguments of a public constructor is an ``InputError``
-    that names it, not whatever the first operation on it raises."""
+    """A fault in the arguments of a public constructor or function is an
+    ``InputError`` that names it, not whatever the first operation on it raises."""
 
     @pytest.mark.parametrize("make, message", [
         pytest.param(lambda: Lattice(["0", "1"], [("0", "1", "x")]),
@@ -461,8 +479,6 @@ class TestLibraryBoundary:
                      "a family needs a Lattice host, got NoneType", id="host-none"),
         pytest.param(lambda: ComplexSpectralFamily(B1, [0], [0], [5]),
                      "value matrix must be rows of values", id="row-non-iterable"),
-        pytest.param(lambda: TopSpace.from_sets(5, []),
-                     "point labels must be an iterable of hashable values", id="labels-int"),
         pytest.param(lambda: FieldOfSets([["p"], ["q"]], [1, 2]),
                      "point labels must be an iterable of hashable values",
                      id="labels-unhashable"),
@@ -491,6 +507,8 @@ class TestLibraryBoundary:
         pytest.param(lambda: Lattice(["0"], 5), "order must be iterable, got int", id="order"),
         pytest.param(lambda: Lattice(["0"], [], ortho=5), "ortho must be iterable, got int",
                      id="ortho"),
+        pytest.param(lambda: TopSpace.from_sets(5, []), "point labels must be iterable, got int",
+                     id="labels-int"),
         pytest.param(lambda: Lattice(["0", "1"], [("0", "1")], ortho=["1", "0", "0"]),
                      "ortho map has more than 2 entries", id="ortho-too-long"),
         pytest.param(lambda: Lattice(["0"], [], flags=5),
@@ -547,6 +565,18 @@ class TestLibraryBoundary:
                      "an ideal needs a FieldOfSets, got NoneType", id="generators-field"),
         pytest.param(lambda: SetIdeal.from_generators(TopSpace.discrete(["p"]), [["p"]]),
                      "an ideal needs a FieldOfSets, got TopSpace", id="generators-space"),
+        pytest.param(lambda: is_continuous(None, [0]),
+                     "a continuity check needs a TopSpace, got NoneType", id="continuity-space"),
+        pytest.param(lambda: spectral_family_of_continuous(None, [0]),
+                     "a family of level sets needs a TopSpace, got NoneType", id="levels-space"),
+        pytest.param(lambda: observable_function(None),
+                     "the transform needs a SpectralFamily, got NoneType", id="transform-family"),
+        pytest.param(lambda: pt_structure(None),
+                     "a point structure needs a TopSpace, got NoneType", id="pt-structure-space"),
+        pytest.param(lambda: quotient(None, None), "a quotient needs a FieldOfSets, got NoneType",
+                     id="quotient-field"),
+        pytest.param(lambda: quotient(F2, None), "a quotient needs a SetIdeal, got NoneType",
+                     id="quotient-ideal"),
     ])
     def test_each_unreadable_argument_is_an_input_error(self, make, message):
         # each row raised TypeError, AttributeError or IndexError before
@@ -554,13 +584,28 @@ class TestLibraryBoundary:
             make()
         assert str(err.value) == message
 
-    @settings(max_examples=60, deadline=None)
+    @pytest.mark.parametrize("call, message", [
+        (("Lattice", map(str, itertools.count()), [], None, ()),
+         "more than 64 elements exceed the cap"),
+        (("Lattice.from_sets", itertools.count(), ["0", "1"]),
+         "more than 2 sets for 2 element names"),
+        (("TopSpace", map(str, itertools.count()), [0]), "more than 4096 points exceed the cap"),
+        (("is_continuous", S2, itertools.count()), "one value per point required"),
+        (("ObservableFunction", stone_space(B2), itertools.count()),
+         "one value per quasipoint required"),
+    ], ids=["names", "masks", "points", "point-values", "observable-values"])
+    def test_an_endless_iterable_is_read_one_item_past_its_cap(self, call, message):
+        # in a forked child, where reading one to its end is stopped by the caps
+        assert run_forked(partial(refusal_code, *call), cpu_s=1, memory=256 << 20) == (
+            2, message + "\n", "")
+
+    @settings(max_examples=130, deadline=None)
     @given(hostile_calls())
     def test_hostile_arguments_return_or_refuse_within_the_caps(self, call):
         # each call runs in a forked child capped at 1 s of CPU and 256 MB
         # more address space; a raise other than a refusal is a traceback
-        code, output = run_forked(partial(refusal_code, *call), 1, 256 << 20)
-        assert code in (0, 2), (call[0], output)
+        code, out, err = run_forked(partial(refusal_code, *call), cpu_s=1, memory=256 << 20)
+        assert code in (0, 2), (call[0], out, err)
 
 
 def oracle_is_distributive(lat):

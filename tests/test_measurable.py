@@ -67,24 +67,20 @@ class TestFieldOfSets:
         assert lat.validate().ok
         assert lat.is_distributive()[0]
 
-    def test_all_fields_counts_are_bell_numbers(self):
-        assert len(all_fields(("1",))) == 1
-        assert len(all_fields(("1", "2"))) == 2
-        assert len(all_fields(("1", "2", "3"))) == 5
-        assert len(all_fields(("1", "2", "3", "4"))) == 15
-
-    @pytest.mark.parametrize("n, bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])
+    @pytest.mark.parametrize("n, bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)])
     def test_all_fields_are_the_restricted_growth_partitions(self, n, bell):
-        ground = tuple("pqrst"[:n])
+        ground = tuple("pqrstu"[:n])
         fields = all_fields(ground)
         assert len(fields) == len(oracle_partitions(n)) == bell
         assert {frozenset(f.atoms) for f in fields} == set(oracle_partitions(n))
         for f in fields:
             assert f == FieldOfSets(ground, f.atoms) and f.ground == ground
+        # in the order of all_topologies: by member count, then by the member masks
+        assert fields == sorted(fields, key=lambda f: (len(f.members()), f.members()))
 
-    def test_all_fields_share_the_topology_cap(self):
-        with pytest.raises(InputError, match="exhaustive topology generation capped at 5"):
-            all_fields(tuple("abcdef"))
+    def test_all_fields_stop_where_the_discrete_field_passes_the_lattice_cap(self):
+        with pytest.raises(InputError, match="^exhaustive field generation capped at 6 points$"):
+            all_fields(tuple("abcdefg"))
 
     def test_bad_partitions_rejected(self):
         with pytest.raises(InputError):
