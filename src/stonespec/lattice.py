@@ -50,15 +50,18 @@ def _iter(x, what: str):
 
 
 def _capped(x, cap: int, what: str, too_many: str):
-    """``_iter(x, what)``, but an ``x`` without a length is read to at most
-    ``cap + 1`` items, and more raise ``InputError(too_many.format(cap))``; a
-    sized ``x`` is left to its caller's count, whose message names it."""
+    """``_iter(x, what)``, read to at most ``cap + 1`` items: more than
+    ``cap`` raise ``InputError(too_many.format(count))``.  A sized ``x`` is
+    counted by its length before any item is read; an unsized one is
+    counted as "more than cap" at item ``cap + 1``."""
     items = _iter(x, what)
     if hasattr(x, "__len__"):
+        if len(x) > cap:
+            raise InputError(too_many.format(len(x)))
         return items
     head = tuple(islice(items, cap + 1))
     if len(head) > cap:
-        raise InputError(too_many.format(cap))
+        raise InputError(too_many.format(f"more than {cap}"))
     return head
 
 
@@ -198,7 +201,7 @@ class Lattice:
         """
         lat = cls.__new__(cls)
         lat._set_names(names)
-        masks = tuple(_capped(masks, lat.n, "sets", "more than {0} sets for {0} element names"))
+        masks = tuple(_capped(masks, lat.n, "sets", f"{{}} sets for {lat.n} element names"))
         if len(masks) != lat.n:
             raise InputError(f"{len(masks)} sets for {lat.n} element names")
         try:
@@ -226,11 +229,9 @@ class Lattice:
 
     def _set_names(self, names):
         names = tuple(_capped(names, MAX_ELEMENTS, "element names",
-                              "more than {} elements exceed the cap"))
+                              f"{{}} elements exceed the cap of {MAX_ELEMENTS}"))
         if not names:
             raise InputError("a lattice needs at least one element")
-        if len(names) > MAX_ELEMENTS:
-            raise InputError(f"{len(names)} elements exceed the cap of {MAX_ELEMENTS}")
         for s in names:
             if not isinstance(s, str):
                 raise InputError(f"element name {s!r} is not a str")

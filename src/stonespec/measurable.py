@@ -15,7 +15,7 @@ from itertools import product
 from .errors import InputError
 from .family import (ObservableFunction, SpectralFamily, _as_fraction, _step_sum,
                      enumerate_families, observable_function, point_values)
-from .lattice import Lattice, _eq_by, _iter, _require_same, _require_type, bits
+from .lattice import MAX_ELEMENTS, Lattice, _eq_by, _iter, _require_same, _require_type, bits
 from .stone import StoneSpace, stone_space
 from .topology import (TopSpace, _first_nonconstant, _min_nbhds, _points, induced_function,
                        spectral_family_of_continuous)
@@ -96,11 +96,13 @@ def all_fields(ground) -> list:
     """Every field of sets on the ground set, one per partition of it into
     atoms (1, 2, 5, 15, 52, 203 for 1..6 points), ordered as
     ``all_topologies`` orders spaces: by member count, then by the sorted
-    member masks.  Capped at 6 points, whose discrete field has 64 members."""
+    member masks.  Capped where the discrete field, of 2^n members, would
+    pass the lattice cap: at 6 points."""
     ground = _points(ground)
     n = len(ground)
-    if n > 6:
-        raise InputError("exhaustive field generation capped at 6 points")
+    if 1 << n > MAX_ELEMENTS:
+        raise InputError("exhaustive field generation capped at "
+                         f"{MAX_ELEMENTS.bit_length() - 1} points")
     partitions = [()]
     for i in range(n):  # point i joins a block of the points before it, or starts one
         partitions = [p[:k] + (b | 1 << i,) + p[k + 1:] for p in partitions

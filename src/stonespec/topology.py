@@ -28,7 +28,7 @@ def _points(points) -> tuple:
     """The labels as a tuple: distinct, nonempty and at most ``MAX_POINTS``."""
     try:
         points = tuple(_capped(points, MAX_POINTS, "point labels",
-                               "more than {} points exceed the cap"))
+                               f"{{}} points exceed the cap of {MAX_POINTS}"))
         distinct = len(set(points))
     except TypeError:
         raise InputError("point labels must be an iterable of hashable values") from None
@@ -36,8 +36,6 @@ def _points(points) -> tuple:
         raise InputError("duplicate point labels")
     if not points:
         raise InputError("a space needs at least one point")
-    if len(points) > MAX_POINTS:
-        raise InputError(f"{len(points)} points exceed the cap of {MAX_POINTS}")
     return points
 
 

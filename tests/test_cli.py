@@ -1,5 +1,6 @@
 """Exit-code contract and output shapes of the command line interface."""
 
+import gc
 import io
 import json
 import os
@@ -40,17 +41,18 @@ def fixture(name):
     return os.path.join(FIXTURES, name)
 
 
-def run_forked(call, cpu_s=0.9, memory=580 << 20, wall_s=20):
+def run_forked(call, cpu_s=0.9, memory=555 << 20):
     """``call(out=..., err=...)``, such as ``partial(cli.main, argv)``, in a
     forked child; returns its exit code and what it wrote to ``out`` and to
     ``err``, as ``run`` does.  The call may spend ``cpu_s`` seconds of CPU
     and map ``memory`` bytes beyond the address space the child inherits: by
-    default 1 s and 600 MB less what a spawned ``python -m stonespec`` spends
-    before ``main`` (0.08 s and 19 MB with Python 3.11 on a 2-vCPU Linux
-    host).  It must end within ``wall_s`` seconds.  A child stopped by a
-    limit, a signal or the wall budget fails the test; an exception out of
-    ``call`` goes to ``err`` as a traceback, with status 70, as no subcommand
-    exits."""
+    default 1 s and 600 MB less 0.08 s and 19 MB for the start-up of a
+    spawned ``python -m stonespec`` and 25 MB for the freed heap the child
+    reuses unmapped (up to 22 MB in a tier-1 run; Python 3.11, 2-vCPU Linux).
+    Its garbage collector skips the frozen inherited objects.  A child
+    stopped by these limits, a signal or 20 s of wall time fails the test;
+    an exception out of ``call`` goes to ``err`` as a traceback, with status
+    70, as no subcommand exits."""
     pipes = [os.pipe(), os.pipe()]
     pid = os.fork()
     if pid == 0:  # the child runs the call only, and never returns into the tests
@@ -63,6 +65,7 @@ def run_forked(call, cpu_s=0.9, memory=580 << 20, wall_s=20):
                 with open("/proc/self/status", encoding="ascii") as status:
                     inherited = next(int(line.split()[1]) << 10 for line in status
                                      if line.startswith("VmSize:"))
+                gc.freeze()
                 resource.setrlimit(resource.RLIMIT_AS, (inherited + memory,) * 2)
                 # SIGPROF, whose default action ends the child, after cpu_s s of CPU
                 signal.signal(signal.SIGPROF, signal.SIG_DFL)
@@ -77,7 +80,7 @@ def run_forked(call, cpu_s=0.9, memory=580 << 20, wall_s=20):
     for read_fd, write_fd in pipes:
         os.close(write_fd)
         chunks[read_fd] = []
-    reading, deadline = set(chunks), time.monotonic() + wall_s
+    reading, deadline = set(chunks), time.monotonic() + 20
     while reading:
         ready = select.select(reading, [], [], max(0, deadline - time.monotonic()))[0]
         if not ready:  # the wall budget is spent
@@ -453,7 +456,7 @@ class TestInputRobustness:
         path = tmp_path / f"{kind}.lat"
         path.write_text(f"{kind} S on {{{points}}} {{ {clause}{sets} ; }}\n")
         got, out, err = run_forked(partial(main, ["validate", str(path)]), cpu_s=1.9,
-                                   memory=130 << 20)
+                                   memory=105 << 20)
         assert (got, out) == (2, "")
         assert err == (f"error: parse failed:\n{path}:1:1: error: 60000 points "
                        f"exceed the cap of 4096 [{code}]\n")
@@ -466,7 +469,7 @@ class TestInputRobustness:
         path = tmp_path / "repeated.lat"
         path.write_text(f"topology T on {{{points}}} {{ opens: {opens} ; }}\n")
         code, out, err = run_forked(partial(main, ["validate", str(path)]), cpu_s=4.9,
-                                    memory=130 << 20)
+                                    memory=105 << 20)
         assert (code, out) == (2, "")
         assert err == (f"error: parse failed:\n{path}:1:1: error: a topology must "
                        "contain the empty set and the whole space [bad-topology]\n")
@@ -486,7 +489,7 @@ class TestInputRobustness:
         path = tmp_path / f"{kind}.lat"
         path.write_text(f"{kind} S on {{{self.POINTS}}} {{ {clause}: {', '.join(sets)} ; }}\n")
         code, out, err = run_forked(partial(main, ["validate", str(path)]), cpu_s=2.9,
-                                    memory=130 << 20)
+                                    memory=105 << 20)
         assert (code, out) == (2, "")
         assert err == f"error: parse failed:\n{path}:1:1: error: {why}\n"
 

@@ -584,20 +584,21 @@ class TestLibraryBoundary:
             make()
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("call, message", [
-        (("Lattice", map(str, itertools.count()), [], None, ()),
-         "more than 64 elements exceed the cap"),
-        (("Lattice.from_sets", itertools.count(), ["0", "1"]),
-         "more than 2 sets for 2 element names"),
-        (("TopSpace", map(str, itertools.count()), [0]), "more than 4096 points exceed the cap"),
-        (("is_continuous", S2, itertools.count()), "one value per point required"),
-        (("ObservableFunction", stone_space(B2), itertools.count()),
+    @pytest.mark.parametrize("call, cap, message", [
+        (lambda long: ("Lattice", long, [], None, ()), 64, "{} elements exceed the cap of 64"),
+        (lambda long: ("Lattice.from_sets", long, ["0", "1"]), 2, "{} sets for 2 element names"),
+        (lambda long: ("TopSpace", long, [0]), 4096, "{} points exceed the cap of 4096"),
+        (lambda long: ("is_continuous", S2, long), 2, "one value per point required"),
+        (lambda long: ("ObservableFunction", stone_space(B2), long), 2,
          "one value per quasipoint required"),
     ], ids=["names", "masks", "points", "point-values", "observable-values"])
-    def test_an_endless_iterable_is_read_one_item_past_its_cap(self, call, message):
-        # in a forked child, where reading one to its end is stopped by the caps
-        assert run_forked(partial(refusal_code, *call), cpu_s=1, memory=256 << 20) == (
-            2, message + "\n", "")
+    @pytest.mark.parametrize("sized", [False, True], ids=["endless", "sized"])
+    def test_an_endless_iterable_is_read_one_item_past_its_cap(self, call, cap, message, sized):
+        # in a forked child, where reading one to its end is stopped by the
+        # caps; a range as long is refused by its length, before it is read
+        long, count = (range(10**12), 10**12) if sized else (itertools.count(), f"more than {cap}")
+        assert run_forked(partial(refusal_code, *call(long)), cpu_s=1, memory=256 << 20) == (
+            2, message.format(count) + "\n", "")
 
     @settings(max_examples=130, deadline=None)
     @given(hostile_calls())
